@@ -1,5 +1,5 @@
 // Google-benchmark micro-benchmarks for the hot paths: one collapsed
-// Gibbs sweep, claim materialization and graph flattening, the LTMinc
+// Gibbs sweep, claim-graph materialization, the LTMinc
 // closed form (Eq. 3), source-quality read-off, the synthetic generators,
 // struct-walk vs packed-graph-walk method loops, and snapshot-load vs
 // TSV-ingest.
@@ -21,12 +21,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/math_util.h"
 #include "data/claim_graph.h"
-#include "data/claim_table.h"
 #include "data/dataset.h"
 #include "data/snapshot.h"
 #include "data/tsv_io.h"
@@ -36,7 +36,6 @@
 #include "synth/movie_simulator.h"
 #include "truth/ltm.h"
 #include "truth/ltm_incremental.h"
-#include "truth/ltm_parallel.h"
 #include "truth/source_quality.h"
 
 namespace ltm {
@@ -66,14 +65,37 @@ const Dataset& SharedMovieDataset(size_t movies) {
   return it->second;
 }
 
-/// The demoted struct-of-claims table for the same movie world — the
-/// substrate every method iterated before the columnar refactor.
-const ClaimTable& SharedMovieTable(size_t movies) {
-  static auto* cache = new std::map<size_t, ClaimTable>();
+/// The array-of-structs claim layout every method iterated before the
+/// packed CSR graph: 12-byte Claim structs, fact-major, with per-fact
+/// offsets. Unpacked from the movie world's graph so the *Struct
+/// baselines below walk the same claims in the same order.
+struct ClaimStructs {
+  std::vector<Claim> claims;
+  std::vector<uint32_t> fact_offsets;  // size NumFacts()+1
+  size_t num_sources = 0;
+
+  size_t NumFacts() const { return fact_offsets.size() - 1; }
+  std::span<const Claim> OfFact(FactId f) const {
+    return std::span<const Claim>(claims.data() + fact_offsets[f],
+                                  fact_offsets[f + 1] - fact_offsets[f]);
+  }
+};
+
+const ClaimStructs& SharedMovieStructs(size_t movies) {
+  static auto* cache = new std::map<size_t, ClaimStructs>();
   auto it = cache->find(movies);
   if (it == cache->end()) {
-    const Dataset& ds = SharedMovieDataset(movies);
-    it = cache->emplace(movies, ClaimTable::Build(ds.raw, ds.facts)).first;
+    const ClaimGraph& graph = SharedMovieDataset(movies).graph;
+    ClaimStructs structs;
+    structs.num_sources = graph.NumSources();
+    structs.fact_offsets = graph.fact_offsets();
+    for (FactId f = 0; f < graph.NumFacts(); ++f) {
+      for (uint32_t entry : graph.FactClaims(f)) {
+        structs.claims.push_back({f, ClaimGraph::PackedId(entry),
+                                  ClaimGraph::PackedObs(entry) == 1});
+      }
+    }
+    it = cache->emplace(movies, std::move(structs)).first;
   }
   return it->second;
 }
@@ -117,40 +139,32 @@ BENCHMARK(BM_GibbsSweepFused)->Arg(1000)->Arg(10000);
 // Sharded sweep on the production default kernel (kAuto: reference at
 // one shard, fused beyond), so the curve shows the compounded
 // kernel-times-sharding throughput a `threads=N` spec actually gets.
+// Real time, not the calling thread's CPU time: the shards run on pool
+// workers, so CPU time would inflate items/s by about the shard count.
 void BM_ShardedGibbsSweep(benchmark::State& state) {
   const auto& data = SharedProcessData(10000);
   LtmOptions opts = LtmOptions::ScaledDefaults(data.graph.NumFacts());
   opts.threads = static_cast<int>(state.range(0));
-  ParallelLtmGibbs sampler(data.graph, opts);
+  LtmGibbs sampler(data.graph, opts);
   for (auto _ : state) {
     sampler.RunSweep();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(data.graph.NumClaims()));
 }
-BENCHMARK(BM_ShardedGibbsSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ShardedGibbsSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// Definition 3 claim materialization straight into the packed CSR graph.
 void BM_ClaimGraphBuild(benchmark::State& state) {
-  const ClaimTable& table = SharedMovieTable(state.range(0));
-  for (auto _ : state) {
-    ClaimGraph graph = ClaimGraph::Build(table);
-    benchmark::DoNotOptimize(graph.NumClaims());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(table.NumClaims()));
-}
-BENCHMARK(BM_ClaimGraphBuild)->Arg(1000)->Arg(4000);
-
-void BM_ClaimTableBuild(benchmark::State& state) {
   const Dataset& ds = SharedMovieDataset(state.range(0));
   for (auto _ : state) {
-    ClaimTable table = ClaimTable::Build(ds.raw, ds.facts);
-    benchmark::DoNotOptimize(table.NumClaims());
+    ClaimGraph graph = ClaimGraph::Build(ds.raw, ds.facts);
+    benchmark::DoNotOptimize(graph.NumClaims());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.graph.NumClaims()));
 }
-BENCHMARK(BM_ClaimTableBuild)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_ClaimGraphBuild)->Arg(1000)->Arg(4000);
 
 // ---------------------------------------------------------------------------
 // Struct-walk vs graph-walk: one TruthFinder fixed-point iteration.
@@ -159,15 +173,15 @@ constexpr double kTrustCap = 1.0 - 1e-9;
 constexpr double kDampening = 0.3;
 
 void BM_TruthFinderIterStruct(benchmark::State& state) {
-  const ClaimTable& table = SharedMovieTable(8000);
-  std::vector<double> trust(table.NumSources(), 0.8);
+  const ClaimStructs& table = SharedMovieStructs(8000);
+  std::vector<double> trust(table.num_sources, 0.8);
   std::vector<double> conf(table.NumFacts(), 0.0);
-  std::vector<double> sum(table.NumSources());
-  std::vector<size_t> n(table.NumSources());
+  std::vector<double> sum(table.num_sources);
+  std::vector<size_t> n(table.num_sources);
   for (auto _ : state) {
     for (FactId f = 0; f < table.NumFacts(); ++f) {
       double sigma = 0.0;
-      for (const Claim& c : table.ClaimsOfFact(f)) {
+      for (const Claim& c : table.OfFact(f)) {
         if (!c.observation) continue;
         sigma += -std::log(1.0 - std::min(trust[c.source], kTrustCap));
       }
@@ -175,18 +189,18 @@ void BM_TruthFinderIterStruct(benchmark::State& state) {
     }
     std::fill(sum.begin(), sum.end(), 0.0);
     std::fill(n.begin(), n.end(), 0);
-    for (const Claim& c : table.claims()) {
+    for (const Claim& c : table.claims) {
       if (!c.observation) continue;
       sum[c.source] += conf[c.fact];
       ++n[c.source];
     }
-    for (SourceId s = 0; s < table.NumSources(); ++s) {
+    for (SourceId s = 0; s < table.num_sources; ++s) {
       if (n[s] > 0) trust[s] = sum[s] / static_cast<double>(n[s]);
     }
     benchmark::DoNotOptimize(trust.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(table.NumClaims()));
+                          static_cast<int64_t>(table.claims.size()));
 }
 BENCHMARK(BM_TruthFinderIterStruct);
 
@@ -229,11 +243,11 @@ BENCHMARK(BM_TruthFinderIterGraph);
 // Struct-walk vs graph-walk: voting.
 
 void BM_VotingStruct(benchmark::State& state) {
-  const ClaimTable& table = SharedMovieTable(8000);
+  const ClaimStructs& table = SharedMovieStructs(8000);
   std::vector<double> prob(table.NumFacts(), 0.0);
   for (auto _ : state) {
     for (FactId f = 0; f < table.NumFacts(); ++f) {
-      auto fact_claims = table.ClaimsOfFact(f);
+      auto fact_claims = table.OfFact(f);
       if (fact_claims.empty()) continue;
       size_t pos = 0;
       for (const Claim& c : fact_claims) {
@@ -245,7 +259,7 @@ void BM_VotingStruct(benchmark::State& state) {
     benchmark::DoNotOptimize(prob.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(table.NumClaims()));
+                          static_cast<int64_t>(table.claims.size()));
 }
 BENCHMARK(BM_VotingStruct);
 

@@ -103,7 +103,7 @@ class Rng {
   /// independent streams rooted at this engine's construction seed.
   /// Unlike Fork, SplitStream is const and depends only on (seed,
   /// stream_id) — not on how much the parent has been consumed — so a
-  /// sharded sampler can hand shard `k` the stream `SplitStream(k)` and
+  /// sharded Gibbs chain can hand shard `k` the stream `SplitStream(k)` and
   /// get the same sequence no matter what ran before. Each stream also
   /// gets its own PCG increment, so streams from nearby ids cannot be
   /// lag-correlated copies of one another.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -28,6 +30,19 @@ Status ClaimGraph::ValidateIdBounds(size_t num_facts, size_t num_sources) {
   }
   return Status::OK();
 }
+
+namespace {
+
+void AbortOnIdOverflow(const char* builder, size_t num_facts,
+                       size_t num_sources) {
+  const Status bounds = ClaimGraph::ValidateIdBounds(num_facts, num_sources);
+  if (!bounds.ok()) {
+    LTM_LOG(Error) << "ClaimGraph::" << builder << ": " << bounds.ToString();
+    std::abort();
+  }
+}
+
+}  // namespace
 
 void ClaimGraph::BuildSourceSideAndStats() {
   const size_t num_facts = NumFacts();
@@ -63,21 +78,41 @@ void ClaimGraph::BuildSourceSideAndStats() {
   }
 }
 
-ClaimGraph ClaimGraph::Build(const ClaimTable& table) {
-  const Status bounds = ValidateIdBounds(table.NumFacts(), table.NumSources());
-  if (!bounds.ok()) {
-    LTM_LOG(Error) << "ClaimGraph::Build: " << bounds.ToString();
-    std::abort();
+ClaimGraph ClaimGraph::Build(const RawDatabase& raw, const FactTable& facts) {
+  const size_t num_facts = facts.NumFacts();
+  AbortOnIdOverflow("Build", num_facts, raw.NumSources());
+  // Sources asserting each fact (its positives), and sources asserting
+  // anything about each entity, as sorted sets.
+  std::vector<std::vector<SourceId>> fact_sources(num_facts);
+  std::vector<std::vector<SourceId>> entity_sources(raw.NumEntities());
+  for (const RawRow& row : raw.rows()) {
+    const std::optional<FactId> fid = facts.Find(row.entity, row.attribute);
+    if (!fid.has_value()) continue;  // Fact table built from different raw.
+    fact_sources[*fid].push_back(row.source);
+    entity_sources[row.entity].push_back(row.source);
   }
-  ClaimGraph g;
-  g.num_sources_ = table.NumSources();
-  const size_t num_facts = table.NumFacts();
+  for (auto* sets : {&fact_sources, &entity_sources}) {
+    for (std::vector<SourceId>& v : *sets) {
+      std::sort(v.begin(), v.end());
+      v.erase(std::unique(v.begin(), v.end()), v.end());
+    }
+  }
 
+  ClaimGraph g;
+  g.num_sources_ = raw.NumSources();
   g.fact_offsets_.assign(num_facts + 1, 0);
-  g.fact_claims_.reserve(table.NumClaims());
   for (FactId f = 0; f < num_facts; ++f) {
-    for (const Claim& c : table.ClaimsOfFact(f)) {
-      g.fact_claims_.push_back((c.source << 1) | (c.observation ? 1u : 0u));
+    const std::vector<SourceId>& pos = fact_sources[f];
+    for (SourceId s : pos) g.fact_claims_.push_back((s << 1) | 1u);
+    const EntityId e = facts.fact(f).entity;
+    if (e < entity_sources.size()) {
+      // Negatives: the entity's sources minus the fact's (both sorted).
+      auto p = pos.begin();
+      for (SourceId s : entity_sources[e]) {
+        while (p != pos.end() && *p < s) ++p;
+        if (p != pos.end() && *p == s) continue;
+        g.fact_claims_.push_back(s << 1);
+      }
     }
     g.fact_offsets_[f + 1] = static_cast<uint32_t>(g.fact_claims_.size());
   }
@@ -87,8 +122,40 @@ ClaimGraph ClaimGraph::Build(const ClaimTable& table) {
 
 ClaimGraph ClaimGraph::FromClaims(std::vector<Claim> claims, size_t num_facts,
                                   size_t num_sources) {
-  return Build(
-      ClaimTable::FromClaims(std::move(claims), num_facts, num_sources));
+  AbortOnIdOverflow("FromClaims", num_facts, num_sources);
+  // Group by (fact, source) so duplicates are adjacent whatever their
+  // observation; the stable sort keeps the first occurrence first, and
+  // unique keeps exactly that one.
+  std::stable_sort(claims.begin(), claims.end(),
+                   [](const Claim& a, const Claim& b) {
+                     if (a.fact != b.fact) return a.fact < b.fact;
+                     return a.source < b.source;
+                   });
+  claims.erase(std::unique(claims.begin(), claims.end(),
+                           [](const Claim& a, const Claim& b) {
+                             return a.fact == b.fact && a.source == b.source;
+                           }),
+               claims.end());
+  // Canonical order: fact-major, positives before negatives, then by
+  // source (a strict order now that (fact, source) pairs are unique).
+  std::sort(claims.begin(), claims.end(), [](const Claim& a, const Claim& b) {
+    if (a.fact != b.fact) return a.fact < b.fact;
+    if (a.observation != b.observation) return a.observation > b.observation;
+    return a.source < b.source;
+  });
+
+  ClaimGraph g;
+  g.num_sources_ = num_sources;
+  g.fact_offsets_.assign(num_facts + 1, 0);
+  g.fact_claims_.reserve(claims.size());
+  for (const Claim& c : claims) {
+    ++g.fact_offsets_[c.fact + 1];
+    g.fact_claims_.push_back((c.source << 1) | (c.observation ? 1u : 0u));
+  }
+  std::partial_sum(g.fact_offsets_.begin(), g.fact_offsets_.end(),
+                   g.fact_offsets_.begin());
+  g.BuildSourceSideAndStats();
+  return g;
 }
 
 Result<ClaimGraph> ClaimGraph::FromCsr(std::vector<uint32_t> fact_offsets,

@@ -7,30 +7,46 @@
 #include <vector>
 
 #include "common/status.h"
-#include "data/claim_table.h"
+#include "data/fact_table.h"
+#include "data/raw_database.h"
 #include "data/types.h"
 
 namespace ltm {
 
-/// The canonical columnar inference substrate: a packed CSR claim graph.
+/// One claim (paper Definition 3): source `source` observed fact `fact` as
+/// present (`observation` true, a positive claim) or implicitly absent
+/// (`observation` false, a negative claim). The input form of
+/// ClaimGraph::FromClaims; the graph itself stores claims packed.
+struct Claim {
+  FactId fact;
+  SourceId source;
+  bool observation;
+
+  bool operator==(const Claim&) const = default;
+};
+
+/// The claim set C of paper Definition 3 as a packed CSR graph — the one
+/// inference substrate every truth-finding method iterates:
 ///
-/// Every truth-finding method in the library iterates this structure.
-/// ClaimTable is only the ingestion-time builder that materializes claims
-/// (paper Definition 3) and hands off here; after Build() the 12-byte
-/// {fact, source, observation} structs are gone from the hot path.
+///   - positive claim (f, s, true): s asserted fact f in the raw data;
+///   - negative claim (f, s, false): s did not assert f but asserted some
+///     other fact of f's entity;
+///   - no claim: s is silent about f's entity.
 ///
 /// Each adjacency entry is a single uint32 packing the neighbor id with
 /// the observation bit —
 ///
-///   fact side:   (source << 1) | observation, in ClaimTable claim order
+///   fact side:   (source << 1) | observation; within a fact, positives
+///                precede negatives and each group ascends by source
 ///   source side: (fact << 1) | observation, grouped by source
 ///
 /// so one Gibbs conditional (or one fixed-point accumulation pass) streams
-/// a contiguous run of 4-byte words — 3x less memory traffic than the
-/// struct walk — and the per-source pass walks its own contiguous run.
-/// Derived stats the methods need (per-fact/per-source degrees and
-/// positive-claim counts; the fact offsets double as the claim-count
-/// prefix sum) are computed once at build time.
+/// a contiguous run of 4-byte words, and the per-source pass walks its own
+/// contiguous run. The canonical fact-side order is what every builder
+/// emits and what the bit-pinned posteriors rest on. Derived stats the
+/// methods need (per-fact/per-source degrees and positive-claim counts;
+/// the fact offsets double as the claim-count prefix sum) are computed
+/// once at build time.
 ///
 /// Ids must stay below 2^31 so the shifted pack cannot overflow;
 /// ValidateIdBounds makes that limit an explicit checked failure.
@@ -46,18 +62,17 @@ class ClaimGraph {
   /// a violation; snapshot loading surfaces it as a Status.
   static Status ValidateIdBounds(size_t num_facts, size_t num_sources);
 
-  /// Flattens `table`. Per-fact adjacency order is exactly the
-  /// ClaimTable's claim order (positives before negatives, then by
-  /// source), so algorithms ported from ClaimTable iterate identical
-  /// sequences and reproduce identical floating-point sums.
+  /// Materializes the claims of every fact in `facts` from `raw` by the
+  /// Definition 3 rule, written straight into the canonical CSR order.
+  /// Rows whose (entity, attribute) pair `facts` lacks are ignored.
   /// Aborts with a clear message when ValidateIdBounds fails.
-  static ClaimGraph Build(const ClaimTable& table);
+  static ClaimGraph Build(const RawDatabase& raw, const FactTable& facts);
 
   /// Builds a graph directly from an explicit claim list (synthetic
-  /// generators, filtered re-builds). Equivalent to
-  /// Build(ClaimTable::FromClaims(...)): claims are sorted fact-major
-  /// (positives before negatives, then by source) and duplicate
-  /// (fact, source) pairs keep the first occurrence.
+  /// generators that draw claims without a raw database, filtered
+  /// re-builds). Claims are sorted into the canonical order; duplicate
+  /// (fact, source) pairs keep their first occurrence. Fact ids must be
+  /// < num_facts and source ids < num_sources.
   static ClaimGraph FromClaims(std::vector<Claim> claims, size_t num_facts,
                                size_t num_sources);
 
@@ -93,8 +108,7 @@ class ClaimGraph {
   }
 
   /// Packed (fact << 1 | obs) entries of source `s`'s claims, in
-  /// fact-major order (identical to the order ClaimTable's by-source
-  /// index visited, so per-source sums stay bit-identical).
+  /// fact-major order.
   std::span<const uint32_t> SourceClaims(SourceId s) const {
     return std::span<const uint32_t>(
         source_claims_.data() + source_offsets_[s],
@@ -125,7 +139,7 @@ class ClaimGraph {
   /// claim count (the sweep's unit of work, since Eq. 2 is O(|C_f|)).
   /// Returns `num_shards + 1` non-decreasing boundaries with front() == 0
   /// and back() == NumFacts(); shard k owns [b[k], b[k+1]). Deterministic
-  /// for a given graph and shard count — the parallel sampler's
+  /// for a given graph and shard count — the sharded chain's
   /// reproducibility rests on this.
   std::vector<uint32_t> PartitionFacts(int num_shards) const;
 

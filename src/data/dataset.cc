@@ -3,8 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "data/claim_table.h"
-
 namespace ltm {
 
 Dataset Dataset::FromRaw(std::string name, RawDatabase raw) {
@@ -12,9 +10,7 @@ Dataset Dataset::FromRaw(std::string name, RawDatabase raw) {
   ds.name = std::move(name);
   ds.raw = std::move(raw);
   ds.facts = FactTable::Build(ds.raw);
-  // The struct-of-claims table is a build-time intermediate: materialize,
-  // flatten into the packed CSR graph, discard.
-  ds.graph = ClaimGraph::Build(ClaimTable::Build(ds.raw, ds.facts));
+  ds.graph = ClaimGraph::Build(ds.raw, ds.facts);
   ds.labels = TruthLabels(ds.facts.NumFacts());
   return ds;
 }

@@ -16,8 +16,7 @@ namespace ltm {
 /// A fully materialized truth-finding input: the raw triples plus the
 /// derived fact table and packed claim graph, and (for evaluation or
 /// synthetic data) ground-truth labels. Methods consume `graph`;
-/// evaluation consumes `labels`. The intermediate ClaimTable exists only
-/// inside FromRaw — the graph is the single inference substrate.
+/// evaluation consumes `labels`.
 struct Dataset {
   std::string name;
   RawDatabase raw;
@@ -25,8 +24,8 @@ struct Dataset {
   ClaimGraph graph;
   TruthLabels labels;
 
-  /// Derives facts and the claim graph from `raw` (via the ClaimTable
-  /// builder) and sizes an empty label store. `raw` is moved in.
+  /// Derives facts and the claim graph from `raw` and sizes an empty
+  /// label store. `raw` is moved in.
   static Dataset FromRaw(std::string name, RawDatabase raw);
 
   /// Restricts to the first `max_entities` entities (by EntityId) and

@@ -38,7 +38,7 @@ struct RawRowHash {
 /// This is the single entry point for feeding data into the library: real
 /// data arrives through `tsv_io`, synthetic data through `ltm::synth`
 /// generators; both produce a RawDatabase, from which FactTable and
-/// ClaimTable are derived deterministically.
+/// ClaimGraph are derived deterministically.
 class RawDatabase {
  public:
   RawDatabase() = default;

@@ -60,8 +60,7 @@ Result<AdversarialResult> RunAdversarialFilter(const FactTable& facts,
       LTM_LOG(Info) << "adversarial filter: removing source " << s;
     }
 
-    // Rebuild the graph without the removed sources' claims (through the
-    // ingestion-time ClaimTable builder, like any other re-ingest).
+    // Rebuild the graph without the removed sources' claims.
     std::vector<Claim> surviving;
     surviving.reserve(current.NumClaims());
     for (FactId f = 0; f < current.NumFacts(); ++f) {

@@ -29,7 +29,7 @@ Status StreamingPipeline::Bootstrap(const Dataset& history,
     cumulative_.mutable_sources().Intern(s);
   }
   cumulative_.MergeRowsFrom(history.raw);
-  LTM_RETURN_IF_ERROR(Refit(ctx));
+  LTM_RETURN_IF_ERROR(RefitCumulative(ctx));
   bootstrapped_ = true;
   return Status::OK();
 }
@@ -61,7 +61,7 @@ Status StreamingPipeline::Observe(const Dataset& chunk, const RunContext& ctx) {
   chunks_.push_back(chunk.graph.NumClaims());
   if (options_.refit_every_chunks > 0 &&
       chunks_.size() % options_.refit_every_chunks == 0) {
-    Status refit = Refit(obs.NestedContext());
+    Status refit = RefitCumulative(obs.NestedContext());
     if (!refit.ok()) {
       // Roll the chunk count back so a retried Observe does not double
       // count it (the raw merge is deduped; serving_'s transient double
@@ -206,7 +206,9 @@ Result<uint64_t> StreamingPipeline::RefitFromStore(const RunContext& ctx) {
   LTM_ASSIGN_OR_RETURN(Dataset durable, store_->Materialize(&fit_epoch));
   if (durable.raw.NumRows() == 0) return fit_epoch;  // nothing to fit
   std::swap(cumulative_, durable.raw);  // durable.raw now holds the old
-  Status refit = Refit(ctx);
+  // Materialize already built the facts and graph of exactly these rows;
+  // both builds are deterministic, so fitting them is fitting a rebuild.
+  Status refit = Refit(ctx, durable.facts, durable.graph);
   if (!refit.ok()) {
     std::swap(cumulative_, durable.raw);  // Refit left quality_ as-is
     return refit;
@@ -216,10 +218,13 @@ Result<uint64_t> StreamingPipeline::RefitFromStore(const RunContext& ctx) {
   return fit_epoch;
 }
 
-Status StreamingPipeline::Refit(const RunContext& ctx) {
-  FactTable facts = FactTable::Build(cumulative_);
-  const ClaimGraph graph =
-      ClaimGraph::Build(ClaimTable::Build(cumulative_, facts));
+Status StreamingPipeline::RefitCumulative(const RunContext& ctx) {
+  const FactTable facts = FactTable::Build(cumulative_);
+  return Refit(ctx, facts, ClaimGraph::Build(cumulative_, facts));
+}
+
+Status StreamingPipeline::Refit(const RunContext& ctx, const FactTable& facts,
+                                const ClaimGraph& graph) {
   LtmOptions fit_options = options_.ltm;
   if (options_.align_shards_to_partitions && store_ != nullptr) {
     // Pin the refit chain's shard layout to the store's partition count

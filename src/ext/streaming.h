@@ -152,9 +152,14 @@ class StreamingPipeline : public StreamingTruthMethod {
   bool last_refit() const { return last_refit_; }
 
  private:
-  /// Batch-fits on cumulative_, installs the quality, and resets serving_
-  /// (whose accumulated chunk evidence the refit just absorbed).
-  Status Refit(const RunContext& ctx);
+  /// Batch-fits `facts`/`graph` (built from cumulative_), installs the
+  /// quality, and resets serving_ (whose accumulated chunk evidence the
+  /// refit just absorbed).
+  Status Refit(const RunContext& ctx, const FactTable& facts,
+               const ClaimGraph& graph);
+
+  /// Refit over a fresh build of cumulative_.
+  Status RefitCumulative(const RunContext& ctx);
 
   StreamingOptions options_;
   SourceQuality quality_;

@@ -7,8 +7,8 @@
 ///   1. Build a RawDatabase from (entity, attribute, source) triples —
 ///      by hand, via tsv_io, or with a synth generator.
 ///   2. Derive a Dataset (fact table + packed CSR claim graph, paper §2)
-///      with Dataset::FromRaw — the ClaimTable materializer is an
-///      ingestion-time builder; every method consumes the ClaimGraph.
+///      with Dataset::FromRaw, which materializes the Definition 3
+///      claims straight into the ClaimGraph every method consumes.
 ///      Snapshot the result (Dataset::SaveSnapshot / LoadSnapshot) so
 ///      repeat runs skip TSV parsing and claim materialization.
 ///   3. Create a method from a spec string — CreateMethod("LTM"),
@@ -44,7 +44,6 @@
 
 #include "data/claim_graph.h"    // IWYU pragma: export
 #include "data/claim_stats.h"    // IWYU pragma: export
-#include "data/claim_table.h"    // IWYU pragma: export
 #include "data/dataset.h"        // IWYU pragma: export
 #include "data/fact_table.h"     // IWYU pragma: export
 #include "data/interner.h"       // IWYU pragma: export
@@ -65,7 +64,6 @@
 #include "truth/gibbs_kernel.h"      // IWYU pragma: export
 #include "truth/ltm.h"               // IWYU pragma: export
 #include "truth/ltm_incremental.h"   // IWYU pragma: export
-#include "truth/ltm_parallel.h"      // IWYU pragma: export
 #include "truth/method_spec.h"       // IWYU pragma: export
 #include "truth/options.h"           // IWYU pragma: export
 #include "truth/registry.h"          // IWYU pragma: export

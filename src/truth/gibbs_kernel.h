@@ -23,8 +23,8 @@ namespace ltm {
 ///
 /// Tables are keyed by the truth label i (and observation j for the
 /// numerator family) because the Beta pseudo-counts differ per (i, j).
-/// One instance serves one chain (or one shard: growth is not
-/// synchronized — give concurrent shards their own instance).
+/// One instance serves one shard (growth is not synchronized — give
+/// concurrent shards their own instance).
 class LogCountTables {
  public:
   /// Per-table memoization cap. Counts at or beyond the cap (a source
@@ -39,7 +39,7 @@ class LogCountTables {
 
   /// (Re-)binds the tables to a prior configuration and drops any
   /// memoized entries. alpha[i][j] is the Eq. 2 pseudo-count layout used
-  /// by the samplers: alpha[0] = {alpha0.neg, alpha0.pos}, alpha[1] =
+  /// by LtmGibbs: alpha[0] = {alpha0.neg, alpha0.pos}, alpha[1] =
   /// {alpha1.neg, alpha1.pos}.
   void Reset(const std::array<std::array<double, 2>, 2>& alpha);
 
@@ -91,9 +91,7 @@ class LogCountTables {
 ///
 /// `counts` is the n_{s,i,j} matrix flattened s*4 + i*2 + j — the
 /// authoritative matrix of a sequential chain or a shard's private copy.
-/// `log_beta[i]` is log(beta_i) of the truth prior. Both samplers call
-/// this exact function so fused chains share one floating-point
-/// operation sequence regardless of which sampler runs them.
+/// `log_beta[i]` is log(beta_i) of the truth prior.
 double FusedFlipLogOdds(const ClaimGraph& graph, FactId f, int cur,
                         const std::vector<int64_t>& counts,
                         const std::array<double, 2>& log_beta,
@@ -101,11 +99,8 @@ double FusedFlipLogOdds(const ClaimGraph& graph, FactId f, int cur,
 
 /// One fused Gibbs pass over facts [begin, end): per fact, evaluate
 /// FusedFlipLogOdds, draw one uniform from `rng`, and on a flip update
-/// `truth` and `counts` in place. Returns the flip count. Both LtmGibbs
-/// and ParallelLtmGibbs run their fused sweeps through this single
-/// function, so the bit-identical-across-samplers guarantee for a fused
-/// (single-shard) chain holds by construction rather than by keeping two
-/// loop copies in sync.
+/// `truth` and `counts` in place. Returns the flip count. LtmGibbs runs
+/// every fused shard's sweep (one shard or many) through it.
 int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
                     std::vector<uint8_t>* truth,
                     std::vector<int64_t>* counts,
@@ -115,15 +110,13 @@ int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
 /// Rebuilds the flattened n_{s,i,j} count matrix (s*4 + i*2 + j, the
 /// layout both kernels index) from the graph and a truth assignment.
 /// `counts` must already be sized NumSources()*4; it is zeroed first.
-/// Shared by both samplers' lazy count builds so the packing layout
-/// cannot drift between the sequential and sharded chains.
 void RecountClaims(const ClaimGraph& graph,
                    const std::vector<uint8_t>& truth,
                    std::vector<int64_t>* counts);
 
-/// Resolves LtmKernel::kAuto for a sampler running `num_shards` shards:
-/// one shard keeps the bit-pinned reference kernel, a sharded run gets
-/// the fused kernel. Explicit choices pass through.
+/// Resolves LtmKernel::kAuto for a chain of `num_shards` shards: one
+/// shard keeps the bit-pinned reference kernel, a sharded chain gets the
+/// fused kernel. Explicit choices pass through.
 LtmKernel ResolveKernel(LtmKernel kernel, int num_shards);
 
 }  // namespace ltm

@@ -1,7 +1,6 @@
 #include "truth/ltm.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -10,35 +9,67 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "truth/ltm_parallel.h"
 #include "truth/registry.h"
 
 namespace ltm {
 
+namespace {
+
+/// An explicit `shards` pins the chain shape regardless of worker count;
+/// otherwise the shard count follows `threads` (0 = hardware
+/// concurrency).
+int ResolveShards(const LtmOptions& options) {
+  if (options.shards > 0) return options.shards;
+  return options.threads <= 0 ? ThreadPool::HardwareConcurrency()
+                              : options.threads;
+}
+
+}  // namespace
+
 LtmGibbs::LtmGibbs(const ClaimGraph& graph, const LtmOptions& options)
     : graph_(graph),
       options_(options),
-      rng_(options.seed),
-      kernel_(ResolveKernel(options.kernel, /*num_shards=*/1)) {
+      num_shards_(ResolveShards(options)),
+      kernel_(ResolveKernel(options.kernel, num_shards_)),
+      shard_bounds_(graph.PartitionFacts(num_shards_)),
+      rng_(options.seed) {
   alpha_[0][0] = options_.alpha0.neg;  // prior true negative count
   alpha_[0][1] = options_.alpha0.pos;  // prior false positive count
   alpha_[1][0] = options_.alpha1.neg;  // prior false negative count
   alpha_[1][1] = options_.alpha1.pos;  // prior true positive count
   log_beta_[0] = std::log(options_.beta.neg);
   log_beta_[1] = std::log(options_.beta.pos);
-  tables_.Reset(alpha_);
   truth_.assign(graph_.NumFacts(), 0);
   counts_.assign(graph_.NumSources() * 4, 0);
   truth_sum_.assign(graph_.NumFacts(), 0.0);
-  // Consumes the same NumFacts draws the constructor always has, but
-  // defers the O(edges) count build to first use: Run() re-initializes
-  // anyway, so eager counts here would be paid twice per run.
+  if (num_shards_ > 1) {
+    shard_rngs_.reserve(num_shards_);
+    for (int k = 0; k < num_shards_; ++k) {
+      // SplitStream depends only on (seed, k): shard streams are fixed by
+      // the options, not by construction order or thread scheduling.
+      shard_rngs_.push_back(rng_.SplitStream(static_cast<uint64_t>(k)));
+    }
+    shard_counts_.assign(num_shards_, std::vector<int64_t>());
+    shard_flips_.assign(num_shards_, 0);
+  }
+  if (kernel_ == LtmKernel::kFused) {
+    shard_tables_.resize(static_cast<size_t>(num_shards_));
+    for (LogCountTables& tables : shard_tables_) tables.Reset(alpha_);
+  }
   DrawInitialTruth();
 }
 
 void LtmGibbs::DrawInitialTruth() {
-  for (FactId f = 0; f < truth_.size(); ++f) {
-    truth_[f] = rng_.Bernoulli(0.5) ? 1 : 0;
+  if (num_shards_ == 1) {
+    for (FactId f = 0; f < truth_.size(); ++f) {
+      truth_[f] = rng_.Bernoulli(0.5) ? 1 : 0;
+    }
+  } else {
+    for (int k = 0; k < num_shards_; ++k) {
+      for (FactId f = shard_bounds_[k]; f < shard_bounds_[k + 1]; ++f) {
+        truth_[f] = shard_rngs_[k].Bernoulli(0.5) ? 1 : 0;
+      }
+    }
   }
   MutexLock lock(counts_mutex_);
   counts_stale_ = true;
@@ -57,54 +88,105 @@ void LtmGibbs::Initialize() {
   DrawInitialTruth();
 }
 
-double LtmGibbs::LogConditional(FactId f, int i, bool exclude_self) const {
+double LtmGibbs::LogConditional(FactId f, int i, bool exclude_self,
+                                const std::vector<int64_t>& counts) const {
   // log beta_i prior factor (Eq. 2).
   double lp = std::log(i == 1 ? options_.beta.pos : options_.beta.neg);
   const int64_t self = exclude_self ? 1 : 0;
   const double alpha_sum = alpha_[i][0] + alpha_[i][1];
   for (uint32_t entry : graph_.FactClaims(f)) {
-    const uint32_t cs = ClaimGraph::PackedId(entry);
+    const uint32_t s = ClaimGraph::PackedId(entry);
     const int j = ClaimGraph::PackedObs(entry);
-    const int64_t n_ij = counts_[cs * 4 + i * 2 + j] - self;
+    const int64_t n_ij = counts[s * 4 + i * 2 + j] - self;
     const int64_t n_i =
-        counts_[cs * 4 + i * 2] + counts_[cs * 4 + i * 2 + 1] - self;
+        counts[s * 4 + i * 2] + counts[s * 4 + i * 2 + 1] - self;
     lp += std::log(static_cast<double>(n_ij) + alpha_[i][j]) -
           std::log(static_cast<double>(n_i) + alpha_sum);
   }
   return lp;
 }
 
-int LtmGibbs::RunSweep() {
-  EnsureCounts();
-  return kernel_ == LtmKernel::kFused ? RunSweepFused() : RunSweepReference();
-}
-
-int LtmGibbs::RunSweepReference() {
+int LtmGibbs::SweepRange(FactId begin, FactId end,
+                         std::vector<int64_t>* counts, Rng* rng,
+                         LogCountTables* tables) {
+  if (kernel_ == LtmKernel::kFused) {
+    return FusedSweepRange(graph_, begin, end, &truth_, counts, log_beta_,
+                           tables, rng);
+  }
   int flips = 0;
-  for (FactId f = 0; f < truth_.size(); ++f) {
+  for (FactId f = begin; f < end; ++f) {
     const int cur = truth_[f];
     const int other = 1 - cur;
-    const double lp_cur = LogConditional(f, cur, /*exclude_self=*/true);
-    const double lp_other = LogConditional(f, other, /*exclude_self=*/false);
+    const double lp_cur = LogConditional(f, cur, /*exclude_self=*/true,
+                                         *counts);
+    const double lp_other = LogConditional(f, other, /*exclude_self=*/false,
+                                           *counts);
     // p(flip) = p_other / (p_cur + p_other) = sigmoid(lp_other - lp_cur).
     const double p_flip = 1.0 / (1.0 + std::exp(lp_cur - lp_other));
-    if (rng_.Uniform() < p_flip) {
+    if (rng->Uniform() < p_flip) {
       ++flips;
       truth_[f] = static_cast<uint8_t>(other);
       for (uint32_t entry : graph_.FactClaims(f)) {
-        const uint32_t cs = ClaimGraph::PackedId(entry);
+        const uint32_t s = ClaimGraph::PackedId(entry);
         const int j = ClaimGraph::PackedObs(entry);
-        --counts_[cs * 4 + cur * 2 + j];
-        ++counts_[cs * 4 + other * 2 + j];
+        --(*counts)[s * 4 + cur * 2 + j];
+        ++(*counts)[s * 4 + other * 2 + j];
       }
     }
   }
   return flips;
 }
 
-int LtmGibbs::RunSweepFused() {
-  return FusedSweepRange(graph_, 0, static_cast<FactId>(truth_.size()),
-                         &truth_, &counts_, log_beta_, &tables_, &rng_);
+Status LtmGibbs::RunSweep(const std::function<Status()>& stop_check,
+                          int* flips) {
+  EnsureCounts();
+  if (num_shards_ == 1) {
+    if (stop_check) LTM_RETURN_IF_ERROR(stop_check());
+    *flips = SweepRange(0, static_cast<FactId>(truth_.size()), &counts_,
+                        &rng_,
+                        shard_tables_.empty() ? nullptr : &shard_tables_[0]);
+    return Status::OK();
+  }
+
+  // Shard k samples its fact range against a private copy of the counts;
+  // truth_ writes are disjoint byte ranges. counts_ is read-only until
+  // the barrier below.
+  Status st = ThreadPool::Shared().ParallelFor(
+      0, static_cast<size_t>(num_shards_), 1,
+      [this](size_t lo, size_t) {
+        const int k = static_cast<int>(lo);
+        shard_counts_[k].assign(counts_.begin(), counts_.end());
+        shard_flips_[k] =
+            SweepRange(shard_bounds_[k], shard_bounds_[k + 1],
+                       &shard_counts_[k], &shard_rngs_[k],
+                       shard_tables_.empty() ? nullptr : &shard_tables_[k]);
+      },
+      stop_check);
+  // A cancelled/expired sweep leaves the chain torn (some shards swept,
+  // none merged); callers abandon the run, so skip the merge.
+  LTM_RETURN_IF_ERROR(st);
+
+  // Barrier merge: integer deltas commute, so the result is independent
+  // of shard completion order.
+  for (size_t e = 0; e < counts_.size(); ++e) {
+    const int64_t base = counts_[e];
+    int64_t acc = base;
+    for (int k = 0; k < num_shards_; ++k) {
+      acc += shard_counts_[k][e] - base;
+    }
+    counts_[e] = acc;
+  }
+  int total_flips = 0;
+  for (int k = 0; k < num_shards_; ++k) total_flips += shard_flips_[k];
+  *flips = total_flips;
+  return Status::OK();
+}
+
+int LtmGibbs::RunSweep() {
+  int flips = 0;
+  Status st = RunSweep(nullptr, &flips);
+  (void)st;  // cannot fail without a stop_check
+  return flips;
 }
 
 void LtmGibbs::AccumulateSample() {
@@ -124,16 +206,12 @@ TruthEstimate LtmGibbs::PosteriorMean() const {
   return est;
 }
 
-TruthEstimate LtmGibbs::Run() {
-  Initialize();
-  for (int iter = 0; iter < options_.iterations; ++iter) {
-    RunSweep();
-    if (iter >= options_.burnin &&
-        (iter - options_.burnin) % options_.sample_gap == 0) {
-      AccumulateSample();
-    }
-  }
-  return PosteriorMean();
+TruthEstimate LtmGibbs::Run() const {
+  // The sampler samples the graph it was given; the LTMpos projection is
+  // the wrapper's business.
+  LtmOptions opts = options_;
+  opts.positive_claims_only = false;
+  return LatentTruthModel(opts).RunWithQuality(graph_, /*quality=*/nullptr);
 }
 
 LatentTruthModel::LatentTruthModel(LtmOptions options)
@@ -167,33 +245,18 @@ Result<TruthResult> LatentTruthModel::Run(const RunContext& ctx,
     active = &positive;
   }
 
-  // The single-shard default keeps the original sequential chain;
-  // anything else dispatches to the sharded sampler. The chain shape is
-  // fixed by the resolved shard count — an explicit `shards` pins it
-  // regardless of `threads`, otherwise it follows threads (0 = one
-  // shard per hardware thread). Quality is always read off the full
-  // graph.
-  const int shards =
-      opts.shards > 0
-          ? opts.shards
-          : (opts.threads <= 0 ? ThreadPool::HardwareConcurrency()
-                               : opts.threads);
-  if (shards > 1) {
-    return RunShardedLtm(ctx, name(), graph, *active, opts);
-  }
-
+  // Construction plus the explicit Initialize() is the stream contract:
+  // NumFacts draws per stream each, then one uniform per fact per sweep.
+  // The count matrix is built lazily, so the double initialization costs
+  // two draw passes but only one count pass.
   RunObserver obs(ctx, name());
-  // Construction plus the explicit Initialize() below replays the exact
-  // RNG stream of LtmGibbs::Run (whose constructor also draws an initial
-  // assignment), so posteriors are bit-identical to the low-level sampler
-  // for a seed. The count matrix is built lazily, so the double
-  // initialization costs two draw passes but only one count pass.
   LtmGibbs sampler(*active, opts);
   sampler.Initialize();
 
   TruthResult result;
   const double num_facts = std::max<double>(1.0, sampler.truth().size());
   TruthEstimate state;  // reused buffer for on_state reporting
+  const auto stop_check = [&obs] { return obs.Check(); };
   // Per-sweep timing, published only when the caller injected a registry.
   // The instrumentation observes the clock, never a sampled value, so
   // enabling it cannot perturb the chain.
@@ -205,12 +268,11 @@ Result<TruthResult> LatentTruthModel::Run(const RunContext& ctx,
           ? nullptr
           : ctx.metrics->histogram("ltm_infer_sweep_micros");
   for (int iter = 0; iter < opts.iterations; ++iter) {
-    LTM_RETURN_IF_ERROR(obs.Check());
     int flips = 0;
     {
       obs::ObsSpan span("gibbs_sweep");
       WallTimer sweep_timer;
-      flips = sampler.RunSweep();
+      LTM_RETURN_IF_ERROR(sampler.RunSweep(stop_check, &flips));
       if (sweeps_total != nullptr) {
         sweeps_total->Increment();
         sweep_micros->Record(

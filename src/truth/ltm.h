@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -18,11 +19,10 @@
 
 namespace ltm {
 
-/// Low-level collapsed Gibbs sampler for the Latent Truth Model (paper
-/// Algorithm 1), running on the packed CSR ClaimGraph. Exposed separately
-/// from the TruthMethod wrapper so that convergence studies (Fig. 5) and
-/// tests can step sweeps manually and inspect the internal truth
-/// assignment and quality counts.
+/// Collapsed Gibbs sampler for the Latent Truth Model (paper Algorithm 1)
+/// on the packed CSR ClaimGraph. Exposed separately from the TruthMethod
+/// wrapper so that convergence studies (Fig. 5) and tests can step sweeps
+/// manually and inspect the internal truth assignment and quality counts.
 ///
 /// State per sweep: the Boolean truth vector t and, per source, the 2x2
 /// integer count matrix n_{s,i,j} (i = current truth of the claimed fact,
@@ -30,31 +30,46 @@ namespace ltm {
 /// hundreds of claims cannot underflow. One conditional streams a fact's
 /// contiguous run of packed 4-byte adjacency words.
 ///
+/// Facts are partitioned into the resolved shard count (`shards`, else
+/// `threads`, 0 = hardware concurrency) of contiguous ranges balanced by
+/// claim count (ClaimGraph::PartitionFacts):
+///
+///   - one shard is the exact sequential chain: one RNG stream seeded
+///     from `seed`, every flip visible to the next fact. It never touches
+///     a thread pool;
+///   - N shards run the approximate-collapsed-Gibbs scheme of AD-LDA on
+///     ThreadPool::Shared(): each shard samples its facts sequentially
+///     against a private copy of the counts, drawing from its own
+///     Rng::SplitStream(k) stream, and the per-shard count deltas are
+///     merged back at the sweep barrier (integer adds, so the result is
+///     independent of scheduling). Deterministic for a fixed
+///     (seed, shards) pair, but a different chain than one shard.
+///
 /// Two kernels evaluate the per-fact update (LtmOptions::kernel):
 /// `reference` calls LogConditional twice per fact (bit-pinned chain),
 /// `fused` accumulates the flip log-odds in one adjacency pass from
 /// memoized log-count tables (truth/gibbs_kernel.h) — same RNG draw
 /// sequence, statistically equivalent posteriors, ~2x+ sweep throughput.
-/// kAuto resolves to `reference` here (one sequential chain).
+/// kAuto resolves to `reference` on one shard and `fused` on several.
 class LtmGibbs {
  public:
-  /// `graph` must outlive the sampler. Options are validated; an invalid
-  /// configuration falls back to defaults with the same seed (callers that
-  /// care should Validate() first — the TruthMethod wrapper does).
-  /// Draws the initial truth assignment; the count matrix is built
-  /// lazily on first use so that a Run() call (whose Initialize()
-  /// redraws) never pays the O(edges) count pass twice.
+  /// `graph` must outlive the sampler. Seeds the RNG streams and draws
+  /// an initial truth assignment; a later Initialize() continues the
+  /// streams. The count matrix is built lazily on first use, so
+  /// construction followed by Initialize() pays one O(edges) count pass.
   LtmGibbs(const ClaimGraph& graph, const LtmOptions& options);
 
-  /// The chain references the graph and owns a mutex; an accidental copy
-  /// would fork the RNG stream mid-sequence, so copies and moves are
-  /// compile errors.
+  /// The chain references the graph, owns RNG streams and a mutex; an
+  /// accidental copy would fork the streams mid-sequence, so copies and
+  /// moves are compile errors.
   LtmGibbs(const LtmGibbs&) = delete;
   LtmGibbs& operator=(const LtmGibbs&) = delete;
   LtmGibbs(LtmGibbs&&) = delete;
   LtmGibbs& operator=(LtmGibbs&&) = delete;
 
-  /// Randomly (re-)initializes the truth assignment and rebuilds counts.
+  /// Randomly (re-)initializes the truth assignment (shard k draws its
+  /// facts from stream k) and clears the accumulator; counts rebuild
+  /// lazily on the next sweep.
   void Initialize();
 
   /// Runs one full Gibbs sweep over all facts (Eq. 2 per fact). Returns
@@ -63,6 +78,13 @@ class LtmGibbs {
   /// TruthMethod wrapper, as a fraction of facts).
   int RunSweep();
 
+  /// RunSweep honoring `stop_check` (the RunContext cancellation/deadline
+  /// hook; must be thread-safe) before the sweep and between shard
+  /// dispatches. On a non-OK status the chain must be considered torn —
+  /// callers abandon the run, as the wrapper does. `flips` receives the
+  /// sweep's flip count on OK.
+  Status RunSweep(const std::function<Status()>& stop_check, int* flips);
+
   /// Adds the current truth assignment into the running posterior mean.
   void AccumulateSample();
 
@@ -70,15 +92,19 @@ class LtmGibbs {
   /// no sample was accumulated yet.
   TruthEstimate PosteriorMean() const;
 
-  /// Runs the full schedule from `options`: Initialize(), then
+  /// Runs the full schedule from `options` — Initialize(), then
   /// `iterations` sweeps accumulating every `sample_gap`-th sweep after
-  /// `burnin`. Returns the posterior mean estimate.
-  TruthEstimate Run();
+  /// `burnin` — and returns the posterior mean. The sweeps go through the
+  /// one run loop, LatentTruthModel::Run, on a fresh chain over this
+  /// sampler's graph: the same streams a just-constructed sampler
+  /// replays. This object's own chain is left untouched.
+  TruthEstimate Run() const;
 
   /// Current (hard) truth assignment of the chain.
   const std::vector<uint8_t>& truth() const { return truth_; }
 
-  /// Current count n_{s,i,j} maintained by the chain.
+  /// Current count n_{s,i,j} maintained by the chain (merged, between
+  /// sweeps).
   int64_t Count(SourceId s, int truth_value, int observation) const {
     EnsureCounts();
     return counts_[s * 4 + truth_value * 2 + observation];
@@ -90,47 +116,59 @@ class LtmGibbs {
   LtmKernel kernel() const { return kernel_; }
 
  private:
-  /// Log of the unnormalized conditional p(t_f = i | t_-f, o, s) (Eq. 2).
+  /// Log of the unnormalized conditional p(t_f = i | t_-f, o, s) (Eq. 2)
+  /// over `counts` (the chain's matrix or a shard's private copy).
   /// `exclude_self` must be true when i equals the fact's current label so
   /// the fact's own claims are removed from the counts.
-  double LogConditional(FactId f, int i, bool exclude_self) const;
+  double LogConditional(FactId f, int i, bool exclude_self,
+                        const std::vector<int64_t>& counts) const;
 
-  /// Draws a fresh Bernoulli(0.5) truth assignment, continuing rng_, and
-  /// marks the count matrix stale. Consumes exactly NumFacts draws — the
-  /// stream contract the bit-pinned posteriors depend on.
+  /// Gibbs-samples facts [begin, end) against `counts` using `rng` and
+  /// the selected kernel (`tables` backs the fused one), updating
+  /// `counts` and truth_ in place. Returns the flip count.
+  int SweepRange(FactId begin, FactId end, std::vector<int64_t>* counts,
+                 Rng* rng, LogCountTables* tables);
+
+  /// Draws a fresh Bernoulli(0.5) truth assignment (shard k from stream
+  /// k) and marks the count matrix stale. Consumes exactly NumFacts draws
+  /// per stream — the stream contract the bit-pinned posteriors depend on.
   void DrawInitialTruth();
 
   /// Rebuilds counts_ from the graph and truth_ if a DrawInitialTruth
   /// since the last build left them stale. Mutex-guarded so concurrent
-  /// const Count() inspections stay race-free, as they were when the
-  /// constructor built counts eagerly. (Count()/RunSweep concurrency is
-  /// unsupported either way — RunSweep mutates the chain.)
+  /// const Count() inspections stay race-free. (Count()/RunSweep
+  /// concurrency is unsupported either way — RunSweep mutates the chain.)
   void EnsureCounts() const LTM_EXCLUDES(counts_mutex_);
-
-  int RunSweepReference();
-  int RunSweepFused();
 
   const ClaimGraph& graph_;
   LtmOptions options_;
-  Rng rng_;
+  int num_shards_;
   LtmKernel kernel_;
+  std::vector<uint32_t> shard_bounds_;  // num_shards_+1 fact boundaries
 
-  std::vector<uint8_t> truth_;       // current t_f per fact
+  Rng rng_;                      // the single-shard stream
+  std::vector<Rng> shard_rngs_;  // per-shard SplitStream engines (N > 1)
+
+  std::vector<uint8_t> truth_;  // current t_f per fact
   // n_{s,i,j}, flattened s*4 + i*2 + j; rebuilt lazily (EnsureCounts)
-  // after a truth redraw so construction + Run() pays one count pass.
-  // counts_ itself is covered by the chain's no-concurrent-mutation
+  // after a truth redraw so construction + Initialize() pays one count
+  // pass. counts_ itself is covered by the chain's no-concurrent-mutation
   // contract (sweeps mutate it lock-free after EnsureCounts), so only the
   // staleness flag — the one field concurrent const readers race on — is
   // lock-guarded.
   mutable std::vector<int64_t> counts_;
   mutable bool counts_stale_ LTM_GUARDED_BY(counts_mutex_) = true;
   mutable Mutex counts_mutex_;  // guards the lazy build only
-  std::vector<double> truth_sum_;    // sum of sampled t_f
+  std::vector<std::vector<int64_t>> shard_counts_;  // per-shard local views
+  // Fused-kernel memo tables: one per shard, never shared across threads
+  // (lazy growth is unsynchronized).
+  std::vector<LogCountTables> shard_tables_;
+  std::vector<int> shard_flips_;
+  std::vector<double> truth_sum_;  // sum of sampled t_f
   int num_samples_ = 0;
-  // log(alpha_{i,j} ) cached view: alpha_[i][j] pseudo-count.
+  // alpha_[i][j]: the Eq. 2 pseudo-count of truth i, observation j.
   std::array<std::array<double, 2>, 2> alpha_;
-  std::array<double, 2> log_beta_;   // log(beta.neg), log(beta.pos)
-  LogCountTables tables_;            // fused-kernel memoized logs
+  std::array<double, 2> log_beta_;  // log(beta.neg), log(beta.pos)
 };
 
 /// The paper's headline method as a TruthMethod: runs the collapsed Gibbs
@@ -142,14 +180,14 @@ class LatentTruthModel : public TruthMethod {
 
   std::string name() const override;
 
-  /// Steps the Gibbs sampler under `ctx`: the chain is seeded from
-  /// `ctx.seed` (falling back to the options seed) and visits sweeps in
-  /// exactly the LtmGibbs::Run order, so posteriors are bit-identical to
-  /// the low-level sampler for the same seed. Per sweep: checks
-  /// cancellation/deadline, reports the flip fraction as the convergence
-  /// delta, and (with ctx.on_state) the hard truth assignment. With
-  /// ctx.with_quality the §5.3 quality read-off is attached, computed from
-  /// the full claim graph even for the LTMpos ablation.
+  /// The one run loop: steps an LtmGibbs chain under `ctx`, seeded from
+  /// `ctx.seed` (falling back to the options seed). Per sweep: checks
+  /// cancellation/deadline, records a `gibbs_sweep` span (and, with
+  /// ctx.metrics, the sweep counter and timing histogram), reports the
+  /// flip fraction as the convergence delta, and (with ctx.on_state) the
+  /// hard truth assignment. With ctx.with_quality the §5.3 quality
+  /// read-off is attached, computed from the full claim graph even for
+  /// the LTMpos ablation.
   Result<TruthResult> Run(const RunContext& ctx, const FactTable& facts,
                           const ClaimGraph& graph) const override;
 

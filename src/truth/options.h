@@ -28,8 +28,8 @@ struct BetaPrior {
 /// Both evaluate the same collapsed conditional (paper Eq. 2); they
 /// differ in how much floating-point work a sweep pays.
 enum class LtmKernel {
-  /// Resolve per sampler: `kReference` on the sequential chain (one
-  /// shard), `kFused` on the multi-shard sampler. The default.
+  /// Resolve per chain shape: `kReference` on one shard, `kFused` on
+  /// several. The default.
   kAuto = 0,
   /// Two LogConditional passes per fact, four std::log calls per packed
   /// adjacency entry — the original Algorithm 1 transcription whose
@@ -76,29 +76,29 @@ struct LtmOptions {
   /// Seed for the sampler's deterministic RNG.
   uint64_t seed = 42;
 
-  /// Gibbs-sweep shard count, spec key `threads`. 1 (default) runs the
-  /// sequential sampler, bit-identical to the original Algorithm 1
-  /// implementation. N > 1 runs the sharded sampler: facts are
-  /// partitioned into N contiguous shards, each driven by its own
-  /// SplitStream RNG, with per-shard count matrices merged at sweep
-  /// barriers — deterministic for a fixed (seed, threads) pair, but a
-  /// different chain than threads=1. 0 means auto (one shard per
-  /// hardware thread; reproducible only on machines with equal core
+  /// Gibbs-sweep shard count when `shards` is 0, spec key `threads`.
+  /// 1 (default) runs LtmGibbs as the exact sequential chain of
+  /// Algorithm 1, without touching a thread pool. N > 1 partitions the
+  /// facts into N contiguous shards swept on ThreadPool::Shared(), each
+  /// driven by its own SplitStream RNG, with per-shard count matrices
+  /// merged at sweep barriers — deterministic for a fixed (seed, threads)
+  /// pair, but a different chain than threads=1. 0 means auto (one shard
+  /// per hardware thread; reproducible only on machines with equal core
   /// counts).
   int threads = 1;
 
   /// Gibbs shard count, spec key `shards`, decoupled from `threads`:
   /// shards fixes the chain (shard boundaries + per-shard RNG streams)
-  /// while threads only sets how many pool workers execute the shard
-  /// sweeps. 0 (default) follows `threads` — the historical coupling,
-  /// where every thread count was its own chain. A store partitioned N
-  /// ways can pin shards=N so refit chains stay reproducible no matter
-  /// what hardware runs them.
+  /// and, when set, `threads` is ignored. Shard sweeps run on
+  /// ThreadPool::Shared() whatever either value. 0 (default) follows
+  /// `threads` — the historical coupling, where every thread count was
+  /// its own chain. A store partitioned N ways can pin shards=N so refit
+  /// chains stay reproducible no matter what hardware runs them.
   int shards = 0;
 
   /// Gibbs update kernel, spec key `kernel` (`auto|reference|fused`).
-  /// kAuto keeps the sequential chain on the bit-pinned reference kernel
-  /// and runs the sharded sampler on the fused kernel.
+  /// kAuto keeps a one-shard chain on the bit-pinned reference kernel
+  /// and runs a multi-shard chain on the fused kernel.
   LtmKernel kernel = LtmKernel::kAuto;
 
   /// When true, negative claims are ignored (the LTMpos ablation of §6.2).

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "data/fact_table.h"
 #include "data/raw_database.h"
 #include "test_util.h"
@@ -12,14 +17,181 @@
 namespace ltm {
 namespace {
 
-ClaimTable BuildTable(uint64_t seed) {
+ClaimGraph BuildGraph(uint64_t seed) {
   RawDatabase raw = testing::RandomRaw(seed);
   FactTable facts = FactTable::Build(raw);
-  return ClaimTable::Build(raw, facts);
+  return ClaimGraph::Build(raw, facts);
 }
 
+/// The graph's fact side unpacked back into claims, fact-major.
+std::vector<Claim> Unpack(const ClaimGraph& g) {
+  std::vector<Claim> claims;
+  for (FactId f = 0; f < g.NumFacts(); ++f) {
+    for (uint32_t entry : g.FactClaims(f)) {
+      claims.push_back({f, ClaimGraph::PackedId(entry),
+                        ClaimGraph::PackedObs(entry) == 1});
+    }
+  }
+  return claims;
+}
+
+class PaperExampleTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    raw_ = testing::PaperTable1();
+    facts_ = FactTable::Build(raw_);
+    claims_ = ClaimGraph::Build(raw_, facts_);
+  }
+
+  std::optional<FactId> FindFact(const std::string& e, const std::string& a) {
+    auto eid = raw_.entities().Find(e);
+    auto aid = raw_.attributes().Find(a);
+    if (!eid || !aid) return std::nullopt;
+    return facts_.Find(*eid, *aid);
+  }
+
+  std::optional<bool> Observation(FactId f, const std::string& source) {
+    auto sid = raw_.sources().Find(source);
+    if (!sid) return std::nullopt;
+    for (uint32_t entry : claims_.FactClaims(f)) {
+      if (ClaimGraph::PackedId(entry) == *sid) {
+        return ClaimGraph::PackedObs(entry) == 1;
+      }
+    }
+    return std::nullopt;
+  }
+
+  RawDatabase raw_;
+  FactTable facts_;
+  ClaimGraph claims_;
+};
+
+// Definition 2: 5 distinct facts from Table 1.
+TEST_F(PaperExampleTest, FactTableMatchesTable2) {
+  EXPECT_EQ(facts_.NumFacts(), 5u);
+  EXPECT_TRUE(FindFact("Harry Potter", "Daniel Radcliffe").has_value());
+  EXPECT_TRUE(FindFact("Harry Potter", "Emma Watson").has_value());
+  EXPECT_TRUE(FindFact("Harry Potter", "Rupert Grint").has_value());
+  EXPECT_TRUE(FindFact("Harry Potter", "Johnny Depp").has_value());
+  EXPECT_TRUE(FindFact("Pirates 4", "Johnny Depp").has_value());
+}
+
+// Definition 3 / Table 3: 13 claims with the exact observations.
+TEST_F(PaperExampleTest, ClaimTableMatchesTable3) {
+  EXPECT_EQ(claims_.NumClaims(), 13u);
+  EXPECT_EQ(claims_.NumPositiveClaims(), 8u);
+  EXPECT_EQ(claims_.NumNegativeClaims(), 5u);
+
+  auto radcliffe = *FindFact("Harry Potter", "Daniel Radcliffe");
+  EXPECT_EQ(Observation(radcliffe, "IMDB"), true);
+  EXPECT_EQ(Observation(radcliffe, "Netflix"), true);
+  EXPECT_EQ(Observation(radcliffe, "BadSource.com"), true);
+  // Hulu.com never asserted anything about Harry Potter: no claim at all.
+  EXPECT_EQ(Observation(radcliffe, "Hulu.com"), std::nullopt);
+
+  auto watson = *FindFact("Harry Potter", "Emma Watson");
+  EXPECT_EQ(Observation(watson, "IMDB"), true);
+  EXPECT_EQ(Observation(watson, "Netflix"), false);  // Negative claim.
+  EXPECT_EQ(Observation(watson, "BadSource.com"), true);
+
+  auto grint = *FindFact("Harry Potter", "Rupert Grint");
+  EXPECT_EQ(Observation(grint, "IMDB"), true);
+  EXPECT_EQ(Observation(grint, "Netflix"), false);
+  EXPECT_EQ(Observation(grint, "BadSource.com"), false);
+
+  auto depp_hp = *FindFact("Harry Potter", "Johnny Depp");
+  EXPECT_EQ(Observation(depp_hp, "IMDB"), false);
+  EXPECT_EQ(Observation(depp_hp, "Netflix"), false);
+  EXPECT_EQ(Observation(depp_hp, "BadSource.com"), true);
+
+  auto depp_p4 = *FindFact("Pirates 4", "Johnny Depp");
+  EXPECT_EQ(Observation(depp_p4, "Hulu.com"), true);
+  EXPECT_EQ(Observation(depp_p4, "IMDB"), std::nullopt);
+}
+
+TEST_F(PaperExampleTest, PositiveClaimsPrecedeNegativeWithinFact) {
+  for (FactId f = 0; f < claims_.NumFacts(); ++f) {
+    bool seen_negative = false;
+    for (uint32_t entry : claims_.FactClaims(f)) {
+      if (!ClaimGraph::PackedObs(entry)) seen_negative = true;
+      if (seen_negative) {
+        EXPECT_EQ(ClaimGraph::PackedObs(entry), 0);
+      }
+    }
+  }
+}
+
+TEST(ClaimTableFromClaimsTest, SortsAndDedups) {
+  std::vector<Claim> input{
+      {2, 0, false}, {0, 1, true}, {0, 0, false}, {1, 0, true},
+      {0, 1, false},  // Duplicate (fact 0, source 1): first kept.
+  };
+  ClaimGraph g = ClaimGraph::FromClaims(input, 3, 2);
+  EXPECT_EQ(g.NumClaims(), 4u);
+  auto f0 = g.FactClaims(0);
+  ASSERT_EQ(f0.size(), 2u);
+  EXPECT_EQ(ClaimGraph::PackedObs(f0[0]), 1);  // Positive first.
+  EXPECT_EQ(ClaimGraph::PackedId(f0[0]), 1u);
+  EXPECT_EQ(ClaimGraph::PackedObs(f0[1]), 0);
+  EXPECT_EQ(ClaimGraph::PackedId(f0[1]), 0u);
+  EXPECT_EQ(g.FactClaims(1).size(), 1u);
+  EXPECT_EQ(g.FactClaims(2).size(), 1u);
+}
+
+TEST(ClaimTableFromClaimsTest, FactsWithNoClaimsGetEmptySpans) {
+  ClaimGraph g = ClaimGraph::FromClaims({{1, 0, true}}, 3, 1);
+  EXPECT_EQ(g.FactClaims(0).size(), 0u);
+  EXPECT_EQ(g.FactClaims(1).size(), 1u);
+  EXPECT_EQ(g.FactClaims(2).size(), 0u);
+}
+
+// Property: the generation rule of Definition 3 holds on random databases.
+class ClaimGenerationPropertyTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(ClaimGenerationPropertyTest, DefinitionThreeInvariants) {
+  RawDatabase raw = testing::RandomRaw(GetParam());
+  FactTable facts = FactTable::Build(raw);
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
+
+  // Sources asserting each entity.
+  std::map<EntityId, std::set<SourceId>> entity_sources;
+  for (const RawRow& row : raw.rows()) {
+    entity_sources[row.entity].insert(row.source);
+  }
+
+  size_t expected_claims = 0;
+  for (FactId f = 0; f < facts.NumFacts(); ++f) {
+    expected_claims += entity_sources[facts.fact(f).entity].size();
+  }
+  // Every (fact, entity-source) pair yields exactly one claim.
+  EXPECT_EQ(claims.NumClaims(), expected_claims);
+  EXPECT_EQ(claims.NumPositiveClaims(), raw.NumRows());
+
+  for (FactId f = 0; f < facts.NumFacts(); ++f) {
+    const Fact& fact = facts.fact(f);
+    const auto& es = entity_sources[fact.entity];
+    std::set<SourceId> seen;
+    for (uint32_t entry : claims.FactClaims(f)) {
+      const SourceId source = ClaimGraph::PackedId(entry);
+      // Claim sources must have asserted the entity.
+      EXPECT_TRUE(es.count(source)) << "claim from silent source";
+      // Observation matches raw-row presence.
+      EXPECT_EQ(ClaimGraph::PackedObs(entry) == 1,
+                raw.Contains(fact.entity, fact.attribute, source));
+      // One claim per (fact, source).
+      EXPECT_TRUE(seen.insert(source).second);
+    }
+    // Every entity source produced a claim.
+    EXPECT_EQ(seen.size(), es.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClaimGenerationPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
 TEST(ClaimGraphTest, EmptyTable) {
-  ClaimGraph g = ClaimGraph::Build(ClaimTable());
+  ClaimGraph g = ClaimGraph::Build(RawDatabase(), FactTable());
   EXPECT_EQ(g.NumFacts(), 0u);
   EXPECT_EQ(g.NumSources(), 0u);
   EXPECT_EQ(g.NumClaims(), 0u);
@@ -28,57 +200,70 @@ TEST(ClaimGraphTest, EmptyTable) {
   for (uint32_t b : bounds) EXPECT_EQ(b, 0u);
 }
 
+// The canonical fact-side order, checked against a brute-force
+// transcription of Definition 3: the fact's asserters ascending, then the
+// entity's other sources ascending.
 TEST(ClaimGraphTest, FactSideMatchesClaimTableOrder) {
-  ClaimTable table = BuildTable(11);
-  ClaimGraph g = ClaimGraph::Build(table);
-  ASSERT_EQ(g.NumFacts(), table.NumFacts());
-  ASSERT_EQ(g.NumSources(), table.NumSources());
-  ASSERT_EQ(g.NumClaims(), table.NumClaims());
+  RawDatabase raw = testing::RandomRaw(11);
+  FactTable facts = FactTable::Build(raw);
+  ClaimGraph g = ClaimGraph::Build(raw, facts);
+  ASSERT_EQ(g.NumFacts(), facts.NumFacts());
+  ASSERT_EQ(g.NumSources(), raw.NumSources());
 
-  for (FactId f = 0; f < table.NumFacts(); ++f) {
-    auto claims = table.ClaimsOfFact(f);
-    auto packed = g.FactClaims(f);
-    ASSERT_EQ(packed.size(), claims.size());
-    ASSERT_EQ(g.FactDegree(f), claims.size());
-    for (size_t i = 0; i < claims.size(); ++i) {
-      EXPECT_EQ(ClaimGraph::PackedId(packed[i]), claims[i].source);
-      EXPECT_EQ(ClaimGraph::PackedObs(packed[i]),
-                claims[i].observation ? 1 : 0);
+  std::map<EntityId, std::set<SourceId>> entity_sources;
+  for (const RawRow& row : raw.rows()) {
+    entity_sources[row.entity].insert(row.source);
+  }
+  for (FactId f = 0; f < facts.NumFacts(); ++f) {
+    const Fact& fact = facts.fact(f);
+    std::vector<uint32_t> expected;
+    for (SourceId s : entity_sources[fact.entity]) {
+      if (raw.Contains(fact.entity, fact.attribute, s)) {
+        expected.push_back((s << 1) | 1u);
+      }
     }
+    for (SourceId s : entity_sources[fact.entity]) {
+      if (!raw.Contains(fact.entity, fact.attribute, s)) {
+        expected.push_back(s << 1);
+      }
+    }
+    auto packed = g.FactClaims(f);
+    ASSERT_EQ(g.FactDegree(f), expected.size());
+    EXPECT_EQ(std::vector<uint32_t>(packed.begin(), packed.end()), expected)
+        << "f=" << f;
   }
 }
 
 TEST(ClaimGraphTest, SourceSideGroupsClaimsFactMajor) {
-  ClaimTable table = BuildTable(23);
-  ClaimGraph g = ClaimGraph::Build(table);
+  ClaimGraph g = BuildGraph(23);
 
-  // Reference by-source index: claim indices in fact-major order.
-  std::vector<std::vector<const Claim*>> by_source(table.NumSources());
-  for (const Claim& c : table.claims()) {
-    by_source[c.source].push_back(&c);
-  }
-  for (SourceId s = 0; s < table.NumSources(); ++s) {
+  // Reference by-source index: claims in fact-major order.
+  std::vector<std::vector<Claim>> by_source(g.NumSources());
+  for (const Claim& c : Unpack(g)) by_source[c.source].push_back(c);
+  for (SourceId s = 0; s < g.NumSources(); ++s) {
     auto packed = g.SourceClaims(s);
     ASSERT_EQ(packed.size(), by_source[s].size());
     ASSERT_EQ(g.SourceDegree(s), by_source[s].size());
     for (size_t i = 0; i < packed.size(); ++i) {
-      EXPECT_EQ(ClaimGraph::PackedId(packed[i]), by_source[s][i]->fact);
+      EXPECT_EQ(ClaimGraph::PackedId(packed[i]), by_source[s][i].fact);
       EXPECT_EQ(ClaimGraph::PackedObs(packed[i]),
-                by_source[s][i]->observation ? 1 : 0);
+                by_source[s][i].observation ? 1 : 0);
     }
   }
 }
 
 TEST(ClaimGraphTest, DerivedStatsMatchBruteForce) {
-  ClaimTable table = BuildTable(61);
-  ClaimGraph g = ClaimGraph::Build(table);
-  EXPECT_EQ(g.NumPositiveClaims(), table.NumPositiveClaims());
-  EXPECT_EQ(g.NumNegativeClaims(), table.NumNegativeClaims());
+  ClaimGraph g = BuildGraph(61);
+  const std::vector<Claim> claims = Unpack(g);
+  size_t positives = 0;
+  for (const Claim& c : claims) positives += c.observation ? 1 : 0;
+  EXPECT_EQ(g.NumPositiveClaims(), positives);
+  EXPECT_EQ(g.NumNegativeClaims(), claims.size() - positives);
 
   std::vector<uint32_t> fact_pos(g.NumFacts(), 0);
   std::vector<uint32_t> source_pos(g.NumSources(), 0);
   std::vector<uint32_t> source_deg(g.NumSources(), 0);
-  for (const Claim& c : table.claims()) {
+  for (const Claim& c : claims) {
     ++source_deg[c.source];
     if (c.observation) {
       ++fact_pos[c.fact];
@@ -95,10 +280,8 @@ TEST(ClaimGraphTest, DerivedStatsMatchBruteForce) {
 }
 
 TEST(ClaimGraphTest, PositiveOnlyDropsNegativesKeepingOrder) {
-  ClaimTable table = ClaimTable::Build(
-      testing::PaperTable1(),
-      FactTable::Build(testing::PaperTable1()));
-  ClaimGraph g = ClaimGraph::Build(table);
+  const RawDatabase raw = testing::PaperTable1();
+  ClaimGraph g = ClaimGraph::Build(raw, FactTable::Build(raw));
   ClaimGraph pos = g.PositiveOnly();
   EXPECT_EQ(pos.NumClaims(), 8u);
   EXPECT_EQ(pos.NumNegativeClaims(), 0u);
@@ -116,20 +299,35 @@ TEST(ClaimGraphTest, PositiveOnlyDropsNegativesKeepingOrder) {
   }
 }
 
-TEST(ClaimGraphTest, FromClaimsEqualsBuildOfFromClaimsTable) {
-  std::vector<Claim> input{
-      {2, 0, false}, {0, 1, true}, {0, 0, false}, {1, 0, true}};
-  ClaimGraph direct = ClaimGraph::FromClaims(input, 3, 2);
-  ClaimGraph via_table =
-      ClaimGraph::Build(ClaimTable::FromClaims(input, 3, 2));
-  ASSERT_EQ(direct.NumClaims(), via_table.NumClaims());
-  EXPECT_EQ(direct.fact_offsets(), via_table.fact_offsets());
-  EXPECT_EQ(direct.fact_claims(), via_table.fact_claims());
+// FromClaims and Build agree on the same claim set: the Build output,
+// unpacked, shuffled and salted with conflicting duplicates placed after
+// the originals, comes back in the identical canonical layout.
+TEST(ClaimGraphTest, FromClaimsMatchesBuildOnSameClaims) {
+  ClaimGraph built = BuildGraph(19);
+  std::vector<Claim> claims = Unpack(built);
+  Rng(5).Shuffle(&claims);
+  const size_t num_unique = claims.size();
+  for (size_t i = 0; i < num_unique; i += 3) {
+    claims.push_back({claims[i].fact, claims[i].source,
+                      !claims[i].observation});
+  }
+  ClaimGraph direct = ClaimGraph::FromClaims(std::move(claims),
+                                             built.NumFacts(),
+                                             built.NumSources());
+  EXPECT_EQ(direct.fact_offsets(), built.fact_offsets());
+  EXPECT_EQ(direct.fact_claims(), built.fact_claims());
+  EXPECT_EQ(direct.NumPositiveClaims(), built.NumPositiveClaims());
+  for (SourceId s = 0; s < built.NumSources(); ++s) {
+    auto a = built.SourceClaims(s);
+    auto b = direct.SourceClaims(s);
+    ASSERT_EQ(std::vector<uint32_t>(a.begin(), a.end()),
+              std::vector<uint32_t>(b.begin(), b.end()))
+        << "s=" << s;
+  }
 }
 
 TEST(ClaimGraphTest, FromCsrRoundTripsBuildOutput) {
-  ClaimTable table = BuildTable(67);
-  ClaimGraph g = ClaimGraph::Build(table);
+  ClaimGraph g = BuildGraph(67);
   auto rebuilt = ClaimGraph::FromCsr(g.fact_offsets(), g.fact_claims(),
                                      g.NumSources());
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
@@ -186,8 +384,7 @@ TEST(ClaimGraphTest, ValidateIdBoundsAtTheBoundary) {
 }
 
 TEST(ClaimGraphTest, PartitionBoundsAreMonotoneAndComplete) {
-  ClaimTable table = BuildTable(37);
-  ClaimGraph g = ClaimGraph::Build(table);
+  ClaimGraph g = BuildGraph(37);
   for (int shards : {1, 2, 3, 4, 7, 16, 1000}) {
     std::vector<uint32_t> bounds = g.PartitionFacts(shards);
     ASSERT_EQ(bounds.size(), static_cast<size_t>(shards) + 1);
@@ -200,8 +397,7 @@ TEST(ClaimGraphTest, PartitionBoundsAreMonotoneAndComplete) {
 }
 
 TEST(ClaimGraphTest, PartitionBalancesClaimCounts) {
-  ClaimTable table = BuildTable(41);
-  ClaimGraph g = ClaimGraph::Build(table);
+  ClaimGraph g = BuildGraph(41);
   const int shards = 4;
   std::vector<uint32_t> bounds = g.PartitionFacts(shards);
 
@@ -227,9 +423,10 @@ TEST(ClaimGraphTest, PartitionBalancesClaimCounts) {
 }
 
 TEST(ClaimGraphTest, PartitionIsDeterministic) {
-  ClaimTable table = BuildTable(53);
-  ClaimGraph g1 = ClaimGraph::Build(table);
-  ClaimGraph g2 = ClaimGraph::Build(table);
+  RawDatabase raw = testing::RandomRaw(53);
+  FactTable facts = FactTable::Build(raw);
+  ClaimGraph g1 = ClaimGraph::Build(raw, facts);
+  ClaimGraph g2 = ClaimGraph::Build(raw, facts);
   EXPECT_EQ(g1.PartitionFacts(8), g2.PartitionFacts(8));
 }
 

@@ -10,7 +10,7 @@ namespace {
 TEST(ClaimStatsTest, PaperExampleCounts) {
   RawDatabase raw = testing::PaperTable1();
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   ClaimStats stats = ComputeClaimStats(facts, claims);
 
   EXPECT_EQ(stats.num_facts, 5u);
@@ -28,7 +28,7 @@ TEST(ClaimStatsTest, PaperExampleCounts) {
 TEST(ClaimStatsTest, SupportHistogramSums) {
   RawDatabase raw = testing::RandomRaw(9);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   ClaimStats stats = ComputeClaimStats(facts, claims);
   size_t total = 0;
   for (size_t c : stats.positive_support_histogram) total += c;

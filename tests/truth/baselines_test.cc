@@ -178,7 +178,7 @@ class BaselinePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(BaselinePropertyTest, BoundedAndDeterministic) {
   RawDatabase raw = testing::RandomRaw(GetParam(), 25, 3, 8, 0.5);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   std::vector<std::unique_ptr<TruthMethod>> methods;
   methods.emplace_back(new Voting());
   methods.emplace_back(new TruthFinder());

@@ -31,7 +31,7 @@ LtmOptions ChainOptions(uint64_t seed) {
 TEST(GibbsStatisticsTest, IndependentChainsAgreeOnMarginals) {
   RawDatabase raw = testing::RandomRaw(1234, 12, 3, 5, 0.7);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
 
   TruthEstimate a = LtmGibbs(claims, ChainOptions(1)).Run();
   TruthEstimate b = LtmGibbs(claims, ChainOptions(2)).Run();

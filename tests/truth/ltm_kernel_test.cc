@@ -21,7 +21,6 @@
 #include "truth/exact_inference.h"
 #include "truth/gibbs_kernel.h"
 #include "truth/ltm.h"
-#include "truth/ltm_parallel.h"
 #include "truth/registry.h"
 
 namespace ltm {
@@ -90,12 +89,10 @@ TEST(GibbsKernelTest, AutoResolvesPerSamplerShape) {
   opts.iterations = 10;
   opts.burnin = 2;
   EXPECT_EQ(LtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
-  opts.threads = 1;
-  EXPECT_EQ(ParallelLtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
   opts.threads = 4;
-  EXPECT_EQ(ParallelLtmGibbs(graph, opts).kernel(), LtmKernel::kFused);
+  EXPECT_EQ(LtmGibbs(graph, opts).kernel(), LtmKernel::kFused);
   opts.kernel = LtmKernel::kReference;
-  EXPECT_EQ(ParallelLtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
+  EXPECT_EQ(LtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
 }
 
 // kernel=reference must be the exact chain kAuto runs sequentially —
@@ -119,7 +116,7 @@ class FusedCountsTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(FusedCountsTest, CountsStayConsistentWithTruth) {
   RawDatabase raw = testing::RandomRaw(GetParam());
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = TinyOptions(GetParam());
   opts.iterations = 20;
   opts.burnin = 5;
@@ -180,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedVsExactTest,
 TEST(GibbsKernelTest, FusedAndReferenceMarginalsAgreeOnSmallGraphs) {
   RawDatabase raw = testing::RandomRaw(1234, 12, 3, 5, 0.7);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts;
   opts.alpha0 = BetaPrior{1.0, 20.0};
   opts.alpha1 = BetaPrior{2.0, 2.0};
@@ -241,46 +238,23 @@ TEST(GibbsKernelTest, FusedAndReferenceAgreeOnLtmProcessData) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampler parity: both samplers run the same fused floating-point
-// sequence, and the sharded path (the kernel's production home) stays
+// The sharded chain (the fused kernel's production home) stays
 // deterministic and statistically sound.
-
-TEST(GibbsKernelTest, FusedSingleShardBitIdenticalAcrossSamplers) {
-  RawDatabase raw = testing::RandomRaw(55);
-  FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
-  LtmOptions opts = TinyOptions(7);
-  opts.iterations = 120;
-  opts.burnin = 20;
-  opts.sample_gap = 2;
-  opts.kernel = LtmKernel::kFused;
-  opts.threads = 1;
-
-  TruthEstimate sequential = LtmGibbs(claims, opts).Run();
-  TruthEstimate sharded = ParallelLtmGibbs(claims, opts).Run();
-  EXPECT_EQ(sequential.probability, sharded.probability);
-
-  // The registry route (threads=1, kernel=fused) lands on the same chain.
-  auto method = CreateMethod("LTM(kernel=fused)", opts);
-  ASSERT_TRUE(method.ok()) << method.status().ToString();
-  TruthEstimate via_registry = (*method)->Score(facts, claims);
-  EXPECT_EQ(via_registry.probability, sequential.probability);
-}
 
 TEST(GibbsKernelTest, FusedShardedDeterministicForSeed) {
   RawDatabase raw = testing::RandomRaw(71);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = TinyOptions(7);
   opts.iterations = 60;
   opts.burnin = 10;
   opts.sample_gap = 2;
   opts.threads = 4;  // kAuto resolves to the fused kernel here
 
-  ParallelLtmGibbs a(claims, opts);
+  LtmGibbs a(claims, opts);
   EXPECT_EQ(a.kernel(), LtmKernel::kFused);
   TruthEstimate ea = a.Run();
-  TruthEstimate eb = ParallelLtmGibbs(claims, opts).Run();
+  TruthEstimate eb = LtmGibbs(claims, opts).Run();
   EXPECT_EQ(ea.probability, eb.probability);
 }
 
@@ -310,7 +284,7 @@ TEST(GibbsKernelTest, FusedShardedRecoversTruthOnGoodSyntheticData) {
 TEST(GibbsKernelTest, ShardedReferenceKernelStillRuns) {
   RawDatabase raw = testing::RandomRaw(71);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = TinyOptions(7);
   opts.iterations = 60;
   opts.burnin = 10;
@@ -318,10 +292,10 @@ TEST(GibbsKernelTest, ShardedReferenceKernelStillRuns) {
   opts.threads = 3;
   opts.kernel = LtmKernel::kReference;
 
-  ParallelLtmGibbs sampler(claims, opts);
+  LtmGibbs sampler(claims, opts);
   EXPECT_EQ(sampler.kernel(), LtmKernel::kReference);
   TruthEstimate a = sampler.Run();
-  TruthEstimate b = ParallelLtmGibbs(claims, opts).Run();
+  TruthEstimate b = LtmGibbs(claims, opts).Run();
   EXPECT_EQ(a.probability, b.probability);
 }
 
@@ -333,14 +307,14 @@ TEST(GibbsKernelTest, ShardedReferenceKernelStillRuns) {
 TEST(GibbsKernelTest, ConcurrentCountReadsAfterConstructionAreSafe) {
   RawDatabase raw = testing::RandomRaw(41);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = TinyOptions();
   opts.iterations = 10;
   opts.burnin = 2;
 
   const LtmGibbs sequential(claims, opts);
   opts.threads = 2;
-  const ParallelLtmGibbs sharded(claims, opts);
+  const LtmGibbs sharded(claims, opts);
   auto reader = [&] {
     int64_t total = 0;
     for (SourceId s = 0; s < claims.NumSources(); ++s) {

@@ -1,4 +1,4 @@
-#include "truth/ltm_parallel.h"
+#include "truth/ltm.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "eval/metrics.h"
 #include "synth/ltm_process.h"
 #include "test_util.h"
-#include "truth/ltm.h"
 #include "truth/registry.h"
 
 namespace ltm {
@@ -27,59 +26,26 @@ LtmOptions SmallDataOptions() {
   return opts;
 }
 
-ClaimTable BuildTable(uint64_t seed) {
+ClaimGraph BuildGraph(uint64_t seed) {
   RawDatabase raw = testing::RandomRaw(seed);
   FactTable facts = FactTable::Build(raw);
-  return ClaimTable::Build(raw, facts);
-}
-
-// The tentpole pin: one shard over the CSR graph replays the sequential
-// sampler's exact RNG stream and floating-point operation sequence, so
-// the posteriors are bit-identical — not approximately equal.
-TEST(ParallelLtmGibbsTest, SingleShardBitIdenticalToSequentialSampler) {
-  ClaimTable table = BuildTable(55);
-  ClaimGraph graph = ClaimGraph::Build(table);
-  LtmOptions opts = SmallDataOptions();
-  opts.threads = 1;
-
-  TruthEstimate sequential = LtmGibbs(graph, opts).Run();
-  TruthEstimate sharded = ParallelLtmGibbs(graph, opts).Run();
-  ASSERT_EQ(sequential.probability.size(), sharded.probability.size());
-  for (size_t f = 0; f < sequential.probability.size(); ++f) {
-    EXPECT_EQ(sequential.probability[f], sharded.probability[f]) << "f=" << f;
-  }
-}
-
-// Registry pin: LTM(threads=1) must flow through the sequential chain and
-// reproduce LtmGibbs::Run bit for bit, like the PR 1 sampler did.
-TEST(ParallelLtmGibbsTest, RegistryThreads1BitIdenticalToLtmGibbs) {
-  RawDatabase raw = testing::RandomRaw(55);
-  FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
-  LtmOptions opts = SmallDataOptions();
-
-  auto method = CreateMethod("LTM(threads=1)", opts);
-  ASSERT_TRUE(method.ok()) << method.status().ToString();
-  TruthEstimate via_registry = (*method)->Score(facts, claims);
-  TruthEstimate direct = LtmGibbs(claims, opts).Run();
-  EXPECT_EQ(via_registry.probability, direct.probability);
+  return ClaimGraph::Build(raw, facts);
 }
 
 TEST(ParallelLtmGibbsTest, MultiShardDeterministicAcrossRepeatedRuns) {
-  ClaimTable table = BuildTable(71);
-  ClaimGraph graph = ClaimGraph::Build(table);
+  ClaimGraph graph = BuildGraph(71);
   LtmOptions opts = SmallDataOptions();
   opts.threads = 4;
 
-  TruthEstimate a = ParallelLtmGibbs(graph, opts).Run();
-  TruthEstimate b = ParallelLtmGibbs(graph, opts).Run();
+  TruthEstimate a = LtmGibbs(graph, opts).Run();
+  TruthEstimate b = LtmGibbs(graph, opts).Run();
   EXPECT_EQ(a.probability, b.probability);
 }
 
 TEST(ParallelLtmGibbsTest, RegistryThreads4DeterministicForFixedSeed) {
   RawDatabase raw = testing::RandomRaw(71);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
 
   auto method = CreateMethod("LTM(threads=4,seed=7)", SmallDataOptions());
   ASSERT_TRUE(method.ok()) << method.status().ToString();
@@ -99,21 +65,22 @@ TEST(ParallelLtmGibbsTest, RegistryThreads4DeterministicForFixedSeed) {
 // against the current truth vector after every parallel sweep — the
 // invariant that catches barrier-merge bugs.
 TEST(ParallelLtmGibbsTest, MergedCountsStayConsistentWithTruth) {
-  ClaimTable table = BuildTable(29);
-  ClaimGraph graph = ClaimGraph::Build(table);
+  ClaimGraph graph = BuildGraph(29);
   LtmOptions opts = SmallDataOptions();
   opts.threads = 3;
-  ParallelLtmGibbs sampler(graph, opts);
+  LtmGibbs sampler(graph, opts);
 
   for (int sweep = 0; sweep < 5; ++sweep) {
     sampler.RunSweep();
-    std::vector<int64_t> recount(table.NumSources() * 4, 0);
-    for (const Claim& c : table.claims()) {
-      const int i = sampler.truth()[c.fact];
-      const int j = c.observation ? 1 : 0;
-      ++recount[c.source * 4 + i * 2 + j];
+    std::vector<int64_t> recount(graph.NumSources() * 4, 0);
+    for (FactId f = 0; f < graph.NumFacts(); ++f) {
+      const int i = sampler.truth()[f];
+      for (uint32_t entry : graph.FactClaims(f)) {
+        ++recount[ClaimGraph::PackedId(entry) * 4 + i * 2 +
+                  ClaimGraph::PackedObs(entry)];
+      }
     }
-    for (SourceId s = 0; s < table.NumSources(); ++s) {
+    for (SourceId s = 0; s < graph.NumSources(); ++s) {
       for (int i = 0; i < 2; ++i) {
         for (int j = 0; j < 2; ++j) {
           ASSERT_EQ(sampler.Count(s, i, j), recount[s * 4 + i * 2 + j])
@@ -148,7 +115,7 @@ TEST(ParallelLtmGibbsTest, MultiShardRecoversTruthOnGoodSyntheticData) {
 TEST(ParallelLtmGibbsTest, ThreadsZeroAutoResolvesAndRuns) {
   RawDatabase raw = testing::RandomRaw(13);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   auto method = CreateMethod("LTM(threads=0,iterations=30,burnin=5)");
   ASSERT_TRUE(method.ok()) << method.status().ToString();
   TruthEstimate est = (*method)->Score(facts, claims);
@@ -163,25 +130,25 @@ TEST(ParallelLtmGibbsTest, MoreShardsThanFactsIsHarmless) {
   RawDatabase raw = testing::RandomRaw(99, /*entities=*/2, /*max_attrs=*/2,
                                        /*sources=*/3);
   FactTable facts = FactTable::Build(raw);
-  const ClaimGraph& graph = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  const ClaimGraph& graph = ClaimGraph::Build(raw, facts);
   LtmOptions opts = SmallDataOptions();
   opts.threads = 64;
-  TruthEstimate est = ParallelLtmGibbs(graph, opts).Run();
+  TruthEstimate est = LtmGibbs(graph, opts).Run();
   EXPECT_EQ(est.probability.size(), graph.NumFacts());
 }
 
 TEST(ParallelLtmGibbsTest, EmptyClaimTable) {
-  ClaimGraph graph = ClaimGraph::Build(ClaimTable());
+  ClaimGraph graph;
   LtmOptions opts = SmallDataOptions();
   opts.threads = 4;
-  TruthEstimate est = ParallelLtmGibbs(graph, opts).Run();
+  TruthEstimate est = LtmGibbs(graph, opts).Run();
   EXPECT_TRUE(est.probability.empty());
 }
 
 TEST(ParallelLtmGibbsTest, CancelledContextStopsShardedRun) {
   RawDatabase raw = testing::RandomRaw(31);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = SmallDataOptions();
   opts.threads = 4;
   LatentTruthModel model(opts);
@@ -197,7 +164,7 @@ TEST(ParallelLtmGibbsTest, CancelledContextStopsShardedRun) {
 TEST(ParallelLtmGibbsTest, DeadlineExpiresShardedRun) {
   RawDatabase raw = testing::RandomRaw(31);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = SmallDataOptions();
   opts.threads = 4;
   opts.iterations = 100000;  // would take far longer than the deadline
@@ -228,7 +195,7 @@ TEST(ParallelLtmGibbsTest, ShardedQualityReadOffMatchesSequentialShape) {
 TEST(ParallelLtmGibbsTest, LtmPosShardedUsesFilteredClaims) {
   RawDatabase raw = testing::RandomRaw(77, 40, 4, 12, 0.6);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   auto method = CreateMethod("LTMpos(threads=4,iterations=60,burnin=10)");
   ASSERT_TRUE(method.ok()) << method.status().ToString();
   TruthEstimate est = (*method)->Score(facts, claims);
@@ -256,7 +223,7 @@ TEST(LtmOptionsThreadsTest, SpecParsesThreads) {
 TEST(RunMethodsConcurrentlyTest, MatchesSequentialRuns) {
   RawDatabase raw = testing::RandomRaw(17);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions base = SmallDataOptions();
   base.iterations = 40;
   base.burnin = 10;
@@ -284,7 +251,7 @@ TEST(RunMethodsConcurrentlyTest, MatchesSequentialRuns) {
 TEST(RunMethodsConcurrentlyTest, BadSpecYieldsErrorOutcomeInOrder) {
   RawDatabase raw = testing::RandomRaw(17);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
 
   const std::vector<std::string> specs{"Voting", "NoSuchMethod", "AvgLog"};
   std::vector<MethodRunOutcome> outcomes = RunMethodsConcurrently(

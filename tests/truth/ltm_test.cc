@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "synth/ltm_process.h"
 #include "test_util.h"
+#include "truth/registry.h"
 
 namespace ltm {
 namespace {
@@ -73,7 +74,7 @@ class LtmGibbsCountsTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(LtmGibbsCountsTest, CountsStayConsistentWithTruth) {
   RawDatabase raw = testing::RandomRaw(GetParam());
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = SmallDataOptions();
   opts.seed = GetParam();
   LtmGibbs sampler(claims, opts);
@@ -105,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LtmGibbsCountsTest,
 TEST(LtmGibbsTest, CountsSumToClaimCount) {
   RawDatabase raw = testing::PaperTable1();
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmGibbs sampler(claims, SmallDataOptions());
   sampler.RunSweep();
   int64_t total = 0;
@@ -120,7 +121,7 @@ TEST(LtmGibbsTest, CountsSumToClaimCount) {
 TEST(LtmGibbsTest, PosteriorMeanBeforeSamplingIsHalf) {
   RawDatabase raw = testing::PaperTable1();
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmGibbs sampler(claims, SmallDataOptions());
   TruthEstimate est = sampler.PosteriorMean();
   for (double p : est.probability) EXPECT_DOUBLE_EQ(p, 0.5);
@@ -129,7 +130,7 @@ TEST(LtmGibbsTest, PosteriorMeanBeforeSamplingIsHalf) {
 TEST(LtmGibbsTest, ProbabilitiesAreValid) {
   RawDatabase raw = testing::RandomRaw(123);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmGibbs sampler(claims, SmallDataOptions());
   TruthEstimate est = sampler.Run();
   ASSERT_EQ(est.probability.size(), claims.NumFacts());
@@ -246,13 +247,85 @@ TEST(LtmGibbsTest, GoldenPosteriorsUnmovedByMetricsAndTracing) {
   EXPECT_TRUE(saw_sweep_span);
 }
 
+// Full-precision goldens on a 66-fact random world (RandomRaw(55) under
+// SmallDataOptions()), one per chain shape. The posterior means are
+// multiples of 1/125 (125 accumulated samples), so every entry is exact
+// and any drift in the RNG stream, the draw order, the shard layout or
+// the Eq. 2 arithmetic moves at least one of them. On this world the
+// fused single-shard chain makes exactly the reference chain's flip
+// decisions, so the two share one vector.
+const std::vector<double>& RandomWorldSingleShardGolden() {
+  static const std::vector<double> golden{
+      1.0, 1.0, 1.0, 1.0, 1.0, 0.888, 1.0, 1.0, 1.0, 1.0, 0.936, 1.0, 1.0,
+      1.0, 1.0, 1.0, 1.0, 0.84, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.56, 0.6,
+      1.0, 1.0, 0.952, 0.952, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.992, 0.8,
+      0.832, 0.896, 1.0, 1.0, 1.0, 1.0, 0.992, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+      1.0, 1.0, 1.0, 1.0, 1.0, 0.976, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+  return golden;
+}
+
+const std::vector<double>& RandomWorldFourShardGolden() {
+  static const std::vector<double> golden{
+      1.0, 1.0, 1.0, 1.0, 1.0, 0.84, 1.0, 1.0, 1.0, 1.0, 0.944, 1.0, 0.992,
+      0.992, 1.0, 1.0, 1.0, 0.88, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.504,
+      0.648, 1.0, 1.0, 0.936, 0.952, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+      0.792, 0.84, 0.872, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+      1.0, 1.0, 1.0, 0.992, 1.0, 1.0, 0.944, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+      1.0, 1.0};
+  return golden;
+}
+
+void ExpectGolden(const TruthEstimate& est,
+                  const std::vector<double>& golden) {
+  ASSERT_EQ(est.probability.size(), golden.size());
+  for (size_t f = 0; f < golden.size(); ++f) {
+    EXPECT_DOUBLE_EQ(est.probability[f], golden[f]) << "f=" << f;
+  }
+}
+
+TEST(LtmGibbsTest, ReferenceKernelPinsRandomWorldGolden) {
+  const Dataset world = Dataset::FromRaw("world", testing::RandomRaw(55));
+  LtmOptions opts = SmallDataOptions();
+  opts.kernel = LtmKernel::kReference;
+  ExpectGolden(LtmGibbs(world.graph, opts).Run(),
+               RandomWorldSingleShardGolden());
+
+  auto method =
+      CreateMethod("LTM(threads=1,kernel=reference)", SmallDataOptions());
+  ASSERT_TRUE(method.ok()) << method.status().ToString();
+  ExpectGolden((*method)->Score(world.facts, world.graph),
+               RandomWorldSingleShardGolden());
+}
+
+TEST(LtmGibbsTest, FusedSingleShardPinsRandomWorldGolden) {
+  const Dataset world = Dataset::FromRaw("world", testing::RandomRaw(55));
+  LtmOptions opts = SmallDataOptions();
+  opts.kernel = LtmKernel::kFused;
+  ExpectGolden(LtmGibbs(world.graph, opts).Run(),
+               RandomWorldSingleShardGolden());
+
+  auto method = CreateMethod("LTM(threads=1,kernel=fused)", SmallDataOptions());
+  ASSERT_TRUE(method.ok()) << method.status().ToString();
+  ExpectGolden((*method)->Score(world.facts, world.graph),
+               RandomWorldSingleShardGolden());
+}
+
+TEST(LtmGibbsTest, FusedFourShardsPinRandomWorldGolden) {
+  const Dataset world = Dataset::FromRaw("world", testing::RandomRaw(55));
+  auto method =
+      CreateMethod("LTM(shards=4,kernel=fused)", SmallDataOptions());
+  ASSERT_TRUE(method.ok()) << method.status().ToString();
+  ExpectGolden((*method)->Score(world.facts, world.graph),
+               RandomWorldFourShardGolden());
+}
+
 // The lazy count build must be invisible: counts queried straight after
 // construction (before any sweep or Initialize) equal a fresh recount of
 // the graph against the constructor-drawn truth vector.
 TEST(LtmGibbsTest, CountsAvailableRightAfterConstruction) {
   RawDatabase raw = testing::RandomRaw(91);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmGibbs sampler(claims, SmallDataOptions());
   std::vector<int64_t> recount(claims.NumSources() * 4, 0);
   for (FactId f = 0; f < claims.NumFacts(); ++f) {
@@ -275,7 +348,7 @@ TEST(LtmGibbsTest, CountsAvailableRightAfterConstruction) {
 TEST(LtmGibbsTest, DeterministicForSeed) {
   RawDatabase raw = testing::RandomRaw(55);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = SmallDataOptions();
   TruthEstimate a = LtmGibbs(claims, opts).Run();
   TruthEstimate b = LtmGibbs(claims, opts).Run();
@@ -362,7 +435,7 @@ TEST(LatentTruthModelTest, LtmPosPredictsEverythingTrue) {
   // evidence, so all posterior probabilities land at or above 0.5.
   RawDatabase raw = testing::RandomRaw(77, 40, 4, 12, 0.6);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   LtmOptions opts = SmallDataOptions();
   opts.positive_claims_only = true;
   LatentTruthModel model(opts);

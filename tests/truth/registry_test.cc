@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <set>
 
-#include "data/claim_table.h"
 #include "data/fact_table.h"
 
 namespace ltm {

@@ -62,7 +62,7 @@ TEST(ThreeEstimatesTest, FloorPreventsDegenerateDivision) {
 TEST(ThreeEstimatesTest, MoreIterationsStayStable) {
   RawDatabase raw = testing::RandomRaw(71);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   ThreeEstimatesOptions short_opts;
   short_opts.iterations = 100;
   ThreeEstimatesOptions long_opts;

@@ -57,7 +57,7 @@ TEST(TruthFinderTest, DampeningControlsSaturation) {
 TEST(TruthFinderTest, ConvergesOnLargerData) {
   RawDatabase raw = testing::RandomRaw(83, 40, 4, 10, 0.6);
   FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
   TruthFinderOptions tight;
   tight.tolerance = 1e-9;
   tight.max_iterations = 500;
