@@ -1,7 +1,8 @@
 // Read-amplification benchmark for the block-format TruthStore: point
 // lookups (bloom check -> block index binary search -> one cached/1-read
-// block decode) against whole-slice materialization on the same
-// multi-segment store. Writes BENCH_store_read.json; CI gates
+// block -> restart-array seek to the entity's rows, the read serving runs
+// on a posterior-cache miss) against whole-slice materialization on the
+// same multi-segment store. Writes BENCH_store_read.json; CI gates
 //
 //   - point-lookup p50 latency below a loose wall-clock bound, and
 //   - >= 10x fewer bytes read per point query than one slice
@@ -152,10 +153,10 @@ Result<PointPhase> RunPointPhase(store::TruthStore* store, int num_entities,
     e += 997;  // prime stride spreads lookups across segments and blocks
     store::RangeScanStats rs;
     WallTimer timer;
-    LTM_ASSIGN_OR_RETURN(const Dataset slice,
-                         store->MaterializeFromPin(*pin, &key, &key, &rs));
+    LTM_ASSIGN_OR_RETURN(const store::RowViews rows,
+                         store->ReadRowsAt(*pin, &key, &key, &rs));
     micros.push_back(timer.ElapsedSeconds() * 1e6);
-    if (slice.raw.NumRows() == 0) {
+    if (rows.rows.empty()) {
       return Status::Internal("point lookup for " + key + " found no rows");
     }
     ++out.queries;

@@ -1,7 +1,9 @@
 #include "serve/serve_session.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -137,16 +139,82 @@ Result<double> ServeSession::QueryInner(const FactRef& fact,
                                         const RunContext& ctx) {
   RunObserver obs(ctx, "ServeSession::Query");
   const std::shared_ptr<const VersionedQuality> quality = CurrentQuality();
-  const std::string fact_key = FactKey(fact);
-  const std::string cache_key = CacheKey(fact_key, quality->version);
+  const std::string cache_key =
+      CacheKey(fact.entity, fact.attribute, quality->version);
   if (const auto hit = cache_for(fact.entity).Get(cache_key, store_->epoch())) {
     return *hit;
   }
+  const auto pin = store_->PinSnapshot(&fact.entity, &fact.entity);
+  return ResolveMiss(*pin, fact, cache_key, *quality, /*coalesce=*/true, obs);
+}
 
-  // Singleflight: one slice computation per (entity, quality version) at
-  // a time; everyone else waits for it and shares the result.
+std::string ServeSession::CacheKey(std::string_view entity,
+                                   std::string_view attribute,
+                                   uint64_t version) {
+  char digits[24];
+  char* digits_end =
+      std::to_chars(digits, digits + sizeof(digits), version).ptr;
+  std::string key;
+  key.reserve(entity.size() + attribute.size() + 4 +
+              static_cast<size_t>(digits_end - digits));
+  key.append(entity);
+  key += '\t';
+  key.append(attribute);
+  key += "\t#q";
+  key.append(digits, digits_end);
+  return key;
+}
+
+const double* ServeSession::SliceScore::Find(std::string_view attribute) const {
+  for (const auto& [name, posterior] : posteriors) {
+    if (name == attribute) return &posterior;
+  }
+  return nullptr;
+}
+
+Result<double> ServeSession::ResolveMiss(const store::StorePin& pin,
+                                         const FactRef& fact,
+                                         const std::string& cache_key,
+                                         const VersionedQuality& quality,
+                                         bool coalesce,
+                                         const RunObserver& obs) {
+  LTM_RETURN_IF_ERROR(obs.Check());
+  // Bloom short-circuit: when every segment's filter denies the
+  // (entity, attribute) pair and the pin's memtable has no exact match,
+  // the fact cannot exist — serve the no-claim prior without reading a
+  // single data block. Blooms have no false negatives, so this is the
+  // same answer the entity read would have produced.
+  LTM_ASSIGN_OR_RETURN(
+      const bool may_exist,
+      store_->SnapshotFactMayExist(pin, fact.entity, fact.attribute));
+  uint64_t epoch = pin.epoch();
+  if (may_exist) {
+    std::shared_ptr<const SliceScore> score;
+    if (coalesce) {
+      LTM_ASSIGN_OR_RETURN(
+          score, ScoreEntityCoalesced(pin, fact.entity, quality, obs));
+    } else {
+      LTM_ASSIGN_OR_RETURN(score, ScoreEntity(pin, fact.entity, quality));
+    }
+    if (const double* posterior = score->Find(fact.attribute)) {
+      return *posterior;
+    }
+    epoch = score->epoch;
+  }
+  // The entity fill only covers facts that exist; cache the no-claim
+  // prior for this queried-but-absent fact so repeat lookups hit.
+  const double prior = quality.lookup.no_claim_prior;
+  cache_for(fact.entity).Put(cache_key, epoch, prior);
+  return prior;
+}
+
+Result<std::shared_ptr<const ServeSession::SliceScore>>
+ServeSession::ScoreEntityCoalesced(const store::StorePin& pin,
+                                   const std::string& entity,
+                                   const VersionedQuality& quality,
+                                   const RunObserver& obs) {
   const std::string slice_key =
-      fact.entity + "\x1f" + std::to_string(quality->version);
+      entity + "\x1f" + std::to_string(quality.version);
   std::shared_ptr<Inflight> entry;
   bool leader = false;
   {
@@ -174,19 +242,17 @@ Result<double> ServeSession::QueryInner(const FactRef& fact,
       std::this_thread::sleep_for(
           std::chrono::microseconds(options_.batch_window_us));
     }
-    Result<SliceScore> computed =
-        ComputeEntitySlice(fact.entity, *quality, obs.NestedContext());
-    {
-      MutexLock lock(mu_);
-      if (computed.ok()) {
-        entry->score = std::move(*computed);
-      } else {
-        entry->error = computed.status();
-      }
-      entry->done = true;
-      inflight_.erase(slice_key);
-      cv_.NotifyAll();
+    Result<std::shared_ptr<const SliceScore>> computed =
+        ScoreEntity(pin, entity, quality);
+    MutexLock lock(mu_);
+    if (computed.ok()) {
+      entry->score = std::move(*computed);
+    } else {
+      entry->error = computed.status();
     }
+    entry->done = true;
+    inflight_.erase(slice_key);
+    cv_.NotifyAll();
   } else {
     MutexLock lock(mu_);
     while (!entry->done) {
@@ -195,46 +261,31 @@ Result<double> ServeSession::QueryInner(const FactRef& fact,
     }
     coalesced_->Increment();
   }
-
   // entry is immutable once done (the leader's last write under mu_ was
   // observed above, or made by this thread).
   if (!entry->error.ok()) return entry->error;
-  const auto it = entry->score.posteriors.find(fact_key);
-  const double posterior = it != entry->score.posteriors.end()
-                               ? it->second
-                               : quality->lookup.no_claim_prior;
-  if (it == entry->score.posteriors.end()) {
-    // The slice fill only covered facts that exist; cache the no-claim
-    // prior for this queried-but-absent fact so repeat lookups hit.
-    cache_for(fact.entity).Put(cache_key, entry->score.epoch, posterior);
-  }
-  return posterior;
+  return entry->score;
 }
 
-Result<ServeSession::SliceScore> ServeSession::ComputeEntitySlice(
-    const std::string& entity, const VersionedQuality& quality,
-    const RunContext& ctx) {
+Result<std::shared_ptr<const ServeSession::SliceScore>>
+ServeSession::ScoreEntity(const store::StorePin& pin, const std::string& entity,
+                          const VersionedQuality& quality) {
   obs::ObsSpan span("slice_compute");
   slice_computes_->Increment();
-  const auto pin = store_->PinSnapshot(&entity, &entity);
-  SliceScore out;
-  out.epoch = pin->epoch();
-  LTM_ASSIGN_OR_RETURN(const Dataset slice,
-                       store_->MaterializeSnapshot(*pin, &entity, &entity));
-  if (slice.facts.NumFacts() == 0) return out;
-  LTM_ASSIGN_OR_RETURN(const std::vector<double> probs,
-                       ScoreSlice(slice, quality.lookup, ltm_options_, ctx));
-  for (size_t f = 0; f < slice.facts.NumFacts(); ++f) {
-    const Fact& fact = slice.facts.fact(static_cast<FactId>(f));
-    std::string key = std::string(slice.raw.entities().Get(fact.entity));
-    key += "\t";
-    key += slice.raw.attributes().Get(fact.attribute);
-    // The slice spans exactly [entity, entity], so every fact lives in
-    // `entity`'s partition cache.
-    cache_for(entity).Put(CacheKey(key, quality.version), out.epoch, probs[f]);
-    out.posteriors.emplace(std::move(key), probs[f]);
+  LTM_ASSIGN_OR_RETURN(const store::RowViews rows,
+                       store_->ReadRowsAt(pin, &entity, &entity));
+  std::vector<ScoredFact> scored;
+  ScoreEntityRows(rows.rows, quality.lookup, &scored);
+  auto out = std::make_shared<SliceScore>();
+  out->epoch = pin.epoch();
+  out->posteriors.reserve(scored.size());
+  store::PosteriorCache& cache = cache_for(entity);
+  for (const ScoredFact& fact : scored) {
+    cache.Put(CacheKey(entity, fact.attribute, quality.version), out->epoch,
+              fact.posterior);
+    out->posteriors.emplace_back(std::string(fact.attribute), fact.posterior);
   }
-  return out;
+  return std::shared_ptr<const SliceScore>(std::move(out));
 }
 
 Result<std::vector<double>> ServeSession::QueryBatch(
@@ -258,35 +309,36 @@ Result<std::vector<ServedFact>> ServeSession::QueryEntityRange(
   RunObserver obs(ctx, "ServeSession::QueryEntityRange");
   const std::shared_ptr<const VersionedQuality> quality = CurrentQuality();
   const auto pin = store_->PinSnapshot(&min_entity, &max_entity);
-  LTM_ASSIGN_OR_RETURN(
-      const Dataset slice,
-      store_->MaterializeSnapshot(*pin, &min_entity, &max_entity));
-  std::vector<ServedFact> out;
-  if (slice.facts.NumFacts() == 0) return out;
-  LTM_ASSIGN_OR_RETURN(
-      const std::vector<double> probs,
-      ScoreSlice(slice, quality->lookup, ltm_options_, obs.NestedContext()));
-  out.reserve(slice.facts.NumFacts());
-  for (size_t f = 0; f < slice.facts.NumFacts(); ++f) {
-    const Fact& fact = slice.facts.fact(static_cast<FactId>(f));
-    ServedFact served;
-    served.entity = std::string(slice.raw.entities().Get(fact.entity));
-    served.attribute = std::string(slice.raw.attributes().Get(fact.attribute));
-    served.posterior = probs[f];
-    cache_for(served.entity)
-        .Put(CacheKey(served.entity + "\t" + served.attribute,
-                      quality->version),
-             pin->epoch(), probs[f]);
-    out.push_back(std::move(served));
-  }
-  // Materialization order is global *ingest* order (it must be — the
-  // scoring above depends on it). The API contract is global
-  // lexicographic entity order regardless of partition layout; the
-  // stable sort keeps facts of one entity in ingest order.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ServedFact& a, const ServedFact& b) {
+  LTM_ASSIGN_OR_RETURN(store::RowViews rows,
+                       store_->ReadRowsAt(*pin, &min_entity, &max_entity));
+  LTM_RETURN_IF_ERROR(obs.Check());
+  // Group the rows by entity — the API contract is global lexicographic
+  // entity order — keeping each entity's rows in ingest order, then score
+  // every entity exactly as a point read would.
+  std::stable_sort(rows.rows.begin(), rows.rows.end(),
+                   [](const store::RowView& a, const store::RowView& b) {
                      return a.entity < b.entity;
                    });
+  std::vector<ServedFact> out;
+  std::vector<ScoredFact> scored;
+  const std::span<const store::RowView> all(rows.rows);
+  for (size_t begin = 0; begin < all.size();) {
+    size_t end = begin + 1;
+    while (end < all.size() && all[end].entity == all[begin].entity) ++end;
+    ScoreEntityRows(all.subspan(begin, end - begin), quality->lookup, &scored);
+    const std::string entity(all[begin].entity);
+    store::PosteriorCache& cache = cache_for(entity);
+    for (const ScoredFact& fact : scored) {
+      ServedFact served;
+      served.entity = entity;
+      served.attribute = std::string(fact.attribute);
+      served.posterior = fact.posterior;
+      cache.Put(CacheKey(entity, fact.attribute, quality->version),
+                pin->epoch(), fact.posterior);
+      out.push_back(std::move(served));
+    }
+    begin = end;
+  }
   return out;
 }
 
@@ -325,52 +377,24 @@ Result<double> ServeSnapshot::Query(const FactRef& fact,
   const WallTimer timer;
   session_->snapshot_queries_->Increment();
   RunObserver obs(ctx, "ServeSnapshot::Query");
-  const std::string fact_key = ServeSession::FactKey(fact);
   const std::string cache_key =
-      ServeSession::CacheKey(fact_key, quality_->version);
-  store::PosteriorCache& cache = session_->cache_for(fact.entity);
-  if (const auto hit = cache.Get(cache_key, pin_->epoch())) {
-    session_->query_micros_->Record(ElapsedMicros(timer));
-    return *hit;
+      ServeSession::CacheKey(fact.entity, fact.attribute, quality_->version);
+  Result<double> result = 0.0;
+  if (const auto hit =
+          session_->cache_for(fact.entity).Get(cache_key, pin_->epoch())) {
+    result = *hit;
+  } else {
+    // The live path's miss routine on this snapshot's own pin and
+    // quality, without singleflight (a live leader may read another
+    // epoch): the same replay order a sequential read at the pinned epoch
+    // uses, so the result is bit-identical no matter what runs
+    // concurrently. Its cache fill is best-effort — the downgrade guard
+    // drops it when the live cache already holds a fresher epoch.
+    result = session_->ResolveMiss(*pin_, fact, cache_key, *quality_,
+                                   /*coalesce=*/false, obs);
   }
-  // Bloom short-circuit: when every segment's filter denies the
-  // (entity, attribute) pair and the pin's memtable has no exact match,
-  // the fact cannot exist — serve the no-claim prior without reading a
-  // single data block. Blooms have no false negatives, so this is the
-  // same answer the materialize below would have produced.
-  LTM_ASSIGN_OR_RETURN(const bool may_exist,
-                       session_->store_->SnapshotFactMayExist(
-                           *pin_, fact.entity, fact.attribute));
-  if (!may_exist) {
-    const double prior = quality_->lookup.no_claim_prior;
-    cache.Put(cache_key, pin_->epoch(), prior);
-    session_->query_micros_->Record(ElapsedMicros(timer));
-    return prior;
-  }
-  // Recompute from this snapshot's own pin: the same replay order a
-  // sequential materialize at the pinned epoch would use, so the result
-  // is bit-identical no matter what runs concurrently.
-  LTM_ASSIGN_OR_RETURN(
-      const Dataset slice,
-      session_->store_->MaterializeSnapshot(*pin_, &fact.entity,
-                                            &fact.entity));
-  double posterior = quality_->lookup.no_claim_prior;
-  const auto eid = slice.raw.entities().Find(fact.entity);
-  const auto aid = slice.raw.attributes().Find(fact.attribute);
-  if (eid.has_value() && aid.has_value()) {
-    if (const auto f = slice.facts.Find(*eid, *aid)) {
-      LTM_ASSIGN_OR_RETURN(const std::vector<double> probs,
-                           ScoreSlice(slice, quality_->lookup,
-                                      session_->ltm_options_,
-                                      obs.NestedContext()));
-      posterior = probs[*f];
-    }
-  }
-  // Best-effort warm: dropped by the downgrade guard when the live cache
-  // already holds a fresher-epoch entry for this key.
-  cache.Put(cache_key, pin_->epoch(), posterior);
   session_->query_micros_->Record(ElapsedMicros(timer));
-  return posterior;
+  return result;
 }
 
 Result<std::vector<double>> ServeSnapshot::QueryBatch(

@@ -47,7 +47,7 @@ struct ServeStats {
   uint64_t range_queries = 0;
   uint64_t coalesced = 0;       ///< Queries that joined another's slice compute.
   uint64_t shed = 0;            ///< Queries rejected by admission control.
-  uint64_t slice_computes = 0;  ///< Entity-slice materialize+score passes led.
+  uint64_t slice_computes = 0;  ///< Entity read+score passes run on misses.
   store::CacheStats cache;
   /// The served store's data-block cache (hits/misses/evictions/bytes).
   store::BlockCacheStats block_cache;
@@ -76,14 +76,20 @@ class ServeSnapshot;
 /// consistent vector epoch, so cross-partition reads (QueryEntityRange
 /// included) stay MVCC-correct.
 ///
-///   - Reads never block ingest: every materialization runs against an
+///   - One miss path (ResolveMiss) for live and snapshot queries: a
+///     fact-bloom short-circuit, then the entity's rows as views straight
+///     from the block bytes, scored against per-source Eq. 3 log tables
+///     precomputed at quality install — bit-identical to materializing
+///     the entity's slice and running LtmIncremental, with no Dataset
+///     built and no log taken per query.
+///   - Reads never block ingest: every read runs against an
 ///     epoch-pinned MVCC snapshot (TruthStoreBase::PinSnapshot), so
 ///     appends, flushes, compactions, and partition rebalances proceed
 ///     concurrently and a compaction can never delete a segment file out
 ///     from under a reader.
 ///   - Duplicate-query coalescing: concurrent cache-missing lookups for
-///     the same (entity, quality version) share one slice
-///     materialization and one PosteriorCache fill (singleflight); a
+///     the same (entity, quality version) share one entity read + score
+///     and one PosteriorCache fill (singleflight); a
 ///     leader may linger ServeOptions::batch_window_us before computing
 ///     so near-simultaneous lookups pile on.
 ///   - Admission control: at most ServeOptions::max_inflight distinct
@@ -131,9 +137,9 @@ class ServeSession {
 
   /// Posterior truth probability of `fact` under the current quality at
   /// the current store epoch (Eq. 3). Facts with no durable claims score
-  /// at the beta prior mean. Honors ctx cancel/deadline (a waiter gives
-  /// up; a leader's scoring pass is interrupted). ResourceExhausted when
-  /// shed by admission control.
+  /// at the beta prior mean. Honors ctx cancel/deadline (a miss checks
+  /// it before reading; a waiter gives up). ResourceExhausted when shed
+  /// by admission control.
   Result<double> Query(const FactRef& fact,
                        const RunContext& ctx = RunContext());
 
@@ -184,10 +190,15 @@ class ServeSession {
     QualityLookup lookup;
   };
 
-  /// Result of one entity-slice computation, shared by coalesced waiters.
+  /// One entity's scored facts at one epoch, shared by coalesced
+  /// waiters.
   struct SliceScore {
     uint64_t epoch = 0;
-    std::unordered_map<std::string, double> posteriors;  // fact_key -> p
+    std::vector<std::pair<std::string, double>> posteriors;  // attribute, p
+
+    /// The attribute's posterior, or null when the entity has no such
+    /// fact.
+    const double* Find(std::string_view attribute) const;
   };
 
   /// Singleflight cell. Fields are written once by the leader (under
@@ -195,7 +206,7 @@ class ServeSession {
   struct Inflight {
     bool done = false;
     Status error;
-    SliceScore score;
+    std::shared_ptr<const SliceScore> score;
   };
 
   ServeSession(ext::StreamingPipeline* pipeline, ServeOptions options);
@@ -203,14 +214,32 @@ class ServeSession {
   std::shared_ptr<const VersionedQuality> CurrentQuality() const
       LTM_EXCLUDES(mu_);
 
-  /// Pins the entity's slice at the current epoch, scores every fact in
-  /// it, and fills the cache. The slow path behind Query.
-  Result<SliceScore> ComputeEntitySlice(const std::string& entity,
-                                        const VersionedQuality& quality,
-                                        const RunContext& ctx);
-
   /// Query minus latency accounting.
   Result<double> QueryInner(const FactRef& fact, const RunContext& ctx);
+
+  /// The miss path both Query flavours share, at `pin` under `quality`:
+  /// a fact-bloom short-circuit to the no-claim prior, else the entity's
+  /// score (ScoreEntity, wrapped in singleflight and admission control
+  /// when `coalesce`), then the queried fact's posterior — the no-claim
+  /// prior, cached under `cache_key`, when the entity has no such fact.
+  Result<double> ResolveMiss(const store::StorePin& pin, const FactRef& fact,
+                             const std::string& cache_key,
+                             const VersionedQuality& quality, bool coalesce,
+                             const RunObserver& obs);
+
+  /// Reads `entity`'s rows at `pin`, scores every fact of the entity
+  /// (ScoreEntityRows over the installed log tables) and caches each
+  /// posterior under the pin's epoch.
+  Result<std::shared_ptr<const SliceScore>> ScoreEntity(
+      const store::StorePin& pin, const std::string& entity,
+      const VersionedQuality& quality);
+
+  /// ScoreEntity behind singleflight — one computation per (entity,
+  /// quality version) at a time, everyone else waits for it — and
+  /// admission control (ResourceExhausted beyond max_inflight).
+  Result<std::shared_ptr<const SliceScore>> ScoreEntityCoalesced(
+      const store::StorePin& pin, const std::string& entity,
+      const VersionedQuality& quality, const RunObserver& obs);
 
   /// Rebuilds the lookup from the pipeline and publishes it (new
   /// version, cache cleared).
@@ -222,12 +251,10 @@ class ServeSession {
     return store_->posterior_cache_for(entity);
   }
 
-  static std::string FactKey(const FactRef& fact) {
-    return fact.entity + "\t" + fact.attribute;
-  }
-  static std::string CacheKey(const std::string& fact_key, uint64_t version) {
-    return fact_key + "\t#q" + std::to_string(version);
-  }
+  /// "<entity>\t<attribute>\t#q<quality version>", built in one
+  /// allocation.
+  static std::string CacheKey(std::string_view entity,
+                              std::string_view attribute, uint64_t version);
 
   ext::StreamingPipeline* const pipeline_;
   store::TruthStoreBase* const store_;

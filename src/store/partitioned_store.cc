@@ -31,14 +31,14 @@ uint64_t ChildRowCount(const TruthStoreStats& stats) {
   return stats.segment_rows + stats.memtable_rows;
 }
 
-std::vector<WalRecord> RowsToRecords(const std::vector<SegmentRow>& rows) {
+std::vector<WalRecord> RowsToRecords(const std::vector<RowView>& rows) {
   std::vector<WalRecord> records;
   records.reserve(rows.size());
-  for (const SegmentRow& row : rows) {
+  for (const RowView& row : rows) {
     WalRecord record;
-    record.entity = row.entity;
-    record.attribute = row.attribute;
-    record.source = row.source;
+    record.entity = std::string(row.entity);
+    record.attribute = std::string(row.attribute);
+    record.source = std::string(row.source);
     record.observation = row.observation;
     record.seq = row.seq;
     records.push_back(std::move(record));
@@ -341,7 +341,7 @@ Result<bool> PartitionedTruthStore::CompactOnce() {
 }
 
 Result<std::shared_ptr<TruthStore>> PartitionedTruthStore::BuildChild(
-    const PartitionMapEntry& entry, const std::vector<SegmentRow>& rows,
+    const PartitionMapEntry& entry, const std::vector<RowView>& rows,
     size_t partition_count) const {
   LTM_ASSIGN_OR_RETURN(
       std::unique_ptr<TruthStore> child,
@@ -437,16 +437,17 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
       obs::ObsSpan span("partition_split");
       const PartitionMapEntry old_entry = map_.entries[split_idx];
       const std::unique_ptr<EpochPin> pin = children_[split_idx]->PinEpoch();
-      LTM_ASSIGN_OR_RETURN(const std::vector<SegmentRow> rows,
+      LTM_ASSIGN_OR_RETURN(const RowViews pinned,
                            children_[split_idx]->CollectPinnedRows(*pin));
-      std::set<std::string> distinct;
-      for (const SegmentRow& row : rows) distinct.insert(row.entity);
+      const std::vector<RowView>& rows = pinned.rows;
+      std::set<std::string_view> distinct;
+      for (const RowView& row : rows) distinct.insert(row.entity);
       if (distinct.size() < 2) return false;  // nothing to split at
-      const std::string boundary =
+      const std::string boundary(
           *std::next(distinct.begin(),
-                     static_cast<std::ptrdiff_t>(distinct.size() / 2));
-      std::vector<SegmentRow> lower_rows, upper_rows;
-      for (const SegmentRow& row : rows) {
+                     static_cast<std::ptrdiff_t>(distinct.size() / 2)));
+      std::vector<RowView> lower_rows, upper_rows;
+      for (const RowView& row : rows) {
         (row.entity < boundary ? lower_rows : upper_rows).push_back(row);
       }
       PartitionMap next = map_;
@@ -512,13 +513,14 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
       const std::unique_ptr<EpochPin> lpin = children_[merge_idx]->PinEpoch();
       const std::unique_ptr<EpochPin> rpin =
           children_[merge_idx + 1]->PinEpoch();
-      LTM_ASSIGN_OR_RETURN(std::vector<SegmentRow> rows,
+      LTM_ASSIGN_OR_RETURN(const RowViews left_rows,
                            children_[merge_idx]->CollectPinnedRows(*lpin));
-      LTM_ASSIGN_OR_RETURN(const std::vector<SegmentRow> right_rows,
+      LTM_ASSIGN_OR_RETURN(const RowViews right_rows,
                            children_[merge_idx + 1]->CollectPinnedRows(*rpin));
-      rows.insert(rows.end(), right_rows.begin(), right_rows.end());
+      std::vector<RowView> rows = left_rows.rows;
+      rows.insert(rows.end(), right_rows.rows.begin(), right_rows.rows.end());
       std::sort(rows.begin(), rows.end(),
-                [](const SegmentRow& a, const SegmentRow& b) {
+                [](const RowView& a, const RowView& b) {
                   return a.seq < b.seq;
                 });
       PartitionMap next = map_;
@@ -605,38 +607,50 @@ void PartitionedTruthStore::ReapRetired() const {
   }
 }
 
-Result<Dataset> PartitionedTruthStore::MaterializeSnapshot(
+Result<RowViews> PartitionedTruthStore::ReadRowsAt(
     const StorePin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
   const CompositePin* composite = pin.AsCompositePin();
   if (composite == nullptr || composite->store_ != this) {
     return Status::InvalidArgument("pin was not issued by this store");
   }
-  // Collect every partition's in-range rows (each already sorted by
-  // seq), then merge on the router-assigned global sequence — the exact
-  // ingest order a single store would replay.
+  if (min_entity != nullptr && max_entity != nullptr &&
+      *min_entity == *max_entity) {
+    // A point read: route on the boundaries frozen at pin time to the one
+    // partition that can hold the entity.
+    for (size_t i = 0; i < composite->entries_.size(); ++i) {
+      if (composite->entries_[i].Contains(*min_entity)) {
+        return composite->children_[i]->CollectPinnedRows(
+            *composite->pins_[i], min_entity, max_entity, stats);
+      }
+    }
+  }
   RangeScanStats total;
-  std::vector<SegmentRow> rows;
+  RowViews out;
   for (size_t i = 0; i < composite->pins_.size(); ++i) {
     RangeScanStats part;
-    LTM_ASSIGN_OR_RETURN(
-        std::vector<SegmentRow> child_rows,
-        composite->children_[i]->CollectPinnedRows(
-            *composite->pins_[i], min_entity, max_entity, &part));
+    LTM_ASSIGN_OR_RETURN(RowViews child_rows,
+                         composite->children_[i]->CollectPinnedRows(
+                             *composite->pins_[i], min_entity, max_entity,
+                             &part));
     AccumulateScan(&total, part);
-    rows.insert(rows.end(), std::make_move_iterator(child_rows.begin()),
-                std::make_move_iterator(child_rows.end()));
+    if (out.rows.empty() && out.buffers.empty()) {
+      out = std::move(child_rows);
+      continue;
+    }
+    out.rows.insert(out.rows.end(), child_rows.rows.begin(),
+                    child_rows.rows.end());
+    out.buffers.insert(out.buffers.end(),
+                       std::make_move_iterator(child_rows.buffers.begin()),
+                       std::make_move_iterator(child_rows.buffers.end()));
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const SegmentRow& a, const SegmentRow& b) {
-              return a.seq < b.seq;
-            });
-  RawDatabase combined;
-  for (const SegmentRow& row : rows) {
-    combined.Add(row.entity, row.attribute, row.source);
-  }
+  // Each partition's rows are already seq-sorted; merging on the
+  // router-assigned global sequence gives the exact ingest order a single
+  // store would replay.
+  std::sort(out.rows.begin(), out.rows.end(),
+            [](const RowView& a, const RowView& b) { return a.seq < b.seq; });
   if (stats != nullptr) *stats = total;
-  return Dataset::FromRaw("truthstore:" + dir_, std::move(combined));
+  return out;
 }
 
 Result<bool> PartitionedTruthStore::SnapshotFactMayExist(
@@ -655,23 +669,6 @@ Result<bool> PartitionedTruthStore::SnapshotFactMayExist(
     }
   }
   return false;  // unreachable with a validated map
-}
-
-Result<Dataset> PartitionedTruthStore::Materialize(uint64_t* epoch_out) const {
-  const std::unique_ptr<StorePin> pin = PinSnapshot();
-  LTM_ASSIGN_OR_RETURN(Dataset ds, MaterializeSnapshot(*pin));
-  if (epoch_out != nullptr) *epoch_out = pin->epoch();
-  return ds;
-}
-
-Result<Dataset> PartitionedTruthStore::MaterializeEntityRange(
-    const std::string& min_entity, const std::string& max_entity,
-    RangeScanStats* stats, uint64_t* epoch_out) const {
-  const std::unique_ptr<StorePin> pin = PinSnapshot(&min_entity, &max_entity);
-  LTM_ASSIGN_OR_RETURN(
-      Dataset ds, MaterializeSnapshot(*pin, &min_entity, &max_entity, stats));
-  if (epoch_out != nullptr) *epoch_out = pin->epoch();
-  return ds;
 }
 
 uint64_t PartitionedTruthStore::epoch() const {

@@ -163,20 +163,14 @@ class PartitionedTruthStore : public TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const override
       LTM_EXCLUDES(table_mu_);
-  Result<Dataset> MaterializeSnapshot(
-      const StorePin& pin, const std::string* min_entity = nullptr,
-      const std::string* max_entity = nullptr,
-      RangeScanStats* stats = nullptr) const override;
+  Result<RowViews> ReadRowsAt(const StorePin& pin,
+                              const std::string* min_entity,
+                              const std::string* max_entity,
+                              RangeScanStats* stats = nullptr) const override;
   Result<bool> SnapshotFactMayExist(const StorePin& pin,
                                     const std::string& entity,
                                     const std::string& attribute)
       const override;
-
-  Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const override;
-  Result<Dataset> MaterializeEntityRange(
-      const std::string& min_entity, const std::string& max_entity,
-      RangeScanStats* stats = nullptr,
-      uint64_t* epoch_out = nullptr) const override;
 
   /// Composite epoch: a rebalance-stable offset plus the sum of the
   /// child epochs — advances on every append and every commit anywhere,
@@ -235,7 +229,7 @@ class PartitionedTruthStore : public TruthStoreBase {
   /// Builds a fresh child for `entry`, replays `rows` into it (seqs
   /// preserved) and flushes. Used by split and merge.
   Result<std::shared_ptr<TruthStore>> BuildChild(
-      const PartitionMapEntry& entry, const std::vector<SegmentRow>& rows,
+      const PartitionMapEntry& entry, const std::vector<RowView>& rows,
       size_t partition_count) const;
   /// Commits `next_map`, swaps `next_children` into the routing table
   /// (epoch offset adjusted for monotonicity), and retires the replaced

@@ -1,5 +1,7 @@
 #include "store/posterior_cache.h"
 
+#include <iterator>
+
 namespace ltm {
 namespace store {
 
@@ -32,8 +34,10 @@ std::optional<double> PosteriorCache::Get(const std::string& fact_key,
     if (epoch > it->second->epoch) {
       // Stale entry: computed against evidence older than the reader's.
       // Evict eagerly so the slot is free for the recomputed value.
-      lru_.erase(it->second);
+      // Index first: its key views the list entry.
+      const auto entry = it->second;
       index_.erase(it);
+      lru_.erase(entry);
       evictions_->Increment();
       size_gauge_->Set(static_cast<int64_t>(lru_.size()));
     }
@@ -70,21 +74,30 @@ void PosteriorCache::Put(const std::string& fact_key, uint64_t epoch,
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{fact_key, epoch, posterior, std::this_thread::get_id()});
-  index_[fact_key] = lru_.begin();
-  while (lru_.size() > capacity_) {
+  if (lru_.size() >= capacity_) {
+    // Full: recycle the least-recently-used node, and its key's buffer,
+    // for the new entry instead of freeing one and allocating another.
     index_.erase(lru_.back().key);
-    lru_.pop_back();
     evictions_->Increment();
+    lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
+    Entry& entry = lru_.front();
+    entry.key.assign(fact_key);
+    entry.epoch = epoch;
+    entry.posterior = posterior;
+    entry.writer = std::this_thread::get_id();
+  } else {
+    lru_.push_front(
+        Entry{fact_key, epoch, posterior, std::this_thread::get_id()});
   }
+  index_.emplace(lru_.front().key, lru_.begin());
   size_gauge_->Set(static_cast<int64_t>(lru_.size()));
 }
 
 void PosteriorCache::Clear() {
   MutexLock lock(mutex_);
   evictions_->Increment(lru_.size());
-  lru_.clear();
   index_.clear();
+  lru_.clear();
   size_gauge_->Set(0);
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -112,7 +113,9 @@ class PosteriorCache {
   mutable Mutex mutex_;
   /// front = most recently used
   std::list<Entry> lru_ LTM_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
+  /// Keys view the owning list entry's `key` (list nodes never move), so
+  /// a Put copies the key once.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_
       LTM_GUARDED_BY(mutex_);
 };
 

@@ -172,7 +172,7 @@ Result<std::optional<BloomFilterView>> DecodeBloom(std::string_view bloom_bytes,
 /// First block that could contain `entity` (its last_entity >= entity);
 /// handles are sorted by key range.
 size_t LowerBoundBlock(const std::vector<BlockHandle>& blocks,
-                       const std::string& entity) {
+                       std::string_view entity) {
   size_t lo = 0;
   size_t hi = blocks.size();
   while (lo < hi) {
@@ -186,17 +186,75 @@ size_t LowerBoundBlock(const std::vector<BlockHandle>& blocks,
   return lo;
 }
 
+/// Append-only storage for the entity keys a range scan copies out of
+/// the cursor's buffer: chunks that never move once allocated, doubling
+/// in size so a scan makes a handful of allocations, not one per entity.
+/// Each chunk joins `out->buffers`.
+class KeyArena {
+ public:
+  explicit KeyArena(RowViews* out) : out_(out) {}
+
+  std::string_view Copy(std::string_view key) {
+    if (chunk_ == nullptr || capacity_ - used_ < key.size()) {
+      capacity_ = std::max(2 * capacity_, key.size());
+      chunk_ = std::make_shared_for_overwrite<char[]>(capacity_);
+      used_ = 0;
+      out_->buffers.push_back(chunk_);
+    }
+    char* at = chunk_.get() + used_;
+    key.copy(at, key.size());
+    used_ += key.size();
+    return std::string_view(at, key.size());
+  }
+
+ private:
+  RowViews* out_;
+  std::shared_ptr<char[]> chunk_;
+  size_t capacity_ = 2048;  ///< the first chunk gets twice this
+  size_t used_ = 0;
+};
+
+/// Appends views of the rows of `block` (block `index` of the segment
+/// named by `context`) whose entity lies in [*min_entity, *max_entity]
+/// (null = unbounded). The cursor's entity buffer changes on every row,
+/// so each distinct in-range entity gets one copy in `keys` for the
+/// views to point at; the block joins out->buffers.
+Status AppendBlockRows(std::shared_ptr<const std::string> block,
+                       std::string_view context, size_t index,
+                       const std::string* min_entity,
+                       const std::string* max_entity, KeyArena* keys,
+                       RowViews* out) {
+  LTM_ASSIGN_OR_RETURN(BlockCursor cursor,
+                       BlockCursor::Parse(*block, context, index));
+  std::string_view key;
+  RowView row;
+  const size_t before = out->rows.size();
+  while (true) {
+    LTM_ASSIGN_OR_RETURN(const bool more, cursor.Next(&row));
+    if (!more) break;
+    if (min_entity != nullptr && row.entity < *min_entity) continue;
+    if (max_entity != nullptr && row.entity > *max_entity) break;
+    if (out->rows.size() == before || key != row.entity) {
+      key = keys->Copy(row.entity);
+    }
+    row.entity = key;
+    out->rows.push_back(row);
+  }
+  if (out->rows.size() > before) out->buffers.push_back(std::move(block));
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<BlockSegmentBuildInfo> WriteBlockSegment(
-    const std::string& path, const std::vector<SegmentRow>& rows,
+    const std::string& path, std::span<const RowView> rows,
     const BlockSegmentWriterOptions& options) {
   if (rows.empty()) {
     return Status::InvalidArgument("refusing to write an empty segment: " +
                                    path);
   }
   for (size_t i = 1; i < rows.size(); ++i) {
-    if (SegmentRowOrder(rows[i], rows[i - 1])) {
+    if (RowViewOrder(rows[i], rows[i - 1])) {
       return Status::InvalidArgument(
           "segment rows not sorted at index " + std::to_string(i) + ": " +
           path);
@@ -250,7 +308,7 @@ Result<BlockSegmentBuildInfo> WriteBlockSegment(
   };
 
   for (size_t i = 0; i < rows.size(); ++i) {
-    const SegmentRow& row = rows[i];
+    const RowView& row = rows[i];
     builder.Add(row);
     if (builder.CurrentSizeEstimate() >= options.block_size_bytes &&
         i + 1 < rows.size()) {
@@ -281,8 +339,8 @@ Result<BlockSegmentBuildInfo> WriteBlockSegment(
 
   info.num_rows = rows.size();
   info.num_sources = sources.size();
-  info.min_entity = rows.front().entity;
-  info.max_entity = rows.back().entity;
+  info.min_entity = std::string(rows.front().entity);
+  info.max_entity = std::string(rows.back().entity);
   info.num_blocks = num_blocks;
 
   ByteWriter index_header;
@@ -352,9 +410,8 @@ Result<ParsedBlockSegment> ParseBlockSegmentFromBytes(
                                      std::to_string(i) +
                                      " checksum mismatch: " + label);
     }
-    LTM_ASSIGN_OR_RETURN(
-        std::vector<SegmentRow> rows,
-        DecodeBlockRows(block, label + " block " + std::to_string(i)));
+    LTM_ASSIGN_OR_RETURN(std::vector<SegmentRow> rows,
+                         DecodeBlockRows(block, label, i));
     rows_seen += rows.size();
     if (rows.empty() || rows.front().entity != h.first_entity ||
         rows.front().attribute != h.first_attribute ||
@@ -445,8 +502,18 @@ bool BlockSegmentReader::MayContainEntity(std::string_view entity) const {
 
 bool BlockSegmentReader::MayContainFact(std::string_view entity,
                                         std::string_view attribute) const {
-  return !bloom_.has_value() ||
-         bloom_->MayContain(FactBloomKey(entity, attribute));
+  if (!bloom_.has_value()) return true;
+  // Every serving miss probes here: build the key on the stack when it
+  // fits, with the same bytes FactBloomKey writes.
+  char buf[128];
+  const size_t size = entity.size() + 1 + attribute.size();
+  if (size > sizeof(buf)) {
+    return bloom_->MayContain(FactBloomKey(entity, attribute));
+  }
+  entity.copy(buf, entity.size());
+  buf[entity.size()] = '\t';
+  attribute.copy(buf + entity.size() + 1, attribute.size());
+  return bloom_->MayContain(std::string_view(buf, size));
 }
 
 Status BlockSegmentReader::ReadRawBlock(const BlockHandle& handle,
@@ -508,24 +575,44 @@ Result<std::shared_ptr<const std::string>> BlockSegmentReader::ReadBlock(
   return shared;
 }
 
-Status BlockSegmentReader::ReadRowsInRange(const std::string* min_entity,
+Status BlockSegmentReader::ReadEntityRows(std::string_view entity,
+                                          BlockCache* cache, ReadStats* stats,
+                                          RowViews* out) const {
+  for (size_t i = LowerBoundBlock(blocks_, entity); i < blocks_.size(); ++i) {
+    if (blocks_[i].first_entity > entity) break;
+    LTM_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> block,
+                         ReadBlock(i, cache, stats));
+    LTM_ASSIGN_OR_RETURN(BlockCursor cursor,
+                         BlockCursor::Parse(*block, path_, i));
+    RowView row;
+    LTM_ASSIGN_OR_RETURN(bool more, cursor.Seek(entity, &row));
+    const size_t before = out->rows.size();
+    while (more && row.entity == entity) {
+      row.entity = entity;  // the probe outlives the cursor's key buffer
+      out->rows.push_back(row);
+      LTM_ASSIGN_OR_RETURN(more, cursor.Next(&row));
+    }
+    if (out->rows.size() > before) out->buffers.push_back(std::move(block));
+    // Still on the entity at the block's end: its rows may continue in
+    // the next block (whose first_entity the loop condition checks).
+    if (more) break;
+  }
+  return Status::OK();
+}
+
+Status BlockSegmentReader::ScanRowsInRange(const std::string* min_entity,
                                            const std::string* max_entity,
                                            BlockCache* cache, ReadStats* stats,
-                                           std::vector<SegmentRow>* out) const {
-  size_t first = min_entity != nullptr ? LowerBoundBlock(blocks_, *min_entity)
-                                       : 0;
+                                           RowViews* out) const {
+  const size_t first =
+      min_entity != nullptr ? LowerBoundBlock(blocks_, *min_entity) : 0;
+  KeyArena keys(out);
   for (size_t i = first; i < blocks_.size(); ++i) {
     if (max_entity != nullptr && blocks_[i].first_entity > *max_entity) break;
-    LTM_ASSIGN_OR_RETURN(const std::shared_ptr<const std::string> block,
+    LTM_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> block,
                          ReadBlock(i, cache, stats));
-    LTM_ASSIGN_OR_RETURN(
-        std::vector<SegmentRow> rows,
-        DecodeBlockRows(*block, path_ + " block " + std::to_string(i)));
-    for (SegmentRow& row : rows) {
-      if (min_entity != nullptr && row.entity < *min_entity) continue;
-      if (max_entity != nullptr && row.entity > *max_entity) continue;
-      out->push_back(std::move(row));
-    }
+    LTM_RETURN_IF_ERROR(AppendBlockRows(std::move(block), path_, i,
+                                        min_entity, max_entity, &keys, out));
   }
   return Status::OK();
 }

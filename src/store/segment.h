@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,13 +107,13 @@ struct BlockSegmentBuildInfo {
   uint32_t num_blocks = 0;
 };
 
-/// Writes `rows` (which must be sorted in SegmentRowOrder and non-empty)
+/// Writes `rows` (which must be sorted in RowViewOrder and non-empty)
 /// as a block segment at `path`, fsyncing before returning. Calls
 /// FailpointCheck("segment-block-write:" + path) before each data block —
 /// a mid-block-write crash leaves a torn, never-committed file for the
 /// next Open's orphan reaper.
 Result<BlockSegmentBuildInfo> WriteBlockSegment(
-    const std::string& path, const std::vector<SegmentRow>& rows,
+    const std::string& path, std::span<const RowView> rows,
     const BlockSegmentWriterOptions& options);
 
 /// A fully parsed in-memory image: footer, index, bloom — with every data
@@ -165,14 +166,21 @@ class BlockSegmentReader {
   Result<std::shared_ptr<const std::string>> ReadBlock(
       size_t block_idx, BlockCache* cache, ReadStats* stats) const;
 
-  /// Appends to `out` every row with entity in
+  /// Appends to `out` views of every row of `entity` — the point-read
+  /// path: block-index binary search, then BlockCursor::Seek inside the
+  /// block, stopping when the entity changes; rows that run past the
+  /// block's end continue in the next one. Entity views alias `entity`
+  /// itself, so the caller's probe must outlive them.
+  Status ReadEntityRows(std::string_view entity, BlockCache* cache,
+                        ReadStats* stats, RowViews* out) const;
+
+  /// Appends to `out` views of every row with entity in
   /// [*min_entity, *max_entity] (null = unbounded), reading only the
   /// index-selected blocks. Rows arrive in block (key) order, NOT seq
   /// order — the caller re-sorts by seq for replay.
-  Status ReadRowsInRange(const std::string* min_entity,
+  Status ScanRowsInRange(const std::string* min_entity,
                          const std::string* max_entity, BlockCache* cache,
-                         ReadStats* stats,
-                         std::vector<SegmentRow>* out) const;
+                         ReadStats* stats, RowViews* out) const;
 
  private:
   BlockSegmentReader(std::string path, uint64_t cache_id);

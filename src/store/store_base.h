@@ -12,6 +12,7 @@
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "store/block_cache.h"
+#include "store/block_format.h"
 #include "store/posterior_cache.h"
 #include "store/wal.h"
 
@@ -35,6 +36,10 @@ struct RangeScanStats {
   /// Bytes actually read from disk for data blocks.
   uint64_t bytes_read = 0;
 };
+
+/// Interns `rows` in order into a Dataset (RawDatabase dedup keeps each
+/// (entity, attribute, source) triple's first row).
+Dataset DatasetFromRows(std::string name, const RowViews& rows);
 
 /// Cumulative compaction work counters (write-amplification accounting).
 struct CompactionStats {
@@ -159,14 +164,29 @@ class TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const = 0;
 
-  /// Materializes from a pinned snapshot in global ingest order —
-  /// bit-identical to what a sequential materialize at the pinned epoch
-  /// would produce, regardless of partitioning. `pin` must have been
-  /// issued by this store.
-  virtual Result<Dataset> MaterializeSnapshot(
-      const StorePin& pin, const std::string* min_entity = nullptr,
-      const std::string* max_entity = nullptr,
-      RangeScanStats* stats = nullptr) const = 0;
+  /// The one store read: every row with entity in
+  /// [*min_entity, *max_entity] (null = unbounded) visible at `pin`, as
+  /// views sorted by global ingest sequence — the replay order a
+  /// sequential read at the pinned epoch uses, regardless of
+  /// partitioning. Segments are skipped by zone stats; when
+  /// *min_entity == *max_entity (a point read) also by the entity bloom,
+  /// and the read seeks inside one block through its restart array
+  /// instead of decoding it whole. A partitioned store serves a point
+  /// read from the one partition owning the entity. The views alias
+  /// buffers the result holds, the pin's memtable records and — on a
+  /// point read — `*min_entity` itself, so the result must outlive
+  /// neither `pin` nor the bounds. `pin` must have been issued by this
+  /// store.
+  virtual Result<RowViews> ReadRowsAt(
+      const StorePin& pin, const std::string* min_entity,
+      const std::string* max_entity, RangeScanStats* stats = nullptr) const = 0;
+
+  /// ReadRowsAt interned into a Dataset — bit-identical to what a
+  /// sequential materialize at the pinned epoch would produce.
+  Result<Dataset> MaterializeSnapshot(const StorePin& pin,
+                                      const std::string* min_entity = nullptr,
+                                      const std::string* max_entity = nullptr,
+                                      RangeScanStats* stats = nullptr) const;
 
   /// Bloom-only point probe against a pinned snapshot: false means the
   /// fact definitely does not exist at the pin's epoch.
@@ -176,12 +196,13 @@ class TruthStoreBase {
 
   /// Full rebuild in global ingest order. When `epoch_out` is non-null
   /// it receives the epoch the materialized data corresponds to.
-  virtual Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const = 0;
+  Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const;
 
   /// Rebuild restricted to entities in [min_entity, max_entity].
-  virtual Result<Dataset> MaterializeEntityRange(
-      const std::string& min_entity, const std::string& max_entity,
-      RangeScanStats* stats = nullptr, uint64_t* epoch_out = nullptr) const = 0;
+  Result<Dataset> MaterializeEntityRange(const std::string& min_entity,
+                                         const std::string& max_entity,
+                                         RangeScanStats* stats = nullptr,
+                                         uint64_t* epoch_out = nullptr) const;
 
   /// In-memory data version: advances on every append and every manifest
   /// commit (summed over partitions, kept monotone across rebalances).

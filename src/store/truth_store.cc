@@ -462,15 +462,17 @@ Status TruthStore::FlushLocked() {
   // sequencing the rows already carry router-assigned global seqs
   // (tracked in memtable_seqs_), so those are persisted instead and the
   // next_row_seq watermark advances past the largest one.
-  std::vector<SegmentRow> rows;
+  // The rows view the memtable's interned strings, which stay put until
+  // the memtable is replaced below (mu_ is held throughout).
+  std::vector<RowView> rows;
   rows.reserve(memtable_.NumRows());
   uint64_t seq = manifest_.next_row_seq;
   size_t row_idx = 0;
   for (const RawRow& row : memtable_.rows()) {
-    SegmentRow r;
-    r.entity = std::string(memtable_.entities().Get(row.entity));
-    r.attribute = std::string(memtable_.attributes().Get(row.attribute));
-    r.source = std::string(memtable_.sources().Get(row.source));
+    RowView r;
+    r.entity = memtable_.entities().Get(row.entity);
+    r.attribute = memtable_.attributes().Get(row.attribute);
+    r.source = memtable_.sources().Get(row.source);
     if (options_.external_sequencing) {
       r.seq = memtable_seqs_[row_idx];
       seq = std::max(seq, r.seq + 1);
@@ -479,9 +481,9 @@ Status TruthStore::FlushLocked() {
     }
     ++row_idx;
     r.observation = 1;
-    rows.push_back(std::move(r));
+    rows.push_back(r);
   }
-  std::sort(rows.begin(), rows.end(), SegmentRowOrder);
+  std::sort(rows.begin(), rows.end(), RowViewOrder);
 
   LTM_ASSIGN_OR_RETURN(
       const BlockSegmentBuildInfo built,
@@ -653,65 +655,69 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   // Merge outside the lock: segment files are immutable, so appends and
   // flushes proceed concurrently. Compaction reads bypass the block
   // cache — a one-shot full scan would only evict hot point-read blocks.
-  std::vector<SegmentRow> rows;
+  // The merge works on views into the input blocks, which `inputs_read`
+  // keeps alive until the outputs are written.
+  RowViews inputs_read;
   uint64_t bytes_read = 0;
   for (const SegmentInfo& seg : inputs) {
     LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
                          GetReader(seg));
     BlockSegmentReader::ReadStats rs;
-    LTM_RETURN_IF_ERROR(reader->ReadRowsInRange(nullptr, nullptr,
+    LTM_RETURN_IF_ERROR(reader->ScanRowsInRange(nullptr, nullptr,
                                                 /*cache=*/nullptr, &rs,
-                                                &rows));
+                                                &inputs_read));
     bytes_read += seg.file_bytes;
   }
-  std::sort(rows.begin(), rows.end(), SegmentRowOrder);
+  std::vector<RowView>& rows = inputs_read.rows;
+  std::sort(rows.begin(), rows.end(), RowViewOrder);
 
   // Collapse duplicate (entity, attribute, source) triples onto their
   // first-ingested (minimum-seq) occurrence — the sort puts it first in
   // each group. Replay dedups identically, so posteriors are unchanged;
   // the later copies were pure dead weight.
-  std::vector<SegmentRow> unique_rows;
-  unique_rows.reserve(rows.size());
-  std::set<std::string> seen_sources;
-  std::string group_entity, group_attribute;
-  bool have_group = false;
+  size_t kept = 0;
+  size_t group_begin = 0;
   uint64_t dropped = 0;
-  for (SegmentRow& row : rows) {
-    if (!have_group || row.entity != group_entity ||
-        row.attribute != group_attribute) {
-      group_entity = row.entity;
-      group_attribute = row.attribute;
-      seen_sources.clear();
-      have_group = true;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (kept == 0 || rows[i].entity != rows[group_begin].entity ||
+        rows[i].attribute != rows[group_begin].attribute) {
+      group_begin = kept;
+    } else {
+      bool seen = false;
+      for (size_t j = group_begin; j < kept && !seen; ++j) {
+        seen = rows[j].source == rows[i].source;
+      }
+      if (seen) {
+        ++dropped;
+        continue;
+      }
     }
-    if (!seen_sources.insert(row.source).second) {
-      ++dropped;
-      continue;
-    }
-    unique_rows.push_back(std::move(row));
+    rows[kept++] = rows[i];
   }
+  rows.resize(kept);
 
   // Split the output at entity boundaries near segment_target_bytes so
   // levels >= 1 stay made of bounded, non-overlapping segments. An
-  // entity never straddles two outputs.
-  std::vector<std::vector<SegmentRow>> groups;
-  groups.emplace_back();
+  // entity never straddles two outputs. `group_ends[g]` is one past the
+  // last row of output g.
+  std::vector<size_t> group_ends;
   uint64_t group_bytes = 0;
-  for (SegmentRow& row : unique_rows) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const RowView& row = rows[i];
     const uint64_t row_bytes =
         row.entity.size() + row.attribute.size() + row.source.size() + 16;
-    if (group_bytes >= options_.segment_target_bytes &&
-        !groups.back().empty() && row.entity != groups.back().back().entity) {
-      groups.emplace_back();
+    if (i > 0 && group_bytes >= options_.segment_target_bytes &&
+        row.entity != rows[i - 1].entity) {
+      group_ends.push_back(i);
       group_bytes = 0;
     }
     group_bytes += row_bytes;
-    groups.back().push_back(std::move(row));
   }
-  if (groups.back().empty()) {
+  if (rows.empty()) {
     return Status::Internal("compaction produced no rows from " +
                             std::to_string(inputs.size()) + " segments");
   }
+  group_ends.push_back(rows.size());
 
   // Reserve the output ids now so a concurrent flush cannot take them
   // while the files are written outside the lock.
@@ -719,17 +725,22 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   {
     MutexLock lock(mu_);
     first_id = manifest_.next_segment_id;
-    manifest_.next_segment_id += groups.size();
+    manifest_.next_segment_id += group_ends.size();
   }
 
   std::vector<SegmentInfo> outputs;
   uint64_t bytes_written = 0;
-  for (size_t i = 0; i < groups.size(); ++i) {
+  for (size_t i = 0; i < group_ends.size(); ++i) {
     const uint64_t id = first_id + i;
     const std::string file = SegmentFileName(id);
+    const size_t begin = i == 0 ? 0 : group_ends[i - 1];
     LTM_ASSIGN_OR_RETURN(
         const BlockSegmentBuildInfo built,
-        WriteBlockSegment(dir_ + "/" + file, groups[i], WriterOptions()));
+        WriteBlockSegment(
+            dir_ + "/" + file,
+            std::span<const RowView>(rows).subspan(begin,
+                                                   group_ends[i] - begin),
+            WriterOptions()));
     outputs.push_back(MakeSegmentInfo(id, file, output_level, built));
     bytes_written += built.file_bytes;
   }
@@ -921,13 +932,22 @@ void TruthStore::DropSegmentCaches(uint64_t id) const {
   block_cache_.EraseSegment(id);
 }
 
-Result<std::vector<SegmentRow>> TruthStore::CollectPinnedRows(
+Result<RowViews> TruthStore::CollectPinnedRows(
     const EpochPin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
   RangeScanStats scan;
   const bool point_read = min_entity != nullptr && max_entity != nullptr &&
                           *min_entity == *max_entity;
-  std::vector<SegmentRow> rows;
+  RowViews out;
+  // One allocation instead of a doubling series: a point read returns a
+  // handful of rows, an unbounded read every row the zone stats count.
+  if (point_read) {
+    out.rows.reserve(16);
+  } else if (min_entity == nullptr && max_entity == nullptr) {
+    uint64_t rows = pin.memtable_rows().size();
+    for (const SegmentInfo& seg : pin.segments()) rows += seg.num_rows;
+    out.rows.reserve(rows);
+  }
   for (const SegmentInfo& seg : pin.segments()) {
     if ((min_entity != nullptr && seg.max_entity < *min_entity) ||
         (max_entity != nullptr && seg.min_entity > *max_entity)) {
@@ -946,8 +966,13 @@ Result<std::vector<SegmentRow>> TruthStore::CollectPinnedRows(
     ++scan.segments_scanned;
     LTM_RETURN_IF_ERROR(FailpointCheck("store-pinned-read"));
     BlockSegmentReader::ReadStats rs;
-    LTM_RETURN_IF_ERROR(reader->ReadRowsInRange(min_entity, max_entity,
-                                                &block_cache_, &rs, &rows));
+    if (point_read) {
+      LTM_RETURN_IF_ERROR(
+          reader->ReadEntityRows(*min_entity, &block_cache_, &rs, &out));
+    } else {
+      LTM_RETURN_IF_ERROR(reader->ScanRowsInRange(min_entity, max_entity,
+                                                  &block_cache_, &rs, &out));
+    }
     scan.blocks_read += rs.blocks_read;
     scan.block_cache_hits += rs.blocks_from_cache;
     scan.bytes_read += rs.bytes_read;
@@ -960,36 +985,24 @@ Result<std::vector<SegmentRow>> TruthStore::CollectPinnedRows(
         (max_entity != nullptr && record.entity > *max_entity)) {
       continue;
     }
-    SegmentRow row;
-    row.entity = record.entity;
-    row.attribute = record.attribute;
-    row.source = record.source;
-    row.seq = record.seq;
-    row.observation = record.observation;
-    rows.push_back(std::move(row));
+    out.rows.push_back(RowView{record.entity, record.attribute, record.source,
+                               record.seq, record.observation});
   }
   // Rows arrived in per-segment key order; global ingest-sequence order
   // is the replay order that keeps posteriors bit-identical to a batch
   // load (sequence numbers are unique, so this sort has one answer).
-  std::sort(rows.begin(), rows.end(),
-            [](const SegmentRow& a, const SegmentRow& b) {
-              return a.seq < b.seq;
-            });
+  std::sort(out.rows.begin(), out.rows.end(),
+            [](const RowView& a, const RowView& b) { return a.seq < b.seq; });
   if (stats != nullptr) *stats = scan;
-  return rows;
+  return out;
 }
 
 Result<Dataset> TruthStore::MaterializeFromPin(
     const EpochPin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
-  LTM_ASSIGN_OR_RETURN(
-      const std::vector<SegmentRow> rows,
-      CollectPinnedRows(pin, min_entity, max_entity, stats));
-  RawDatabase combined;
-  for (const SegmentRow& row : rows) {
-    combined.Add(row.entity, row.attribute, row.source);
-  }
-  return Dataset::FromRaw("truthstore:" + dir_, std::move(combined));
+  LTM_ASSIGN_OR_RETURN(const RowViews rows,
+                       CollectPinnedRows(pin, min_entity, max_entity, stats));
+  return DatasetFromRows("truthstore:" + dir_, rows);
 }
 
 Result<bool> TruthStore::PinnedFactMayExist(const EpochPin& pin,
@@ -1013,14 +1026,15 @@ std::unique_ptr<StorePin> TruthStore::PinSnapshot(
   return PinEpoch(min_entity, max_entity);
 }
 
-Result<Dataset> TruthStore::MaterializeSnapshot(
-    const StorePin& pin, const std::string* min_entity,
-    const std::string* max_entity, RangeScanStats* stats) const {
+Result<RowViews> TruthStore::ReadRowsAt(const StorePin& pin,
+                                        const std::string* min_entity,
+                                        const std::string* max_entity,
+                                        RangeScanStats* stats) const {
   const EpochPin* epoch_pin = pin.AsEpochPin();
   if (epoch_pin == nullptr || epoch_pin->store_ != this) {
     return Status::InvalidArgument("pin was not issued by this store");
   }
-  return MaterializeFromPin(*epoch_pin, min_entity, max_entity, stats);
+  return CollectPinnedRows(*epoch_pin, min_entity, max_entity, stats);
 }
 
 Result<bool> TruthStore::SnapshotFactMayExist(
@@ -1031,31 +1045,6 @@ Result<bool> TruthStore::SnapshotFactMayExist(
     return Status::InvalidArgument("pin was not issued by this store");
   }
   return PinnedFactMayExist(*epoch_pin, entity, attribute);
-}
-
-Result<Dataset> TruthStore::Materialize(uint64_t* epoch_out) const {
-  return MaterializeImpl(nullptr, nullptr, nullptr, epoch_out);
-}
-
-Result<Dataset> TruthStore::MaterializeEntityRange(
-    const std::string& min_entity, const std::string& max_entity,
-    RangeScanStats* stats, uint64_t* epoch_out) const {
-  return MaterializeImpl(&min_entity, &max_entity, stats, epoch_out);
-}
-
-Result<Dataset> TruthStore::MaterializeImpl(const std::string* min_entity,
-                                            const std::string* max_entity,
-                                            RangeScanStats* stats,
-                                            uint64_t* epoch_out) const {
-  // Pinning replaces the old snapshot-and-retry dance: a concurrent
-  // compaction cannot delete a segment file this read references, so one
-  // pass always succeeds (any load failure is true corruption).
-  const std::unique_ptr<EpochPin> pin = PinEpoch(min_entity, max_entity);
-  LTM_ASSIGN_OR_RETURN(Dataset ds,
-                       MaterializeFromPin(*pin, min_entity, max_entity,
-                                          stats));
-  if (epoch_out != nullptr) *epoch_out = pin->epoch();
-  return ds;
 }
 
 uint64_t TruthStore::epoch() const {

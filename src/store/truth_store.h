@@ -264,31 +264,29 @@ class TruthStore : public TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const LTM_EXCLUDES(mu_);
 
-  /// Materializes from a pinned snapshot: collects the in-range rows of
-  /// every zone-overlapping segment (bloom-skipping segments on point
-  /// reads, reading only index-selected blocks through the block cache),
-  /// sorts them by global ingest sequence, re-adds them in that order,
-  /// then appends the pin's memtable rows — the same replay order a
-  /// sequential materialize at the pin's epoch uses, so posteriors
-  /// computed from a pin are bit-identical. Never retries: the pin's
-  /// refcounts guarantee every referenced segment file still exists.
-  /// `min_entity`/`max_entity` further restrict the read (must be within
-  /// the pin's own bounds, if it has them).
+  /// Materializes from a pinned snapshot: CollectPinnedRows interned in
+  /// seq order — the same replay order a sequential materialize at the
+  /// pin's epoch uses, so posteriors computed from a pin are
+  /// bit-identical. Never retries: the pin's refcounts guarantee every
+  /// referenced segment file still exists. `min_entity`/`max_entity`
+  /// further restrict the read (must be within the pin's own bounds, if
+  /// it has them).
   Result<Dataset> MaterializeFromPin(const EpochPin& pin,
                                      const std::string* min_entity = nullptr,
                                      const std::string* max_entity = nullptr,
                                      RangeScanStats* stats = nullptr) const;
 
-  /// The raw rows behind a pin — every in-range segment row plus the
-  /// pin's memtable rows, each carrying its ingest sequence number,
-  /// sorted by sequence. The building block of the partitioned store's
-  /// cross-partition k-way merge (child memtable rows only carry
+  /// The rows behind a pin as seq-sorted views (see
+  /// TruthStoreBase::ReadRowsAt): every in-range segment row — read
+  /// through the block cache, seeking inside one block on a point read —
+  /// plus the pin's memtable rows. The building block of the partitioned
+  /// store's cross-partition merge (child memtable rows only carry
   /// meaningful seqs under external_sequencing). The rows are NOT
   /// deduplicated; callers replay them through a RawDatabase in order.
-  Result<std::vector<SegmentRow>> CollectPinnedRows(
-      const EpochPin& pin, const std::string* min_entity = nullptr,
-      const std::string* max_entity = nullptr,
-      RangeScanStats* stats = nullptr) const;
+  Result<RowViews> CollectPinnedRows(const EpochPin& pin,
+                                     const std::string* min_entity = nullptr,
+                                     const std::string* max_entity = nullptr,
+                                     RangeScanStats* stats = nullptr) const;
 
   /// Bloom-only point probe: can fact (entity, attribute) possibly exist
   /// at the pin's epoch? Checks the pin's memtable rows exactly, then
@@ -302,32 +300,19 @@ class TruthStore : public TruthStoreBase {
                                   const std::string& attribute) const;
 
   // TruthStoreBase snapshot surface: the polymorphic spellings of
-  // PinEpoch / MaterializeFromPin / PinnedFactMayExist. A pin passed
+  // PinEpoch / CollectPinnedRows / PinnedFactMayExist. A pin passed
   // back must be one this store issued (checked, InvalidArgument).
   std::unique_ptr<StorePin> PinSnapshot(
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const override;
-  Result<Dataset> MaterializeSnapshot(
-      const StorePin& pin, const std::string* min_entity = nullptr,
-      const std::string* max_entity = nullptr,
-      RangeScanStats* stats = nullptr) const override;
+  Result<RowViews> ReadRowsAt(const StorePin& pin,
+                              const std::string* min_entity,
+                              const std::string* max_entity,
+                              RangeScanStats* stats = nullptr) const override;
   Result<bool> SnapshotFactMayExist(const StorePin& pin,
                                     const std::string& entity,
                                     const std::string& attribute)
       const override;
-
-  /// Full rebuild: all rows in global ingest-sequence order, then the
-  /// memtable. When `epoch_out` is non-null it receives the epoch the
-  /// materialized data corresponds to (for posterior-cache keying).
-  Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const override;
-
-  /// Rebuild restricted to entities with lexicographic key in
-  /// [min_entity, max_entity], skipping segments whose zone stats exclude
-  /// the range entirely and reading only index-selected blocks.
-  Result<Dataset> MaterializeEntityRange(
-      const std::string& min_entity, const std::string& max_entity,
-      RangeScanStats* stats = nullptr,
-      uint64_t* epoch_out = nullptr) const override;
 
   /// In-memory data version: advances on every append and every manifest
   /// commit. Keys the posterior cache.
@@ -411,13 +396,6 @@ class TruthStore : public TruthStoreBase {
   BlockSegmentWriterOptions WriterOptions() const;
   std::string SegmentPath(const SegmentInfo& seg) const;
   std::string WalPath(const std::string& file) const;
-
-  /// Shared body of Materialize / MaterializeEntityRange; a null bound
-  /// means unbounded on that side.
-  Result<Dataset> MaterializeImpl(const std::string* min_entity,
-                                  const std::string* max_entity,
-                                  RangeScanStats* stats,
-                                  uint64_t* epoch_out) const;
 
   const std::string dir_;
   const TruthStoreOptions options_;

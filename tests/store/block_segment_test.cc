@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +29,25 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Views of `rows` for the writer (valid while `rows` is).
+std::vector<RowView> Views(const std::vector<SegmentRow>& rows) {
+  std::vector<RowView> views;
+  for (const SegmentRow& row : rows) views.push_back(ViewOf(row));
+  return views;
+}
+
+/// The reader's range scan, copied out of its views.
+Status ScanCopy(const BlockSegmentReader& reader, const std::string* min_entity,
+                const std::string* max_entity, BlockCache* cache,
+                BlockSegmentReader::ReadStats* stats,
+                std::vector<SegmentRow>* out) {
+  RowViews views;
+  LTM_RETURN_IF_ERROR(
+      reader.ScanRowsInRange(min_entity, max_entity, cache, stats, &views));
+  for (const RowView& row : views.rows) out->push_back(CopyRow(row));
+  return Status::OK();
 }
 
 /// Rows over `num_entities` shared-prefix entities x `attrs_per` attributes,
@@ -71,7 +91,7 @@ TEST_F(BlockSegmentTest, BlockBuilderRoundTripsAndPrefixCompresses) {
   BlockBuilder builder(/*restart_interval=*/8);
   size_t raw_bytes = 0;
   for (const SegmentRow& row : rows) {
-    builder.Add(row);
+    builder.Add(ViewOf(row));
     raw_bytes += row.entity.size() + row.attribute.size() + row.source.size();
   }
   const std::string block = builder.Finish();
@@ -88,13 +108,13 @@ TEST_F(BlockSegmentTest, BlockBuilderRoundTripsAndPrefixCompresses) {
   auto cursor = BlockCursor::Parse(block, "test-block");
   ASSERT_TRUE(cursor.ok());
   size_t i = 0;
-  SegmentRow row;
+  RowView row;
   while (true) {
     auto more = cursor->Next(&row);
     ASSERT_TRUE(more.ok()) << more.status().ToString();
     if (!*more) break;
     ASSERT_LT(i, rows.size());
-    EXPECT_EQ(row, rows[i]);
+    EXPECT_EQ(CopyRow(row), rows[i]);
     ++i;
   }
   EXPECT_EQ(i, rows.size());
@@ -105,7 +125,7 @@ TEST_F(BlockSegmentTest, WriteThenParsePreservesRowsAndZoneStats) {
   BlockSegmentWriterOptions options;
   options.block_size_bytes = 512;  // force a multi-block file
   const std::string path = Path("seg.blk");
-  auto info = WriteBlockSegment(path, rows, options);
+  auto info = WriteBlockSegment(path, Views(rows), options);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
 
   EXPECT_EQ(info->num_rows, rows.size());
@@ -137,7 +157,7 @@ TEST_F(BlockSegmentTest, ReaderSelectsOnlyOverlappingBlocks) {
   BlockSegmentWriterOptions options;
   options.block_size_bytes = 512;
   const std::string path = Path("seg.blk");
-  auto info = WriteBlockSegment(path, rows, options);
+  auto info = WriteBlockSegment(path, Views(rows), options);
   ASSERT_TRUE(info.ok());
   ASSERT_GT(info->num_blocks, 2u);
 
@@ -149,8 +169,7 @@ TEST_F(BlockSegmentTest, ReaderSelectsOnlyOverlappingBlocks) {
   // already key-ordered) and touches every block.
   BlockSegmentReader::ReadStats stats;
   std::vector<SegmentRow> out;
-  ASSERT_TRUE((*reader)
-                  ->ReadRowsInRange(nullptr, nullptr, nullptr, &stats, &out)
+  ASSERT_TRUE(ScanCopy(**reader, nullptr, nullptr, nullptr, &stats, &out)
                   .ok());
   EXPECT_EQ(out, rows);
   EXPECT_EQ(stats.blocks_read, info->num_blocks);
@@ -162,7 +181,7 @@ TEST_F(BlockSegmentTest, ReaderSelectsOnlyOverlappingBlocks) {
   stats = BlockSegmentReader::ReadStats();
   out.clear();
   ASSERT_TRUE(
-      (*reader)->ReadRowsInRange(&key, &key, nullptr, &stats, &out).ok());
+      ScanCopy(**reader, &key, &key, nullptr, &stats, &out).ok());
   EXPECT_EQ(out.size(), 3u);
   for (const SegmentRow& row : out) EXPECT_EQ(row.entity, key);
   EXPECT_EQ(stats.blocks_read, 1u);
@@ -172,7 +191,7 @@ TEST_F(BlockSegmentTest, ReaderSelectsOnlyOverlappingBlocks) {
   stats = BlockSegmentReader::ReadStats();
   out.clear();
   ASSERT_TRUE(
-      (*reader)->ReadRowsInRange(&lo, &hi, nullptr, &stats, &out).ok());
+      ScanCopy(**reader, &lo, &hi, nullptr, &stats, &out).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.blocks_read, 0u);
 }
@@ -182,23 +201,21 @@ TEST_F(BlockSegmentTest, BlockCacheServesRepeatReadsWithoutDiskBytes) {
   BlockSegmentWriterOptions options;
   options.block_size_bytes = 512;
   const std::string path = Path("seg.blk");
-  ASSERT_TRUE(WriteBlockSegment(path, rows, options).ok());
+  ASSERT_TRUE(WriteBlockSegment(path, Views(rows), options).ok());
   auto reader = BlockSegmentReader::Open(path, /*cache_id=*/1);
   ASSERT_TRUE(reader.ok());
 
   BlockCache cache(1 << 20);
   BlockSegmentReader::ReadStats cold;
   std::vector<SegmentRow> out;
-  ASSERT_TRUE((*reader)
-                  ->ReadRowsInRange(nullptr, nullptr, &cache, &cold, &out)
+  ASSERT_TRUE(ScanCopy(**reader, nullptr, nullptr, &cache, &cold, &out)
                   .ok());
   EXPECT_EQ(cold.blocks_from_cache, 0u);
   EXPECT_GT(cold.bytes_read, 0u);
 
   BlockSegmentReader::ReadStats warm;
   std::vector<SegmentRow> again;
-  ASSERT_TRUE((*reader)
-                  ->ReadRowsInRange(nullptr, nullptr, &cache, &warm, &again)
+  ASSERT_TRUE(ScanCopy(**reader, nullptr, nullptr, &cache, &warm, &again)
                   .ok());
   EXPECT_EQ(again, out);
   EXPECT_EQ(warm.blocks_read, cold.blocks_read);
@@ -209,7 +226,8 @@ TEST_F(BlockSegmentTest, BlockCacheServesRepeatReadsWithoutDiskBytes) {
 TEST_F(BlockSegmentTest, BloomHasNoFalseNegativesAndFewFalsePositives) {
   const std::vector<SegmentRow> rows = MakeRows(128, 2);
   const std::string path = Path("seg.blk");
-  ASSERT_TRUE(WriteBlockSegment(path, rows, BlockSegmentWriterOptions()).ok());
+  ASSERT_TRUE(
+      WriteBlockSegment(path, Views(rows), BlockSegmentWriterOptions()).ok());
   auto reader = BlockSegmentReader::Open(path, 1);
   ASSERT_TRUE(reader.ok());
 
@@ -232,7 +250,7 @@ TEST_F(BlockSegmentTest, BloomHasNoFalseNegativesAndFewFalsePositives) {
   BlockSegmentWriterOptions no_bloom;
   no_bloom.bloom_bits_per_key = 0;
   const std::string path2 = Path("no_bloom.blk");
-  ASSERT_TRUE(WriteBlockSegment(path2, rows, no_bloom).ok());
+  ASSERT_TRUE(WriteBlockSegment(path2, Views(rows), no_bloom).ok());
   auto plain = BlockSegmentReader::Open(path2, 2);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ((*plain)->footer().bloom_size, 0u);
@@ -240,12 +258,123 @@ TEST_F(BlockSegmentTest, BloomHasNoFalseNegativesAndFewFalsePositives) {
   EXPECT_TRUE((*plain)->MayContainFact("definitely-absent", "x"));
 }
 
+// Seek lands on the first row of every entity, whichever restart
+// interval it starts in, and on the next entity for a key between two.
+TEST_F(BlockSegmentTest, SeekFindsEveryEntityThroughTheRestartArray) {
+  const std::vector<SegmentRow> rows = MakeRows(40, 3);
+  for (const size_t interval : {1u, 2u, 5u, 16u}) {
+    BlockBuilder builder(interval);
+    for (const SegmentRow& row : rows) builder.Add(ViewOf(row));
+    const std::string block = builder.Finish();
+    for (size_t i = 0; i < rows.size(); i += 3) {
+      auto cursor = BlockCursor::Parse(block, "test-block");
+      ASSERT_TRUE(cursor.ok());
+      RowView row;
+      auto found = cursor->Seek(rows[i].entity, &row);
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      ASSERT_TRUE(*found);
+      EXPECT_EQ(CopyRow(row), rows[i]) << "interval " << interval;
+      // Next() continues with the entity's remaining rows.
+      for (size_t j = i + 1; j < rows.size(); ++j) {
+        auto more = cursor->Next(&row);
+        ASSERT_TRUE(more.ok() && *more);
+        EXPECT_EQ(CopyRow(row), rows[j]);
+      }
+      // A key between this entity and the next seeks to the next one.
+      auto between = BlockCursor::Parse(block, "test-block");
+      auto next = between->Seek(rows[i].entity + "!", &row);
+      ASSERT_TRUE(next.ok());
+      if (i + 3 < rows.size()) {
+        ASSERT_TRUE(*next);
+        EXPECT_EQ(row.entity, rows[i + 3].entity);
+      } else {
+        EXPECT_FALSE(*next);
+      }
+    }
+  }
+}
+
+/// Hand-encoded block over `entities` (restart every second entry), with
+/// the restart array replaced by `restarts` when non-empty. `offsets`
+/// receives each entry's byte offset.
+std::string ForgedBlock(const std::vector<std::string>& entities,
+                        std::vector<uint32_t> restarts,
+                        std::vector<uint32_t>* offsets) {
+  std::string body;
+  std::vector<uint32_t> valid;
+  std::string prev;
+  for (size_t i = 0; i < entities.size(); ++i) {
+    const std::string& entity = entities[i];
+    size_t shared = 0;
+    if (i % 2 == 1) {
+      while (shared < std::min(prev.size(), entity.size()) &&
+             prev[shared] == entity[shared]) {
+        ++shared;
+      }
+    } else {
+      valid.push_back(static_cast<uint32_t>(body.size()));
+    }
+    offsets->push_back(static_cast<uint32_t>(body.size()));
+    PutVarint32(&body, static_cast<uint32_t>(shared));
+    PutVarint32(&body, static_cast<uint32_t>(entity.size() - shared));
+    body.append(entity, shared);
+    PutVarint32(&body, 1);
+    body += "a";
+    PutVarint32(&body, 1);
+    body += "s";
+    PutVarint64(&body, i + 1);
+    body.push_back(1);
+    prev = entity;
+  }
+  if (restarts.empty()) restarts = valid;
+  for (const uint32_t r : restarts) {
+    body.append(reinterpret_cast<const char*>(&r), sizeof(r));
+  }
+  const uint32_t count = static_cast<uint32_t>(restarts.size());
+  body.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  return body;
+}
+
+// A restart entry must store its entity whole (shared == 0) and every
+// restart offset must start an entry: both forgeries fail the seek and
+// the sequential decode with a Status (the fuzz corpus carries the same
+// two blocks).
+TEST_F(BlockSegmentTest, ForgedRestartPointsAreRejected) {
+  const std::vector<std::string> entities = {"alpha", "alpine", "beta",
+                                             "betamax", "gamma"};
+  std::vector<uint32_t> offsets;
+  const std::string valid = ForgedBlock(entities, {}, &offsets);
+  ASSERT_TRUE(DecodeBlockRows(valid, "valid").ok());
+
+  std::vector<uint32_t> unused;
+  const std::string shared_restart = ForgedBlock(
+      entities, {offsets[0], offsets[1], offsets[4]}, &unused);
+  const std::string mid_entry = ForgedBlock(
+      entities, {offsets[0], offsets[2] + 1, offsets[4]}, &unused);
+  // A restart inside the last entry is never crossed on the way to the
+  // block's end; the decode still rejects it there.
+  const std::string mid_last_entry = ForgedBlock(
+      entities, {offsets[0], offsets[2], offsets[4] + 1}, &unused);
+  for (const auto& [forged, probe] :
+       {std::pair{shared_restart, "beta"}, std::pair{mid_entry, "beta"},
+        std::pair{mid_last_entry, "gamma"}}) {
+    EXPECT_EQ(DecodeBlockRows(forged, "forged").status().code(),
+              StatusCode::kInvalidArgument);
+    auto cursor = BlockCursor::Parse(forged, "forged");
+    ASSERT_TRUE(cursor.ok());  // the trailer itself is well formed
+    RowView row;
+    EXPECT_EQ(cursor->Seek(probe, &row).status().code(),
+              StatusCode::kInvalidArgument)
+        << probe;
+  }
+}
+
 TEST_F(BlockSegmentTest, CorruptBytesAreRejectedWithAStatus) {
   const std::vector<SegmentRow> rows = MakeRows(64, 3);
   BlockSegmentWriterOptions options;
   options.block_size_bytes = 512;
   const std::string path = Path("seg.blk");
-  ASSERT_TRUE(WriteBlockSegment(path, rows, options).ok());
+  ASSERT_TRUE(WriteBlockSegment(path, Views(rows), options).ok());
   const std::string good = ReadFile(path);
 
   EXPECT_FALSE(ParseBlockSegmentFromBytes("", "t").ok());
