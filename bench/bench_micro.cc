@@ -30,6 +30,7 @@
 #include "data/dataset.h"
 #include "data/snapshot.h"
 #include "data/tsv_io.h"
+#include "store/partitioned_store.h"
 #include "store/truth_store.h"
 #include "store/wal.h"
 #include "synth/ltm_process.h"
@@ -430,12 +431,13 @@ BENCHMARK(BM_WalReplayRecovery)->Arg(10000)->Arg(100000);
 // for the read-amplification pair; bench_store_read emits the CI-gated
 // BENCH_store_read.json variant of the same comparison.
 
-store::TruthStore* SharedReadStore() {
-  static auto* cached = []() -> std::unique_ptr<store::TruthStore>* {
+store::PartitionedTruthStore* SharedReadStore() {
+  using Owned = std::unique_ptr<store::PartitionedTruthStore>;
+  static auto* cached = []() -> Owned* {
     const std::string dir = BenchFilePath("ltm_bench_micro_store_read");
     std::filesystem::remove_all(dir);
-    auto opened = store::TruthStore::Open(dir);
-    if (!opened.ok()) return new std::unique_ptr<store::TruthStore>();
+    auto opened = store::PartitionedTruthStore::Open(dir);
+    if (!opened.ok()) return new Owned();
     // Eight flushed segments over disjoint entity ranges — the shape
     // leveled compaction converges to — so a point read must pick the one
     // covering segment (zone stats + bloom) and then one data block.
@@ -449,21 +451,21 @@ store::TruthStore* SharedReadStore() {
         }
       }
       if (!(*opened)->AppendRaw(batch).ok() || !(*opened)->Flush().ok()) {
-        return new std::unique_ptr<store::TruthStore>();
+        return new Owned();
       }
     }
-    return new std::unique_ptr<store::TruthStore>(std::move(*opened));
+    return new Owned(std::move(*opened));
   }();
   return cached->get();
 }
 
 void BM_StorePointLookup(benchmark::State& state) {
-  store::TruthStore* ts = SharedReadStore();
+  store::PartitionedTruthStore* ts = SharedReadStore();
   if (ts == nullptr) {
     state.SkipWithError("read-store fixture build failed");
     return;
   }
-  const std::unique_ptr<store::EpochPin> pin = ts->PinEpoch();
+  const std::unique_ptr<store::StorePin> pin = ts->PinSnapshot();
   uint64_t blocks = 0;
   uint64_t disk_bytes = 0;
   uint64_t queries = 0;
@@ -495,7 +497,7 @@ void BM_StorePointLookup(benchmark::State& state) {
 BENCHMARK(BM_StorePointLookup);
 
 void BM_StoreSliceMaterialize(benchmark::State& state) {
-  store::TruthStore* ts = SharedReadStore();
+  store::PartitionedTruthStore* ts = SharedReadStore();
   if (ts == nullptr) {
     state.SkipWithError("read-store fixture build failed");
     return;

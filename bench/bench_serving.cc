@@ -20,12 +20,12 @@
 //
 // Writes BENCH_serving.json for the CI benchmark artifact.
 //
-// With --partitions N (N >= 2) the durable store is an entity-range
-// PartitionedTruthStore instead — boundaries at entity-name quantiles so
-// the world spreads across every partition — and the JSON gains a
-// per-partition stats array. The serving phases are unchanged: the
-// session queries through the router, so this measures the partitioned
-// read path under the same workload.
+// With --partitions N (N >= 2) the durable store is carved into N
+// entity ranges — boundaries at entity-name quantiles so the world
+// spreads across every partition. The JSON carries a per-partition stats
+// array. The serving phases are unchanged: the session queries through
+// the router either way, so this measures the partitioned read path
+// under the same workload.
 //
 // Flags (for the CI smoke job):
 //   --movies N        movie-world size (default 3000)
@@ -167,8 +167,9 @@ PhaseResult RunPhase(const std::string& phase, serve::ServeSession* session,
 /// and pokes the session's refit scheduler after every append. Each
 /// append advances the epoch, so readers keep re-materializing slices —
 /// the contention the mixed-phase gate measures.
-void IngestLoop(store::TruthStoreBase* store, serve::ServeSession* session,
-                const Dataset& arrivals, const std::atomic<bool>* stop,
+void IngestLoop(store::PartitionedTruthStore* store,
+                serve::ServeSession* session, const Dataset& arrivals,
+                const std::atomic<bool>* stop,
                 std::atomic<uint64_t>* appends) {
   const std::vector<RawRow>& rows = arrivals.raw.rows();
   size_t cursor = 0;
@@ -213,47 +214,33 @@ bool Run(const ServingConfig& cfg) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ltm_bench_serving").string();
   std::filesystem::remove_all(dir);
-  store::TruthStoreOptions store_options;
-  store_options.metrics = &obs::MetricsRegistry::Global();
-  std::unique_ptr<store::TruthStoreBase> store;
-  store::PartitionedTruthStore* parted = nullptr;
-  if (cfg.partitions > 1) {
-    // Boundaries at entity-name quantiles, so the movie world spreads
-    // across every partition no matter how its names are distributed.
-    std::vector<std::string> names;
-    names.reserve(world.raw.NumEntities());
-    for (EntityId e = 0; e < static_cast<EntityId>(world.raw.NumEntities());
-         ++e) {
-      names.emplace_back(world.raw.entities().Get(e));
-    }
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
-    store::PartitionedStoreOptions popts;
-    popts.store = store_options;
-    popts.partitions = cfg.partitions;
-    for (size_t b = 1; b < cfg.partitions; ++b) {
-      popts.initial_boundaries.push_back(
-          names[names.size() * b / cfg.partitions]);
-    }
-    auto opened = store::PartitionedTruthStore::Open(dir, popts);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "store open: %s\n",
-                   opened.status().ToString().c_str());
-      return false;
-    }
-    parted = opened->get();
-    store = std::move(*opened);
-  } else {
-    auto opened = store::TruthStore::Open(dir, store_options);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "store open: %s\n",
-                   opened.status().ToString().c_str());
-      return false;
-    }
-    store = std::move(*opened);
+  // Boundaries at entity-name quantiles, so the movie world spreads
+  // across every partition no matter how its names are distributed.
+  std::vector<std::string> names;
+  names.reserve(world.raw.NumEntities());
+  for (EntityId e = 0; e < static_cast<EntityId>(world.raw.NumEntities());
+       ++e) {
+    names.emplace_back(world.raw.entities().Get(e));
   }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  store::PartitionedStoreOptions popts;
+  popts.store.metrics = &obs::MetricsRegistry::Global();
+  popts.partitions = cfg.partitions;
+  for (size_t b = 1; b < cfg.partitions; ++b) {
+    popts.initial_boundaries.push_back(
+        names[names.size() * b / cfg.partitions]);
+  }
+  auto opened = store::PartitionedTruthStore::Open(dir, popts);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "store open: %s\n",
+                 opened.status().ToString().c_str());
+    return false;
+  }
+  const std::unique_ptr<store::PartitionedTruthStore> store =
+      std::move(*opened);
   for (const Dataset* part : {&first, &second}) {
-    if (!store->AppendDataset(*part).ok() || !store->Flush().ok()) {
+    if (!store->AppendRaw(part->raw).ok() || !store->Flush().ok()) {
       std::fprintf(stderr, "bootstrap ingest failed\n");
       return false;
     }
@@ -346,19 +333,15 @@ bool Run(const ServingConfig& cfg) {
       static_cast<unsigned long long>(stats.slice_computes),
       static_cast<unsigned long long>(stats.cache.hits),
       static_cast<unsigned long long>(stats.cache.misses));
-  if (parted != nullptr) {
-    const auto per_partition = parted->PartitionStats();
-    std::printf("partitioned store: %zu partition(s)\n",
-                per_partition.size());
-    for (size_t p = 0; p < per_partition.size(); ++p) {
-      const store::TruthStoreStats& ps = per_partition[p];
-      std::printf("  partition %zu: %llu row(s), %zu segment(s), epoch %llu\n",
-                  p,
-                  static_cast<unsigned long long>(ps.segment_rows +
-                                                  ps.memtable_rows),
-                  ps.num_segments,
-                  static_cast<unsigned long long>(ps.epoch));
-    }
+  const auto per_partition = store->PartitionStats();
+  std::printf("store: %zu partition(s)\n", per_partition.size());
+  for (size_t p = 0; p < per_partition.size(); ++p) {
+    const store::TruthStoreStats& ps = per_partition[p];
+    std::printf("  partition %zu: %llu row(s), %zu segment(s), epoch %llu\n",
+                p,
+                static_cast<unsigned long long>(ps.segment_rows +
+                                                ps.memtable_rows),
+                ps.num_segments, static_cast<unsigned long long>(ps.epoch));
   }
 
   uint64_t total_errors = 0;
@@ -400,22 +383,18 @@ bool Run(const ServingConfig& cfg) {
                  r.p99_us, static_cast<unsigned long long>(r.shed));
   }
   std::fprintf(f, "\n  ],\n");
-  if (parted != nullptr) {
-    std::fprintf(f, "  \"per_partition\": [");
-    const auto per_partition = parted->PartitionStats();
-    for (size_t p = 0; p < per_partition.size(); ++p) {
-      const store::TruthStoreStats& ps = per_partition[p];
-      std::fprintf(f,
-                   "%s{\"partition\": %zu, \"rows\": %llu, "
-                   "\"segments\": %zu, \"epoch\": %llu}",
-                   p == 0 ? "" : ", ", p,
-                   static_cast<unsigned long long>(ps.segment_rows +
-                                                   ps.memtable_rows),
-                   ps.num_segments,
-                   static_cast<unsigned long long>(ps.epoch));
-    }
-    std::fprintf(f, "],\n");
+  std::fprintf(f, "  \"per_partition\": [");
+  for (size_t p = 0; p < per_partition.size(); ++p) {
+    const store::TruthStoreStats& ps = per_partition[p];
+    std::fprintf(f,
+                 "%s{\"partition\": %zu, \"rows\": %llu, "
+                 "\"segments\": %zu, \"epoch\": %llu}",
+                 p == 0 ? "" : ", ", p,
+                 static_cast<unsigned long long>(ps.segment_rows +
+                                                 ps.memtable_rows),
+                 ps.num_segments, static_cast<unsigned long long>(ps.epoch));
   }
+  std::fprintf(f, "],\n");
   std::fprintf(f, "  \"metrics\": ");
   WriteMetricsJsonArray(f);
   std::fprintf(f, "\n}\n");
@@ -449,8 +428,10 @@ int main(int argc, char** argv) {
       cfg.iterations = std::atoi(next());
     } else if (std::strcmp(arg, "--partitions") == 0) {
       const long partitions = std::atol(next());
-      if (partitions < 1 || partitions > 64) {
-        std::fprintf(stderr, "--partitions must be in [1, 64]\n");
+      if (partitions < 1 ||
+          partitions > static_cast<long>(ltm::store::kMaxPartitions)) {
+        std::fprintf(stderr, "--partitions must be in [1, %zu]\n",
+                     ltm::store::kMaxPartitions);
         return 2;
       }
       cfg.partitions = static_cast<size_t>(partitions);

@@ -1,4 +1,4 @@
-// Read-amplification benchmark for the block-format TruthStore: point
+// Read-amplification benchmark for the block-format store: point
 // lookups (bloom check -> block index binary search -> one cached/1-read
 // block -> restart-array seek to the entity's rows, the read serving runs
 // on a posterior-cache miss) against whole-slice materialization on the
@@ -14,7 +14,7 @@
 //
 // With --partitions N (N >= 2) the bench additionally measures ingest
 // scale-out: the same workload written by N concurrent threads into a
-// single-partition store and into an N-partition PartitionedTruthStore
+// one-partition store and into an N-partition store
 // (entity-range boundaries aligned with the writer split, so each
 // thread lands in its own partition's WAL + memtable). The JSON gains a
 // "partitioned_ingest" object with both wall times, the speedup ratio,
@@ -141,10 +141,10 @@ Result<IngestScale> RunPartitionedIngest(const std::string& dir,
   return out;
 }
 
-Result<PointPhase> RunPointPhase(store::TruthStore* store, int num_entities,
-                                 int queries) {
+Result<PointPhase> RunPointPhase(store::PartitionedTruthStore* store,
+                                 int num_entities, int queries) {
   PointPhase out;
-  const std::unique_ptr<store::EpochPin> pin = store->PinEpoch();
+  const std::unique_ptr<store::StorePin> pin = store->PinSnapshot();
   std::vector<double> micros;
   micros.reserve(static_cast<size_t>(queries));
   int e = 0;
@@ -179,14 +179,14 @@ bool Run(const ReadBenchConfig& cfg) {
   std::filesystem::remove_all(dir);
   // One process-global registry across the build/baseline/point opens, so
   // the JSON snapshot covers the whole run.
-  store::TruthStoreOptions store_options;
-  store_options.metrics = &obs::MetricsRegistry::Global();
+  store::PartitionedStoreOptions store_options;
+  store_options.store.metrics = &obs::MetricsRegistry::Global();
 
   // Build: `segments` flushes over disjoint entity ranges — the layout
   // leveled compaction converges to — each entity claimed by 4 sources.
   const int num_entities = cfg.segments * cfg.entities_per_segment;
   {
-    auto store = store::TruthStore::Open(dir, store_options);
+    auto store = store::PartitionedTruthStore::Open(dir, store_options);
     if (!store.ok()) {
       std::fprintf(stderr, "open: %s\n", store.status().ToString().c_str());
       return false;
@@ -215,7 +215,7 @@ bool Run(const ReadBenchConfig& cfg) {
   size_t num_segments = 0;
   uint32_t max_level = 0;
   {
-    auto store = store::TruthStore::Open(dir, store_options);
+    auto store = store::PartitionedTruthStore::Open(dir, store_options);
     if (!store.ok()) {
       std::fprintf(stderr, "reopen: %s\n", store.status().ToString().c_str());
       return false;
@@ -241,7 +241,7 @@ bool Run(const ReadBenchConfig& cfg) {
   PointPhase cold;
   PointPhase warm;
   {
-    auto store = store::TruthStore::Open(dir, store_options);
+    auto store = store::PartitionedTruthStore::Open(dir, store_options);
     if (!store.ok()) {
       std::fprintf(stderr, "reopen: %s\n", store.status().ToString().c_str());
       return false;

@@ -1,5 +1,5 @@
 // ltm_cli: command-line truth finding over a TSV raw database, a binary
-// dataset snapshot, or a durable TruthStore directory.
+// dataset snapshot, or a durable store directory.
 //
 //   ltm_cli <raw.tsv> [--method LTM] [--threshold 0.5] [--out truth.tsv]
 //           [--quality quality.tsv] [--iterations 200] [--seed 42]
@@ -11,7 +11,7 @@
 // Input: one `entity<TAB>attribute<TAB>source` triple per line, or (with
 // --snapshot) a binary snapshot written by --save-snapshot — repeat runs
 // then skip TSV parsing and claim materialization entirely. With --store,
-// the dataset is materialized from a TruthStore directory (segments +
+// the dataset is materialized from a store directory (segments +
 // WAL-recovered tail); --append first durably ingests a TSV chunk into
 // the store's WAL (--flush also compacts the memtable into a segment).
 // --serve-queries answers `entity<TAB>attribute` rows online through a
@@ -132,12 +132,12 @@ int main(int argc, char** argv) {
 
   ltm::Dataset ds;
   if (flags.count("store")) {
-    // Auto-open follows the on-disk layout, so --store works against
-    // both single and entity-range partitioned directories.
+    // The open keeps the directory's partition layout (a legacy
+    // single-store directory converts to one partition).
     ltm::store::PartitionedStoreOptions store_options;
     store_options.store.metrics = &ltm::obs::MetricsRegistry::Global();
-    auto store = ltm::store::OpenTruthStoreAuto(flags["store"],
-                                                store_options);
+    auto store = ltm::store::PartitionedTruthStore::Open(flags["store"],
+                                                         store_options);
     if (!store.ok()) {
       std::fprintf(stderr, "error: %s\n", store.status().ToString().c_str());
       return 1;

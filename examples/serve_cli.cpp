@@ -1,4 +1,4 @@
-// serve_cli: the online serving front-end over a TruthStore directory.
+// serve_cli: the online serving front-end over a store directory.
 // Opens the store, bootstraps a StreamingPipeline from its durable
 // contents (the restarted-service path), and answers posterior queries
 // through a serve::ServeSession — epoch-pinned reads, request
@@ -133,16 +133,16 @@ int main(int argc, char** argv) {
   }
 
   // The spec's block_cache_mb / bloom_bits_per_key / partitions are
-  // store knobs, so they configure the open itself. OpenTruthStoreAuto
-  // follows the directory's existing layout (a PARTMAP opens it
-  // partitioned regardless of the spec); partitions only carves fresh
-  // directories. The process-global registry collects the whole stack's
-  // metrics behind one exposition surface.
+  // store knobs, so they configure the open itself. An existing layout
+  // wins (a PARTMAP keeps its partitioning regardless of the spec);
+  // partitions only carves fresh directories. The process-global
+  // registry collects the whole stack's metrics behind one exposition
+  // surface.
   ltm::store::PartitionedStoreOptions popts;
   popts.store.metrics = &ltm::obs::MetricsRegistry::Global();
   popts.store = options->ApplyToStore(popts.store);
   popts.partitions = options->partitions;
-  auto store = ltm::store::OpenTruthStoreAuto(dir, popts);
+  auto store = ltm::store::PartitionedTruthStore::Open(dir, popts);
   if (!store.ok()) return Fail(store.status());
 
   // Size the Gibbs refit to the durable evidence, then bootstrap the

@@ -1,8 +1,8 @@
-// store_cli: operate on a TruthStore directory — ingest TSV chunks,
-// flush/compact, inspect, and verify integrity. Works on single-store
-// and entity-range partitioned directories alike: a PARTMAP in <dir>
-// opens the store partitioned, and --partitions N carves a *fresh*
-// directory into N ranges (an existing layout always wins).
+// store_cli: operate on a store directory — ingest TSV chunks,
+// flush/compact, inspect, and verify integrity. --partitions N carves a
+// *fresh* directory into N entity ranges (an existing layout always
+// wins); every command but verify converts a legacy single-store
+// directory (a root MANIFEST, no PARTMAP) into one partition on open.
 //
 //   store_cli <dir> ingest <chunk.tsv> [--flush] [--compact]
 //                   [--sync-every-append] [--partitions N]
@@ -14,11 +14,12 @@
 //   store_cli <dir> materialize --out <raw.tsv>
 //   store_cli <dir> serve <queries.tsv> [--spec "serve(...)"]
 //
-// `inspect` on a partitioned directory prints the partition map plus
-// every partition's level layout, zone stats, and measured bloom FP
-// rate. `verify` on one checks the partition map's range invariants
-// (full keyspace coverage, no overlap, no gap) and every child store,
-// and exits nonzero when anything is wrong.
+// `inspect` prints the partition map plus every partition's level
+// layout, zone stats, and measured bloom FP rate. `verify` checks the
+// partition map's range invariants (full keyspace coverage, no overlap,
+// no gap) and every child store, and exits nonzero when anything is
+// wrong; on a legacy directory it verifies that layout without
+// converting it.
 //
 // Every command (except verify) also accepts --dump-metrics, which
 // renders the process metrics registry in Prometheus text exposition
@@ -39,7 +40,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -102,8 +102,7 @@ int Fail(const ltm::Status& st) {
   return 1;
 }
 
-/// The scalar store counters (shared by the single and the aggregated
-/// partitioned inspect output).
+/// The scalar store counters, aggregated over every partition.
 void PrintStatsHeader(const ltm::store::TruthStoreStats& stats) {
   std::printf("epoch:                %llu\n",
               static_cast<unsigned long long>(stats.epoch));
@@ -129,8 +128,8 @@ void PrintStatsHeader(const ltm::store::TruthStoreStats& stats) {
 /// false-positive rate: probe each segment's filter with keys that
 /// cannot exist in the store (entities starting with 0x01 and an
 /// embedded tab would have been split by the TSV loader). `indent`
-/// prefixes every line (partitioned inspect nests the layout under the
-/// partition heading). Returns nonzero when a segment cannot be opened.
+/// prefixes every line (inspect nests the layout under the partition
+/// heading). Returns nonzero when a segment cannot be opened.
 int PrintLevelLayout(const std::string& seg_dir,
                      const std::vector<ltm::store::SegmentInfo>& segments,
                      const char* indent) {
@@ -257,23 +256,13 @@ int main(int argc, char** argv) {
   if (!fail_at.empty()) ArmFailAt(fail_at);
   if (!trace_out.empty()) ltm::obs::TraceRecorder::Global().Enable();
 
-  const bool partitioned_dir = std::filesystem::exists(
-      std::filesystem::path(dir) / ltm::store::kPartitionMapFileName);
-
   if (command == "verify") {
-    if (partitioned_dir) {
-      auto report = ltm::store::PartitionedTruthStore::Verify(dir);
-      if (!report.ok()) return Fail(report.status());
-      std::printf("%s\n", report->Summary().c_str());
-      // Nonzero on any invariant violation — a range overlap or gap in
-      // the partition map, a failing child, an orphan directory — so CI
-      // can gate on it.
-      return report->ok() ? 0 : 1;
-    }
-    auto report = ltm::store::TruthStore::Verify(dir);
+    auto report = ltm::store::PartitionedTruthStore::Verify(dir);
     if (!report.ok()) return Fail(report.status());
     std::printf("%s\n", report->Summary().c_str());
-    return 0;
+    // Nonzero on any invariant violation — a range overlap or gap in the
+    // partition map, a failing child — so CI can gate on it.
+    return report->ok() ? 0 : 1;
   }
 
   // The serve spec carries store-level knobs (block_cache_mb,
@@ -284,7 +273,7 @@ int main(int argc, char** argv) {
   options = serve_options->ApplyToStore(options);
   if (popts.partitions == 1) popts.partitions = serve_options->partitions;
 
-  auto store = ltm::store::OpenTruthStoreAuto(dir, popts);
+  auto store = ltm::store::PartitionedTruthStore::Open(dir, popts);
   if (!store.ok()) return Fail(store.status());
 
   if (command == "ingest") {
@@ -316,37 +305,27 @@ int main(int argc, char** argv) {
   } else if (command == "inspect") {
     const ltm::store::TruthStoreStats stats = (*store)->Stats();
     PrintStatsHeader(stats);
-    if (auto* parted =
-            dynamic_cast<ltm::store::PartitionedTruthStore*>(store->get())) {
-      const ltm::store::PartitionMap map = parted->partition_map();
-      const auto per_part = parted->PartitionStats();
-      const auto per_segs = parted->PartitionSegments();
-      std::printf("partition map:        generation %llu, %zu partition(s), "
-                  "next id %llu\n",
-                  static_cast<unsigned long long>(map.generation),
-                  map.entries.size(),
-                  static_cast<unsigned long long>(map.next_partition_id));
-      for (size_t p = 0; p < map.entries.size(); ++p) {
-        const auto& entry = map.entries[p];
-        const auto& ps = per_part[p];
-        std::printf("partition %s:   id=%llu range=%s epoch=%llu "
-                    "segments=%zu (%llu row(s)) memtable=%zu\n",
-                    entry.dir.c_str(),
-                    static_cast<unsigned long long>(entry.id),
-                    entry.RangeString().c_str(),
-                    static_cast<unsigned long long>(ps.epoch),
-                    ps.num_segments,
-                    static_cast<unsigned long long>(ps.segment_rows),
-                    ps.memtable_rows);
-        if (const int rc =
-                PrintLevelLayout(dir + "/" + entry.dir, per_segs[p], "  ");
-            rc != 0) {
-          return rc;
-        }
-      }
-    } else if (auto* single =
-                   dynamic_cast<ltm::store::TruthStore*>(store->get())) {
-      if (const int rc = PrintLevelLayout(dir, single->segments(), "");
+    const ltm::store::PartitionMap map = (*store)->partition_map();
+    const auto per_part = (*store)->PartitionStats();
+    const auto per_segs = (*store)->PartitionSegments();
+    std::printf("partition map:        generation %llu, %zu partition(s), "
+                "next id %llu\n",
+                static_cast<unsigned long long>(map.generation),
+                map.entries.size(),
+                static_cast<unsigned long long>(map.next_partition_id));
+    for (size_t p = 0; p < map.entries.size(); ++p) {
+      const auto& entry = map.entries[p];
+      const auto& ps = per_part[p];
+      std::printf("partition %s:   id=%llu range=%s epoch=%llu "
+                  "segments=%zu (%llu row(s)) memtable=%zu\n",
+                  entry.dir.c_str(),
+                  static_cast<unsigned long long>(entry.id),
+                  entry.RangeString().c_str(),
+                  static_cast<unsigned long long>(ps.epoch), ps.num_segments,
+                  static_cast<unsigned long long>(ps.segment_rows),
+                  ps.memtable_rows);
+      if (const int rc =
+              PrintLevelLayout(dir + "/" + entry.dir, per_segs[p], "  ");
           rc != 0) {
         return rc;
       }

@@ -1,5 +1,5 @@
 // Streaming integration: the online deployment of §5.4 on a durable
-// TruthStore. The bootstrap history is ingested into a WAL-backed store
+// store. The bootstrap history is ingested into a WAL-backed store
 // and batch-fit from its materialization; daily chunks of new movies are
 // durably appended (WAL group commit) and resolved in O(claims) with
 // LTMinc (Eq. 3); the model periodically refits batch-style on the
@@ -21,7 +21,7 @@
 #include "eval/table_printer.h"
 #include "ext/streaming.h"
 #include "serve/serve_session.h"
-#include "store/truth_store.h"
+#include "store/partitioned_store.h"
 #include "synth/labeling.h"
 #include "synth/movie_simulator.h"
 #include "truth/ltm.h"
@@ -62,13 +62,13 @@ int main() {
       (std::filesystem::temp_directory_path() / "ltm_streaming_store")
           .string();
   std::filesystem::remove_all(store_dir);
-  auto store = ltm::store::TruthStore::Open(store_dir);
+  auto store = ltm::store::PartitionedTruthStore::Open(store_dir);
   if (!store.ok()) {
     std::fprintf(stderr, "store open failed: %s\n",
                  store.status().ToString().c_str());
     return 1;
   }
-  if (ltm::Status st = (*store)->AppendDataset(history); !st.ok()) {
+  if (ltm::Status st = (*store)->AppendRaw(history.raw); !st.ok()) {
     std::fprintf(stderr, "history ingest failed: %s\n",
                  st.ToString().c_str());
     return 1;

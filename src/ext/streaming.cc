@@ -6,7 +6,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "store/store_base.h"
+#include "store/partitioned_store.h"
 #include "truth/registry.h"
 
 namespace ltm {
@@ -96,8 +96,8 @@ Result<ChunkResult> StreamingPipeline::IngestChunk(const Dataset& chunk,
   return result;
 }
 
-Status StreamingPipeline::BootstrapFromStore(store::TruthStoreBase* store,
-                                             const RunContext& ctx) {
+Status StreamingPipeline::BootstrapFromStore(
+    store::PartitionedTruthStore* store, const RunContext& ctx) {
   if (store == nullptr) {
     return Status::InvalidArgument("BootstrapFromStore: store is null");
   }
@@ -138,7 +138,7 @@ Status StreamingPipeline::ObserveToStore(const Dataset& chunk,
                  0x100000001b3ULL;
   }
   if (!(pending_store_append_ && pending_append_hash_ == chunk_hash)) {
-    LTM_RETURN_IF_ERROR(store_->AppendDataset(chunk));
+    LTM_RETURN_IF_ERROR(store_->AppendRaw(chunk.raw));
     // Marked AFTER the append on purpose: a partially appended chunk
     // (append error mid-way) must be re-appended on retry so its missing
     // rows reach the WAL — the duplicated prefix is deduped by the

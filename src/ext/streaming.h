@@ -14,7 +14,7 @@
 
 namespace ltm {
 namespace store {
-class TruthStoreBase;  // store/store_base.h — only pointers appear here
+class PartitionedTruthStore;  // store/partitioned_store.h — pointers only
 }  // namespace store
 namespace ext {
 
@@ -25,10 +25,10 @@ struct StreamingOptions {
   LtmOptions ltm;
   /// Refit batch LTM after this many incremental chunks (0 = never).
   size_t refit_every_chunks = 4;
-  /// When a store is attached and it is partitioned, pin the refit's
-  /// Gibbs shard count to the store's partition count (overriding
-  /// LtmOptions::shards for refits only) — the chain shape then tracks
-  /// the data layout instead of the hardware. Off by default: refits
+  /// When a store is attached, pin the refit's Gibbs shard count to the
+  /// store's partition count (overriding LtmOptions::shards for refits
+  /// only) — the chain shape then tracks the data layout instead of the
+  /// hardware. Off by default: refits
   /// keep the configured shards/threads resolution.
   bool align_shards_to_partitions = false;
 };
@@ -96,16 +96,14 @@ class StreamingPipeline : public StreamingTruthMethod {
   Result<ChunkResult> IngestChunk(const Dataset& chunk,
                                   const RunContext& ctx = RunContext());
 
-  /// Attaches a durable store — a single TruthStore or an entity-range
-  /// PartitionedTruthStore, through the TruthStoreBase surface — and
-  /// bootstraps from it: materializes the store's full dataset (segments
-  /// + WAL-recovered memtable, in global ingest order) and batch-fits on
-  /// it. This is the restartable-service entry point — a process that
-  /// crashed mid-stream reopens the store and resumes with the identical
-  /// cumulative evidence. `store` must outlive the pipeline. An empty
-  /// store attaches without fitting; the first ObserveToStore
-  /// cold-starts as usual.
-  Status BootstrapFromStore(store::TruthStoreBase* store,
+  /// Attaches a durable store and bootstraps from it: materializes the
+  /// store's full dataset (segments + WAL-recovered memtables, in global
+  /// ingest order) and batch-fits on it. This is the restartable-service
+  /// entry point — a process that crashed mid-stream reopens the store
+  /// and resumes with the identical cumulative evidence. `store` must
+  /// outlive the pipeline. An empty store attaches without fitting; the
+  /// first ObserveToStore cold-starts as usual.
+  Status BootstrapFromStore(store::PartitionedTruthStore* store,
                             const RunContext& ctx = RunContext());
 
   /// Durable Observe: appends `chunk` to the attached store (one WAL
@@ -129,7 +127,7 @@ class StreamingPipeline : public StreamingTruthMethod {
   /// (returns the current epoch without fitting).
   Result<uint64_t> RefitFromStore(const RunContext& ctx = RunContext());
 
-  store::TruthStoreBase* attached_store() const { return store_; }
+  store::PartitionedTruthStore* attached_store() const { return store_; }
 
   /// Interner of the cumulative mirror: source name -> the id space the
   /// installed quality() is indexed by. The serving layer uses this to
@@ -165,7 +163,7 @@ class StreamingPipeline : public StreamingTruthMethod {
   SourceQuality quality_;
   bool bootstrapped_ = false;
   /// Durable backing store (not owned); null when running in-memory only.
-  store::TruthStoreBase* store_ = nullptr;
+  store::PartitionedTruthStore* store_ = nullptr;
   /// Store epoch at the last batch fit, for the refit_epoch_delta trigger.
   uint64_t last_fit_epoch_ = 0;
   /// Retry bookkeeping for ObserveToStore: when an ingest failed after

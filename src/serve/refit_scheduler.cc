@@ -139,7 +139,7 @@ void RefitScheduler::RunOne(std::vector<uint64_t> epochs) {
     last_fit_epoch_ = *fit;
     // Re-arm the debounce at the trigger snapshot. The fit itself only
     // reports a composite epoch, so the per-slot baseline comes from
-    // the trigger — except in the single-store shape, where the fit's
+    // the trigger — except in the one-partition shape, where the fit's
     // epoch is exact and at least the trigger's: taking the max there
     // keeps the scalar scheduler's historical behavior (appends racing
     // the fit count against the *fitted* epoch, not the trigger).

@@ -48,7 +48,7 @@ struct RefitSchedulerStats {
 ///
 /// Debouncing is per partition: NotifyPartitionEpochs takes the store's
 /// epoch vector (one slot per entity-range partition, size 1 for a
-/// single TruthStore) and fires when ANY slot advanced debounce_epochs
+/// one-partition store) and fires when ANY slot advanced debounce_epochs
 /// past the baseline captured at the last fit — so a burst confined to
 /// one hot partition triggers exactly as fast as on an unpartitioned
 /// store, instead of being diluted across the composite sum. A vector
@@ -76,7 +76,7 @@ class RefitScheduler {
   RefitScheduler(RefitScheduler&&) = delete;
   RefitScheduler& operator=(RefitScheduler&&) = delete;
 
-  /// Observes that the store reached `epoch` (single-store form;
+  /// Observes that the store reached `epoch` (one-partition form;
   /// equivalent to NotifyPartitionEpochs({epoch})). Schedules (or
   /// queues) a refit when the debounce threshold is crossed. Returns OK
   /// when nothing needed doing or the trigger was admitted;
@@ -85,10 +85,10 @@ class RefitScheduler {
   Status NotifyEpoch(uint64_t epoch) LTM_EXCLUDES(mu_);
 
   /// Observes the store's per-partition epoch vector (in partition
-  /// order, as returned by TruthStoreBase::PartitionEpochs). Fires when
-  /// any slot advanced past its debounce baseline, or when the layout
-  /// changed (vector length differs from the baseline's). Same admission
-  /// semantics as NotifyEpoch.
+  /// order, as returned by PartitionedTruthStore::PartitionEpochs).
+  /// Fires when any slot advanced past its debounce baseline, or when the
+  /// layout changed (vector length differs from the baseline's). Same
+  /// admission semantics as NotifyEpoch.
   Status NotifyPartitionEpochs(const std::vector<uint64_t>& epochs)
       LTM_EXCLUDES(mu_);
 

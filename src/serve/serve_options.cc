@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "store/partition_map.h"
 #include "store/truth_store.h"
 
 namespace ltm {
@@ -21,9 +22,10 @@ Status ServeOptions::Validate() const {
         "serve: bloom_bits_per_key must be <= 64 (got " +
         std::to_string(bloom_bits_per_key) + ")");
   }
-  if (partitions == 0 || partitions > 256) {
+  if (partitions == 0 || partitions > store::kMaxPartitions) {
     return Status::InvalidArgument(
-        "serve: partitions must be in [1, 256] (got " +
+        "serve: partitions must be in [1, " +
+        std::to_string(store::kMaxPartitions) + "] (got " +
         std::to_string(partitions) + ")");
   }
   return Status::OK();

@@ -52,11 +52,10 @@ struct ServeOptions {
   /// (0 disables blooms; at most 64 — past that the filter is all ones).
   uint32_t bloom_bits_per_key = 10;
 
-  /// Entity-range partitions for a freshly created served store (1 =
-  /// single TruthStore; >1 opens a PartitionedTruthStore via
-  /// OpenTruthStoreAuto). An existing PARTMAP always wins — reopening
-  /// never repartitions — and a single-store directory is refused when
-  /// partitions > 1. Must be in [1, 256].
+  /// Entity-range partitions for a freshly created served store. An
+  /// existing PARTMAP always wins — reopening never repartitions — and a
+  /// legacy single-store directory only converts to one partition. Must
+  /// be in [1, store::kMaxPartitions].
   size_t partitions = 1;
 
   /// InvalidArgument when a field is out of range.
@@ -66,7 +65,7 @@ struct ServeOptions {
   std::string ToSpecString() const;
 
   /// Copies the store-facing knobs (block_cache_mb, bloom_bits_per_key)
-  /// onto `base`, so serving tools open their TruthStore under the same
+  /// onto `base`, so serving tools open their store under the same
   /// spec-configured budget.
   store::TruthStoreOptions ApplyToStore(store::TruthStoreOptions base) const;
 };

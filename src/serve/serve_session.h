@@ -18,8 +18,8 @@
 #include "serve/fact_scoring.h"
 #include "serve/refit_scheduler.h"
 #include "serve/serve_options.h"
+#include "store/partitioned_store.h"
 #include "store/posterior_cache.h"
-#include "store/store_base.h"
 #include "truth/truth_method.h"
 
 namespace ltm {
@@ -69,12 +69,9 @@ class ServeSnapshot;
 
 /// The client-facing online serving front-end (the redesigned read API):
 /// many concurrent clients query posteriors against a StreamingPipeline's
-/// attached store through one ServeSession. The session talks to the
-/// polymorphic TruthStoreBase surface, so it serves a single-directory
-/// TruthStore and an entity-range PartitionedTruthStore identically —
-/// for a partitioned store every snapshot pins all partitions at a
-/// consistent vector epoch, so cross-partition reads (QueryEntityRange
-/// included) stay MVCC-correct.
+/// attached PartitionedTruthStore through one ServeSession. Every
+/// snapshot pins all partitions at a consistent vector epoch, so
+/// cross-partition reads (QueryEntityRange included) stay MVCC-correct.
 ///
 ///   - One miss path (ResolveMiss) for live and snapshot queries: a
 ///     fact-bloom short-circuit, then the entity's rows as views straight
@@ -83,7 +80,7 @@ class ServeSnapshot;
 ///     the entity's slice and running LtmIncremental, with no Dataset
 ///     built and no log taken per query.
 ///   - Reads never block ingest: every read runs against an
-///     epoch-pinned MVCC snapshot (TruthStoreBase::PinSnapshot), so
+///     epoch-pinned MVCC snapshot (PartitionedTruthStore::PinSnapshot), so
 ///     appends, flushes, compactions, and partition rebalances proceed
 ///     concurrently and a compaction can never delete a segment file out
 ///     from under a reader.
@@ -113,7 +110,7 @@ class ServeSnapshot;
 /// session. While a session with a refit scheduler is live, all other
 /// pipeline mutation (Observe/ObserveToStore/Bootstrap) must be
 /// externally serialized against it — ingest that bypasses the pipeline
-/// (TruthStore::Append*) plus NotifyIngest() is always safe.
+/// (PartitionedTruthStore::Append*) plus NotifyIngest() is always safe.
 class ServeSession {
  public:
   /// Validates options, captures the pipeline's current quality, and —
@@ -166,7 +163,7 @@ class ServeSession {
   std::unique_ptr<ServeSnapshot> AcquireSnapshot();
 
   /// Tells the refit scheduler the store advanced (call after out-of-band
-  /// TruthStore appends). Returns the scheduler's admission Status
+  /// store appends). Returns the scheduler's admission Status
   /// (ResourceExhausted when the trigger shed an older one); OK when the
   /// scheduler is disabled.
   Status NotifyIngest();
@@ -179,7 +176,7 @@ class ServeSession {
 
   ServeStats Stats() const;
 
-  store::TruthStoreBase* store() const { return store_; }
+  store::PartitionedTruthStore* store() const { return store_; }
 
  private:
   friend class ServeSnapshot;
@@ -245,8 +242,8 @@ class ServeSession {
   /// version, cache cleared).
   void InstallQualityLocked() LTM_REQUIRES(pipeline_mu_);
 
-  /// The cache slot serving `entity` — per-partition for a partitioned
-  /// store, so one hot partition cannot evict the whole working set.
+  /// The cache slot serving `entity` — per-partition, so one hot
+  /// partition cannot evict the whole working set.
   store::PosteriorCache& cache_for(std::string_view entity) {
     return store_->posterior_cache_for(entity);
   }
@@ -257,7 +254,7 @@ class ServeSession {
                               std::string_view attribute, uint64_t version);
 
   ext::StreamingPipeline* const pipeline_;
-  store::TruthStoreBase* const store_;
+  store::PartitionedTruthStore* const store_;
   const ServeOptions options_;
   const LtmOptions ltm_options_;
 
@@ -276,7 +273,8 @@ class ServeSession {
   std::unique_ptr<RefitScheduler> scheduler_;  ///< Null when disabled.
 
   /// `ltm_serve_*` metrics, registered in the store's registry (see
-  /// TruthStore::metrics()) so one RenderText covers the whole stack.
+  /// PartitionedTruthStore::metrics()) so one RenderText covers the whole
+  /// stack.
   obs::Counter* queries_;
   obs::Counter* snapshot_queries_;
   obs::Counter* range_queries_;
@@ -288,9 +286,8 @@ class ServeSession {
 };
 
 /// An MVCC read handle from ServeSession::AcquireSnapshot(): holds a
-/// store pin (an EpochPin, or a CompositePin spanning every partition)
-/// plus the quality view of the acquisition instant, so repeated
-/// queries are mutually consistent — and bit-identical to a sequential
+/// store pin spanning every partition plus the quality view of the
+/// acquisition instant, so repeated queries are mutually consistent — and bit-identical to a sequential
 /// read at that epoch — no matter what ingest, compaction, partition
 /// rebalances, or refits run concurrently. Reads through a snapshot
 /// still use (and fill) the posterior cache under the snapshot's own

@@ -1,6 +1,7 @@
 #ifndef LTM_STORE_PARTITION_MAP_H_
 #define LTM_STORE_PARTITION_MAP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -38,6 +39,8 @@ namespace store {
 inline constexpr char kPartitionMapMagic[4] = {'L', 'T', 'M', 'P'};
 inline constexpr uint32_t kPartitionMapVersion = 1;
 inline constexpr char kPartitionMapFileName[] = "PARTMAP";
+/// Most partitions a store may be carved or split into.
+inline constexpr size_t kMaxPartitions = 64;
 
 /// One entity-range partition: owns entities in [lower, upper), where an
 /// empty `lower` means unbounded below and !has_upper unbounded above.
@@ -92,7 +95,7 @@ Result<PartitionMap> ParsePartitionMapFromBytes(std::string_view bytes,
 Status ValidatePartitionMap(const PartitionMap& map);
 
 /// Reads and parses `dir`/PARTMAP. NotFound when the file does not
-/// exist (a fresh or single-store directory).
+/// exist (a fresh or legacy single-store directory).
 Result<PartitionMap> LoadPartitionMap(const std::string& dir);
 
 /// Atomically replaces `dir`/PARTMAP (temp + fsync + rename; see

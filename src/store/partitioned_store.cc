@@ -9,6 +9,8 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "obs/trace.h"
+#include "store/manifest.h"
+#include "store/segment.h"
 
 namespace ltm {
 namespace store {
@@ -25,6 +27,64 @@ struct FlagReset {
 
 bool IsPartitionDirName(const std::string& name) {
   return name.size() > 2 && name.compare(0, 2, "p-") == 0;
+}
+
+/// Removes every subdirectory of `dir` named like a partition for which
+/// `keep` is false.
+template <typename Keep>
+void RemovePartitionDirs(const std::string& dir, Keep keep) {
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (!entry.is_directory() || !IsPartitionDirName(name) || keep(name)) {
+      continue;
+    }
+    LTM_LOG(Info) << "partitioned store: removing orphan partition dir "
+                  << name;
+    fs::remove_all(entry.path(), ec);
+  }
+}
+
+/// The rows of the legacy single-store layout rooted at `dir`, in the
+/// order that layout replayed them: every committed segment row ordered
+/// by its stored seq, then the WAL tail in memtable order (replayed as
+/// TruthStore::Open does) stamped next_row_seq + i — the seqs the
+/// layout's next flush would have assigned. The views alias
+/// `*segment_rows` and `*wal_tail`.
+Result<std::vector<RowView>> ReadLegacyRows(const std::string& dir,
+                                            RowViews* segment_rows,
+                                            RawDatabase* wal_tail) {
+  LTM_ASSIGN_OR_RETURN(const ManifestLoad load, LoadManifestDetailed(dir));
+  const Manifest& manifest = load.manifest;
+  for (const SegmentInfo& seg : manifest.segments) {
+    LTM_ASSIGN_OR_RETURN(
+        const std::shared_ptr<BlockSegmentReader> reader,
+        BlockSegmentReader::Open(dir + "/" + seg.file, seg.id));
+    BlockSegmentReader::ReadStats rs;
+    LTM_RETURN_IF_ERROR(reader->ScanRowsInRange(nullptr, nullptr,
+                                                /*cache=*/nullptr, &rs,
+                                                segment_rows));
+  }
+  std::vector<RowView> rows = segment_rows->rows;
+  std::sort(rows.begin(), rows.end(),
+            [](const RowView& a, const RowView& b) { return a.seq < b.seq; });
+  const std::string wal_path = dir + "/" + manifest.wal_file;
+  if (fs::exists(wal_path)) {
+    LTM_ASSIGN_OR_RETURN(const WalReplay wal, ReplayWal(wal_path));
+    // The layout sequenced rows at flush time and ignored the records'
+    // seq field; the tail's seqs are the stamps below.
+    std::vector<uint64_t> unused_seqs;
+    LTM_RETURN_IF_ERROR(ReplayWalIntoMemtable(wal.records, wal_path, wal_tail,
+                                              &unused_seqs));
+  }
+  for (size_t i = 0; i < wal_tail->NumRows(); ++i) {
+    const RawRow& row = wal_tail->rows()[i];
+    rows.push_back(RowView{wal_tail->entities().Get(row.entity),
+                           wal_tail->attributes().Get(row.attribute),
+                           wal_tail->sources().Get(row.source),
+                           manifest.next_row_seq + i, 1});
+  }
+  return rows;
 }
 
 uint64_t ChildRowCount(const TruthStoreStats& stats) {
@@ -68,15 +128,20 @@ void DiscardBuiltChild(std::shared_ptr<TruthStore>* child) {
 
 }  // namespace
 
-CompositePin::~CompositePin() {
+StorePin::~StorePin() {
   // Drop the per-child pins and child references BEFORE notifying the
   // store, so the reap the notification triggers sees them released.
   pins_.clear();
   children_.clear();
-  store_->ReleaseCompositePin();
+  store_->ReleasePin();
 }
 
 std::string PartitionedVerifyReport::Summary() const {
+  if (legacy.has_value()) {
+    return "legacy single-store layout (converts to one partition on the "
+           "next open): " +
+           legacy->Summary();
+  }
   std::string s = "partition map generation " + std::to_string(map.generation) +
                   ": " + std::to_string(map.entries.size()) + " partition(s)";
   for (const PartitionVerifyReport& part : partitions) {
@@ -117,12 +182,11 @@ PartitionedTruthStore::~PartitionedTruthStore() {
 TruthStoreOptions PartitionedTruthStore::ChildOptions(uint64_t id,
                                                       size_t count) const {
   TruthStoreOptions opts = options_.store;
-  opts.external_sequencing = true;
   opts.metrics = metrics_;
-  opts.metrics_label = "partition=\"" + std::to_string(id) + "\"";
-  // The router owns the per-slot posterior caches; the child's own cache
-  // would never be consulted.
-  opts.posterior_cache_capacity = 0;
+  // A one-partition layout keeps the unlabeled `ltm_store_*` names.
+  if (count > 1) {
+    opts.metrics_label = "partition=\"" + std::to_string(id) + "\"";
+  }
   if (count > 1 && opts.block_cache_mb > 0) {
     opts.block_cache_mb = std::max<size_t>(1, opts.block_cache_mb / count);
   }
@@ -148,100 +212,53 @@ Result<std::unique_ptr<PartitionedTruthStore>> PartitionedTruthStore::Open(
   // Recovery writes the guarded routing table directly; no other thread
   // can see the store yet, but the analysis still wants the capability.
   WriterMutexLock lock(st->table_mu_);
-  const size_t posterior_capacity = st->options_.store.posterior_cache_capacity;
 
   Result<PartitionMap> loaded = LoadPartitionMap(dir);
   if (!loaded.ok() && loaded.status().code() == StatusCode::kNotFound) {
-    // Fresh directory. Appends are only acknowledged once the PARTMAP
-    // exists, so leftover partition directories of a crashed first open
-    // hold nothing durable — remove them and start clean. A single-store
-    // directory (MANIFEST at the root) is a different store layout and
-    // is refused rather than silently wrapped.
-    if (fs::exists(dir + "/" + kManifestFileName)) {
-      return Status::FailedPrecondition(
-          "store directory " + dir +
-          " holds a single TruthStore (MANIFEST at the root); refusing to "
-          "open it partitioned");
+    // No committed map: a fresh directory or a legacy single store.
+    // Appends are only acknowledged once the PARTMAP exists, so leftover
+    // partition directories of a crashed first open or conversion hold
+    // nothing durable — remove them and start clean.
+    const bool legacy = fs::exists(dir + "/" + kManifestFileName);
+    // Without a MANIFEST, root segments or a non-empty WAL are a legacy
+    // store that lost its MANIFEST; carving over them would reap them.
+    if (!legacy) LTM_RETURN_IF_ERROR(CheckNoUnmanifestedData(dir));
+    RemovePartitionDirs(dir, [](const std::string&) { return false; });
+    if (legacy) {
+      LTM_RETURN_IF_ERROR(st->ConvertLegacy());
+    } else {
+      LTM_RETURN_IF_ERROR(st->CarveFresh());
     }
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-      if (entry.is_directory() &&
-          IsPartitionDirName(entry.path().filename().string())) {
-        fs::remove_all(entry.path(), ec);
-      }
-    }
-    const size_t n = st->options_.partitions;
-    std::vector<std::string> bounds = st->options_.initial_boundaries;
-    if (bounds.empty() && n > 1) {
-      // Evenly spaced single-byte boundaries; size-driven split/merge
-      // rebalancing adapts the cut points to the data later.
-      for (size_t i = 1; i < n; ++i) {
-        bounds.push_back(std::string(
-            1, static_cast<char>(static_cast<unsigned char>(i * 256 / n))));
-      }
-    }
-    if (bounds.size() + 1 != n) {
-      return Status::InvalidArgument(
-          "initial_boundaries has " + std::to_string(bounds.size()) +
-          " split point(s); partitions = " + std::to_string(n) + " needs " +
-          std::to_string(n - 1));
-    }
-    for (size_t i = 0; i < bounds.size(); ++i) {
-      if (bounds[i].empty() || (i > 0 && bounds[i] <= bounds[i - 1])) {
-        return Status::InvalidArgument(
-            "initial_boundaries must be non-empty and strictly ascending");
-      }
-    }
-    PartitionMap fresh;
-    fresh.generation = 1;
-    fresh.next_partition_id = n + 1;
-    for (size_t i = 0; i < n; ++i) {
-      PartitionMapEntry entry;
-      entry.id = i + 1;
-      entry.dir = PartitionDirName(entry.id);
-      entry.lower = i == 0 ? std::string() : bounds[i - 1];
-      entry.has_upper = i + 1 < n;
-      entry.upper = entry.has_upper ? bounds[i] : std::string();
-      fresh.entries.push_back(std::move(entry));
-    }
-    // Children first, PARTMAP last: the map commit is the point after
-    // which the store exists. A crash in between re-runs this path.
-    for (const PartitionMapEntry& entry : fresh.entries) {
-      LTM_ASSIGN_OR_RETURN(
-          std::unique_ptr<TruthStore> child,
-          TruthStore::Open(dir + "/" + entry.dir,
-                           st->ChildOptions(entry.id, n)));
-      st->children_.push_back(std::move(child));
-    }
-    LTM_RETURN_IF_ERROR(CommitPartitionMap(dir, fresh));
-    st->map_ = std::move(fresh);
-  } else {
-    LTM_RETURN_IF_ERROR(loaded.status());
-    LTM_RETURN_IF_ERROR(ValidatePartitionMap(*loaded));
-    // Reap partition directories the committed map does not reference —
-    // the losing side of an interrupted split/merge.
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (!entry.is_directory() || !IsPartitionDirName(name)) continue;
-      bool referenced = false;
-      for (const PartitionMapEntry& e : loaded->entries) {
-        if (e.dir == name) referenced = true;
-      }
-      if (!referenced) {
-        LTM_LOG(Info) << "partitioned store: removing orphan partition dir "
-                      << name;
-        fs::remove_all(entry.path(), ec);
-      }
-    }
-    const size_t n = loaded->entries.size();
-    for (const PartitionMapEntry& entry : loaded->entries) {
-      LTM_ASSIGN_OR_RETURN(
-          std::unique_ptr<TruthStore> child,
-          TruthStore::Open(dir + "/" + entry.dir,
-                           st->ChildOptions(entry.id, n)));
-      st->children_.push_back(std::move(child));
-    }
-    st->map_ = std::move(*loaded);
+    loaded = LoadPartitionMap(dir);
   }
+  LTM_RETURN_IF_ERROR(loaded.status());
+  LTM_RETURN_IF_ERROR(ValidatePartitionMap(*loaded));
+  // Reap what the committed map does not account for: partition
+  // directories of an interrupted split/merge, and root-level store
+  // files — a fresh carve refuses to run over store data, so these can
+  // only be leftovers of a committed legacy conversion.
+  RemovePartitionDirs(dir, [&](const std::string& name) {
+    for (const PartitionMapEntry& e : loaded->entries) {
+      if (e.dir == name) return true;
+    }
+    return false;
+  });
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_directory() || !IsStoreFileName(name)) continue;
+    LTM_LOG(Info) << "partitioned store: removing converted legacy file "
+                  << name;
+    fs::remove(entry.path(), ec);
+  }
+  const size_t n = loaded->entries.size();
+  for (const PartitionMapEntry& entry : loaded->entries) {
+    LTM_ASSIGN_OR_RETURN(
+        std::unique_ptr<TruthStore> child,
+        TruthStore::Open(dir + "/" + entry.dir,
+                         st->ChildOptions(entry.id, n)));
+    st->children_.push_back(std::move(child));
+  }
+  st->map_ = std::move(*loaded);
 
   // Recover the global sequence counter from the children: every durable
   // row's seq is below some child's NextRowSeq().
@@ -250,17 +267,94 @@ Result<std::unique_ptr<PartitionedTruthStore>> PartitionedTruthStore::Open(
     next_seq = std::max(next_seq, child->NextRowSeq());
   }
   st->next_seq_.store(next_seq, std::memory_order_relaxed);
-  const size_t count = st->children_.size();
-  for (size_t i = 0; i < count; ++i) {
+  const size_t posterior_capacity = st->options_.store.posterior_cache_capacity;
+  for (size_t i = 0; i < n; ++i) {
     st->caches_.push_back(std::make_unique<PosteriorCache>(
         posterior_capacity == 0
             ? 0
-            : std::max<size_t>(1, posterior_capacity / count),
+            : std::max<size_t>(1, posterior_capacity / n),
         st->metrics_));
   }
-  st->partitions_gauge_->Set(static_cast<int64_t>(count));
+  st->partitions_gauge_->Set(static_cast<int64_t>(n));
   st->map_generation_gauge_->Set(static_cast<int64_t>(st->map_.generation));
   return st;
+}
+
+Status PartitionedTruthStore::CarveFresh() {
+  const size_t n = options_.partitions;
+  std::vector<std::string> bounds = options_.initial_boundaries;
+  if (bounds.empty() && n > 1) {
+    // Evenly spaced single-byte boundaries; size-driven split/merge
+    // rebalancing adapts the cut points to the data later.
+    for (size_t i = 1; i < n; ++i) {
+      bounds.push_back(std::string(
+          1, static_cast<char>(static_cast<unsigned char>(i * 256 / n))));
+    }
+  }
+  if (bounds.size() + 1 != n) {
+    return Status::InvalidArgument(
+        "initial_boundaries has " + std::to_string(bounds.size()) +
+        " split point(s); partitions = " + std::to_string(n) + " needs " +
+        std::to_string(n - 1));
+  }
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    if (bounds[i].empty() || (i > 0 && bounds[i] <= bounds[i - 1])) {
+      return Status::InvalidArgument(
+          "initial_boundaries must be non-empty and strictly ascending");
+    }
+  }
+  PartitionMap fresh;
+  fresh.generation = 1;
+  fresh.next_partition_id = n + 1;
+  for (size_t i = 0; i < n; ++i) {
+    PartitionMapEntry entry;
+    entry.id = i + 1;
+    entry.dir = PartitionDirName(entry.id);
+    entry.lower = i == 0 ? std::string() : bounds[i - 1];
+    entry.has_upper = i + 1 < n;
+    entry.upper = entry.has_upper ? bounds[i] : std::string();
+    fresh.entries.push_back(std::move(entry));
+  }
+  // Children first, PARTMAP last: the map commit is the point after
+  // which the store exists. A crash in between re-runs this path.
+  for (const PartitionMapEntry& entry : fresh.entries) {
+    LTM_RETURN_IF_ERROR(
+        TruthStore::Open(dir_ + "/" + entry.dir, ChildOptions(entry.id, n))
+            .status());
+  }
+  return CommitPartitionMap(dir_, fresh);
+}
+
+Status PartitionedTruthStore::ConvertLegacy() {
+  if (options_.partitions > 1) {
+    return Status::FailedPrecondition(
+        "store directory " + dir_ +
+        " holds a legacy single-store layout, which converts only to one "
+        "partition; it cannot be opened with partitions = " +
+        std::to_string(options_.partitions));
+  }
+  obs::ObsSpan span("partition_convert_legacy");
+  RowViews segment_rows;
+  RawDatabase wal_tail;
+  LTM_ASSIGN_OR_RETURN(const std::vector<RowView> rows,
+                       ReadLegacyRows(dir_, &segment_rows, &wal_tail));
+  PartitionMap map;
+  map.generation = 1;
+  map.next_partition_id = 2;
+  PartitionMapEntry entry;
+  entry.id = 1;
+  entry.dir = PartitionDirName(entry.id);
+  map.entries.push_back(entry);
+  // The child is closed again before the commit; Open reopens it from
+  // the committed map like any other partition.
+  LTM_RETURN_IF_ERROR(BuildChild(entry, rows, 1).status());
+  LTM_RETURN_IF_ERROR(FailpointCheck("partition-convert-child-written"));
+  LTM_RETURN_IF_ERROR(CommitPartitionMap(dir_, map));
+  LTM_RETURN_IF_ERROR(FailpointCheck("partition-convert-committed"));
+  LTM_LOG(Info) << "partitioned store: converted legacy single store " << dir_
+                << " into " << entry.dir << " (" << rows.size()
+                << " row(s))";
+  return Status::OK();
 }
 
 Status PartitionedTruthStore::Append(const WalRecord& record) {
@@ -368,7 +462,7 @@ Status PartitionedTruthStore::SwapTableLocked(
   const uint64_t composite_before = CompositeEpochLocked();
   LTM_RETURN_IF_ERROR(CommitPartitionMap(dir_, next_map));
   // Committed: swap the routing table and retire the replaced children
-  // (kept alive until their last CompositePin drops).
+  // (kept alive until their last StorePin drops).
   {
     MutexLock rlock(retired_mu_);
     for (const std::shared_ptr<TruthStore>& child : children_) {
@@ -573,12 +667,12 @@ std::unique_ptr<StorePin> PartitionedTruthStore::PinSnapshot(
     epoch += static_cast<int64_t>(pins.back()->epoch());
   }
   live_pins_.fetch_add(1, std::memory_order_relaxed);
-  return std::unique_ptr<StorePin>(new CompositePin(
+  return std::unique_ptr<StorePin>(new StorePin(
       this, epoch < 0 ? 0 : static_cast<uint64_t>(epoch), map_.entries,
       children_, std::move(pins)));
 }
 
-void PartitionedTruthStore::ReleaseCompositePin() const {
+void PartitionedTruthStore::ReleasePin() const {
   live_pins_.fetch_sub(1, std::memory_order_relaxed);
   ReapRetired();
 }
@@ -588,7 +682,7 @@ void PartitionedTruthStore::ReapRetired() const {
   {
     MutexLock lock(retired_mu_);
     std::erase_if(retired_, [&](std::shared_ptr<TruthStore>& child) {
-      // use_count == 1 means only the registry holds it: no CompositePin
+      // use_count == 1 means only the registry holds it: no StorePin
       // (each pin copies the shared_ptr) still references the retiree.
       if (child.use_count() > 1 || child->num_pinned_epochs() > 0) {
         return false;
@@ -610,29 +704,27 @@ void PartitionedTruthStore::ReapRetired() const {
 Result<RowViews> PartitionedTruthStore::ReadRowsAt(
     const StorePin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
-  const CompositePin* composite = pin.AsCompositePin();
-  if (composite == nullptr || composite->store_ != this) {
+  if (pin.store_ != this) {
     return Status::InvalidArgument("pin was not issued by this store");
   }
   if (min_entity != nullptr && max_entity != nullptr &&
       *min_entity == *max_entity) {
     // A point read: route on the boundaries frozen at pin time to the one
     // partition that can hold the entity.
-    for (size_t i = 0; i < composite->entries_.size(); ++i) {
-      if (composite->entries_[i].Contains(*min_entity)) {
-        return composite->children_[i]->CollectPinnedRows(
-            *composite->pins_[i], min_entity, max_entity, stats);
+    for (size_t i = 0; i < pin.entries_.size(); ++i) {
+      if (pin.entries_[i].Contains(*min_entity)) {
+        return pin.children_[i]->CollectPinnedRows(*pin.pins_[i], min_entity,
+                                                   max_entity, stats);
       }
     }
   }
   RangeScanStats total;
   RowViews out;
-  for (size_t i = 0; i < composite->pins_.size(); ++i) {
+  for (size_t i = 0; i < pin.pins_.size(); ++i) {
     RangeScanStats part;
     LTM_ASSIGN_OR_RETURN(RowViews child_rows,
-                         composite->children_[i]->CollectPinnedRows(
-                             *composite->pins_[i], min_entity, max_entity,
-                             &part));
+                         pin.children_[i]->CollectPinnedRows(
+                             *pin.pins_[i], min_entity, max_entity, &part));
     AccumulateScan(&total, part);
     if (out.rows.empty() && out.buffers.empty()) {
       out = std::move(child_rows);
@@ -656,19 +748,45 @@ Result<RowViews> PartitionedTruthStore::ReadRowsAt(
 Result<bool> PartitionedTruthStore::SnapshotFactMayExist(
     const StorePin& pin, const std::string& entity,
     const std::string& attribute) const {
-  const CompositePin* composite = pin.AsCompositePin();
-  if (composite == nullptr || composite->store_ != this) {
+  if (pin.store_ != this) {
     return Status::InvalidArgument("pin was not issued by this store");
   }
   // Route on the boundaries frozen at pin time: exactly one partition
   // can hold the entity.
-  for (size_t i = 0; i < composite->entries_.size(); ++i) {
-    if (composite->entries_[i].Contains(entity)) {
-      return composite->children_[i]->PinnedFactMayExist(
-          *composite->pins_[i], entity, attribute);
+  for (size_t i = 0; i < pin.entries_.size(); ++i) {
+    if (pin.entries_[i].Contains(entity)) {
+      return pin.children_[i]->PinnedFactMayExist(*pin.pins_[i], entity,
+                                                  attribute);
     }
   }
   return false;  // unreachable with a validated map
+}
+
+Result<Dataset> PartitionedTruthStore::MaterializeSnapshot(
+    const StorePin& pin, const std::string* min_entity,
+    const std::string* max_entity, RangeScanStats* stats) const {
+  LTM_ASSIGN_OR_RETURN(const RowViews rows,
+                       ReadRowsAt(pin, min_entity, max_entity, stats));
+  return DatasetFromRows("truthstore:" + dir_, rows);
+}
+
+Result<Dataset> PartitionedTruthStore::Materialize(uint64_t* epoch_out) const {
+  // The pin keeps every segment file the read references on disk, so one
+  // pass always succeeds (any load failure is true corruption).
+  const std::unique_ptr<StorePin> pin = PinSnapshot();
+  LTM_ASSIGN_OR_RETURN(Dataset ds, MaterializeSnapshot(*pin));
+  if (epoch_out != nullptr) *epoch_out = pin->epoch();
+  return ds;
+}
+
+Result<Dataset> PartitionedTruthStore::MaterializeEntityRange(
+    const std::string& min_entity, const std::string& max_entity,
+    RangeScanStats* stats, uint64_t* epoch_out) const {
+  const std::unique_ptr<StorePin> pin = PinSnapshot(&min_entity, &max_entity);
+  LTM_ASSIGN_OR_RETURN(
+      Dataset ds, MaterializeSnapshot(*pin, &min_entity, &max_entity, stats));
+  if (epoch_out != nullptr) *epoch_out = pin->epoch();
+  return ds;
 }
 
 uint64_t PartitionedTruthStore::epoch() const {
@@ -796,8 +914,14 @@ size_t PartitionedTruthStore::num_retired_partitions() const {
 
 Result<PartitionedVerifyReport> PartitionedTruthStore::Verify(
     const std::string& dir) {
-  LTM_ASSIGN_OR_RETURN(PartitionMap map, LoadPartitionMap(dir));
   PartitionedVerifyReport report;
+  Result<PartitionMap> loaded = LoadPartitionMap(dir);
+  if (!loaded.ok() && loaded.status().code() == StatusCode::kNotFound &&
+      fs::exists(dir + "/" + kManifestFileName)) {
+    LTM_ASSIGN_OR_RETURN(report.legacy, TruthStore::Verify(dir));
+    return report;
+  }
+  LTM_ASSIGN_OR_RETURN(PartitionMap map, std::move(loaded));
   report.map = map;
   const Status valid = ValidatePartitionMap(map);
   if (!valid.ok()) report.errors.push_back(valid.ToString());
@@ -821,33 +945,6 @@ Result<PartitionedVerifyReport> PartitionedTruthStore::Verify(
     if (!referenced) report.orphan_dirs.push_back(name);
   }
   return report;
-}
-
-Result<std::unique_ptr<TruthStoreBase>> OpenTruthStoreAuto(
-    const std::string& dir, PartitionedStoreOptions options) {
-  std::error_code ec;
-  const bool has_partmap =
-      fs::exists(dir + "/" + kPartitionMapFileName, ec);
-  const bool has_manifest = fs::exists(dir + "/" + kManifestFileName, ec);
-  if (!has_partmap && has_manifest) {
-    if (options.partitions > 1) {
-      return Status::FailedPrecondition(
-          "store directory " + dir + " holds a single TruthStore; it cannot "
-          "be reopened with partitions = " +
-          std::to_string(options.partitions));
-    }
-    LTM_ASSIGN_OR_RETURN(std::unique_ptr<TruthStore> st,
-                         TruthStore::Open(dir, options.store));
-    return std::unique_ptr<TruthStoreBase>(std::move(st));
-  }
-  if (has_partmap || options.partitions > 1) {
-    LTM_ASSIGN_OR_RETURN(std::unique_ptr<PartitionedTruthStore> st,
-                         PartitionedTruthStore::Open(dir, std::move(options)));
-    return std::unique_ptr<TruthStoreBase>(std::move(st));
-  }
-  LTM_ASSIGN_OR_RETURN(std::unique_ptr<TruthStore> st,
-                       TruthStore::Open(dir, options.store));
-  return std::unique_ptr<TruthStoreBase>(std::move(st));
 }
 
 }  // namespace store

@@ -131,6 +131,58 @@ std::string WalFileName(uint64_t seq) {
   return buf;
 }
 
+bool IsStoreFileName(std::string_view name) {
+  constexpr std::string_view kTmp = ".tmp";
+  if (MatchesPattern(name, "", kTmp)) {
+    name.remove_suffix(kTmp.size());
+  }
+  return name == kManifestFileName || MatchesPattern(name, "seg-", ".blk") ||
+         MatchesPattern(name, "seg-", ".snap") ||
+         MatchesPattern(name, "wal-", ".log");
+}
+
+Status CheckNoUnmanifestedData(const std::string& dir) {
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (MatchesPattern(name, "seg-", ".blk") ||
+        MatchesPattern(name, "seg-", ".snap") ||
+        (MatchesPattern(name, "wal-", ".log") &&
+         fs::file_size(entry.path(), ec) > kWalHeaderSize)) {
+      return Status::FailedPrecondition(
+          "store directory " + dir + " has no MANIFEST but contains " + name +
+          "; refusing to re-initialize over existing store data");
+    }
+  }
+  return Status::OK();
+}
+
+Status ReplayWalIntoMemtable(const std::vector<WalRecord>& records,
+                             const std::string& wal_path,
+                             RawDatabase* memtable,
+                             std::vector<uint64_t>* seqs) {
+  for (const WalRecord& record : records) {
+    if (record.observation != 1) {
+      return Status::InvalidArgument(
+          "WAL record with observation bit " +
+          std::to_string(record.observation) +
+          " (explicit negative observations are reserved): " + wal_path);
+    }
+    if (memtable->Add(record.entity, record.attribute, record.source)) {
+      seqs->push_back(record.seq);
+    }
+  }
+  return Status::OK();
+}
+
+Dataset DatasetFromRows(std::string name, const RowViews& rows) {
+  RawDatabase raw;
+  for (const RowView& row : rows.rows) {
+    raw.Add(row.entity, row.attribute, row.source);
+  }
+  return Dataset::FromRaw(std::move(name), std::move(raw));
+}
+
 std::string StoreVerifyReport::Summary() const {
   std::string s = "manifest generation " + std::to_string(generation) + ": " +
                   std::to_string(segments) + " segment(s), max level " +
@@ -199,7 +251,6 @@ TruthStore::TruthStore(std::string dir, TruthStoreOptions options)
           Labeled("ltm_store_memtable_rows", options.metrics_label))),
       live_pins_gauge_(metrics_->gauge(
           Labeled("ltm_store_live_pins", options.metrics_label))),
-      cache_(options.posterior_cache_capacity, metrics_),
       block_cache_(static_cast<uint64_t>(options.block_cache_mb) << 20,
                    /*num_shards=*/8, metrics_) {}
 
@@ -244,17 +295,7 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
     // manifest commit, so a first-open crash can leave at most a
     // header-sized WAL and no segments; anything more means committed
     // data whose manifest is missing — re-initializing would destroy it.
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (MatchesPattern(name, "seg-", ".blk") ||
-          MatchesPattern(name, "seg-", ".snap") ||
-          (MatchesPattern(name, "wal-", ".log") &&
-           fs::file_size(entry.path(), ec) > kWalHeaderSize)) {
-        return Status::FailedPrecondition(
-            "store directory " + dir + " has no MANIFEST but contains " +
-            name + "; refusing to re-initialize over existing store data");
-      }
-    }
+    LTM_RETURN_IF_ERROR(CheckNoUnmanifestedData(dir));
     Manifest fresh;
     fresh.generation = 1;
     fresh.next_segment_id = 1;
@@ -312,20 +353,9 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
       LTM_LOG(Info) << "truthstore: truncated torn WAL tail of " << wal_path
                     << " at byte " << replay.valid_bytes;
     }
-    for (const WalRecord& record : replay.records) {
-      if (record.observation != 1) {
-        return Status::InvalidArgument(
-            "WAL record with observation bit " +
-            std::to_string(record.observation) +
-            " (explicit negative observations are reserved): " + wal_path);
-      }
-      const size_t before = st->memtable_.NumRows();
-      st->memtable_.Add(record.entity, record.attribute, record.source);
-      if (options.external_sequencing &&
-          st->memtable_.NumRows() > before) {
-        st->memtable_seqs_.push_back(record.seq);
-      }
-    }
+    LTM_RETURN_IF_ERROR(ReplayWalIntoMemtable(replay.records, wal_path,
+                                              &st->memtable_,
+                                              &st->memtable_seqs_));
     st->wal_records_replayed_ = replay.records.size();
   } else {
     LTM_LOG(Warning) << "truthstore: manifest references missing WAL "
@@ -363,7 +393,7 @@ Status TruthStore::AppendLocked(const WalRecord& record) {
   }
   const size_t before = memtable_.NumRows();
   memtable_.Add(record.entity, record.attribute, record.source);
-  if (options_.external_sequencing && memtable_.NumRows() > before) {
+  if (memtable_.NumRows() > before) {
     memtable_seqs_.push_back(record.seq);
   }
   ++epoch_;
@@ -374,20 +404,6 @@ Status TruthStore::AppendLocked(const WalRecord& record) {
     return FlushLocked();
   }
   return Status::OK();
-}
-
-Status TruthStore::AppendRaw(const RawDatabase& raw) {
-  {
-    MutexLock lock(mu_);
-    for (const RawRow& row : raw.rows()) {
-      WalRecord record;
-      record.entity = std::string(raw.entities().Get(row.entity));
-      record.attribute = std::string(raw.attributes().Get(row.attribute));
-      record.source = std::string(raw.sources().Get(row.source));
-      LTM_RETURN_IF_ERROR(AppendLocked(record));
-    }
-  }
-  return Sync();
 }
 
 Status TruthStore::AppendRecords(const std::vector<WalRecord>& records) {
@@ -456,31 +472,23 @@ Status TruthStore::FlushLocked() {
   const uint64_t seg_id = manifest_.next_segment_id;
   const std::string file = SegmentFileName(seg_id);
 
-  // Assign contiguous global ingest sequence numbers in memtable row
-  // order (= WAL/ingest order); replay sorts on them, so this is the step
-  // that makes compaction free to reorder rows on disk. Under external
-  // sequencing the rows already carry router-assigned global seqs
-  // (tracked in memtable_seqs_), so those are persisted instead and the
-  // next_row_seq watermark advances past the largest one.
+  // Persist every row's router-assigned global ingest seq; replay sorts
+  // on them, so this is what makes compaction free to reorder rows on
+  // disk. The next_row_seq watermark advances past the largest one.
   // The rows view the memtable's interned strings, which stay put until
   // the memtable is replaced below (mu_ is held throughout).
   std::vector<RowView> rows;
   rows.reserve(memtable_.NumRows());
   uint64_t seq = manifest_.next_row_seq;
-  size_t row_idx = 0;
-  for (const RawRow& row : memtable_.rows()) {
+  for (size_t i = 0; i < memtable_.NumRows(); ++i) {
+    const RawRow& row = memtable_.rows()[i];
     RowView r;
     r.entity = memtable_.entities().Get(row.entity);
     r.attribute = memtable_.attributes().Get(row.attribute);
     r.source = memtable_.sources().Get(row.source);
-    if (options_.external_sequencing) {
-      r.seq = memtable_seqs_[row_idx];
-      seq = std::max(seq, r.seq + 1);
-    } else {
-      r.seq = seq++;
-    }
-    ++row_idx;
+    r.seq = memtable_seqs_[i];
     r.observation = 1;
+    seq = std::max(seq, r.seq + 1);
     rows.push_back(r);
   }
   std::sort(rows.begin(), rows.end(), RowViewOrder);
@@ -853,13 +861,10 @@ std::unique_ptr<EpochPin> TruthStore::PinEpoch(
     epoch = epoch_;
     // Copy out only the rows the query needs — a point read must not
     // stall concurrent appends for a full-memtable copy. Each copied row
-    // carries its global ingest seq: the router-assigned one under
-    // external sequencing, else the provisional seq the next flush would
-    // assign — either way every pinned row is totally ordered by seq,
-    // with memtable rows sorting after all committed segment rows.
-    size_t row_idx = 0;
-    for (const RawRow& row : memtable_.rows()) {
-      const size_t idx = row_idx++;
+    // carries its global ingest seq, so every pinned row is totally
+    // ordered by seq.
+    for (size_t i = 0; i < memtable_.NumRows(); ++i) {
+      const RawRow& row = memtable_.rows()[i];
       const std::string_view entity = memtable_.entities().Get(row.entity);
       if ((min_entity != nullptr && entity < *min_entity) ||
           (max_entity != nullptr && entity > *max_entity)) {
@@ -869,9 +874,7 @@ std::unique_ptr<EpochPin> TruthStore::PinEpoch(
       record.entity = std::string(entity);
       record.attribute = std::string(memtable_.attributes().Get(row.attribute));
       record.source = std::string(memtable_.sources().Get(row.source));
-      record.seq = options_.external_sequencing
-                       ? memtable_seqs_[idx]
-                       : manifest_.next_row_seq + idx;
+      record.seq = memtable_seqs_[i];
       memtable_rows.push_back(std::move(record));
     }
     // Reference every captured segment so a compaction that supersedes
@@ -977,9 +980,9 @@ Result<RowViews> TruthStore::CollectPinnedRows(
     scan.block_cache_hits += rs.blocks_from_cache;
     scan.bytes_read += rs.bytes_read;
   }
-  // The pin's memtable rows already carry seqs that sort after every
-  // committed segment row (see PinEpoch), so one uniform sort recovers
-  // global ingest order across segments AND the memtable.
+  // The pin's memtable rows carry their global seqs (see PinEpoch), so
+  // one uniform sort recovers ingest order across segments AND the
+  // memtable.
   for (const WalRecord& record : pin.memtable_rows()) {
     if ((min_entity != nullptr && record.entity < *min_entity) ||
         (max_entity != nullptr && record.entity > *max_entity)) {
@@ -997,14 +1000,6 @@ Result<RowViews> TruthStore::CollectPinnedRows(
   return out;
 }
 
-Result<Dataset> TruthStore::MaterializeFromPin(
-    const EpochPin& pin, const std::string* min_entity,
-    const std::string* max_entity, RangeScanStats* stats) const {
-  LTM_ASSIGN_OR_RETURN(const RowViews rows,
-                       CollectPinnedRows(pin, min_entity, max_entity, stats));
-  return DatasetFromRows("truthstore:" + dir_, rows);
-}
-
 Result<bool> TruthStore::PinnedFactMayExist(const EpochPin& pin,
                                             const std::string& entity,
                                             const std::string& attribute) const {
@@ -1019,32 +1014,6 @@ Result<bool> TruthStore::PinnedFactMayExist(const EpochPin& pin,
   }
   bloom_point_skips_->Increment();
   return false;
-}
-
-std::unique_ptr<StorePin> TruthStore::PinSnapshot(
-    const std::string* min_entity, const std::string* max_entity) const {
-  return PinEpoch(min_entity, max_entity);
-}
-
-Result<RowViews> TruthStore::ReadRowsAt(const StorePin& pin,
-                                        const std::string* min_entity,
-                                        const std::string* max_entity,
-                                        RangeScanStats* stats) const {
-  const EpochPin* epoch_pin = pin.AsEpochPin();
-  if (epoch_pin == nullptr || epoch_pin->store_ != this) {
-    return Status::InvalidArgument("pin was not issued by this store");
-  }
-  return CollectPinnedRows(*epoch_pin, min_entity, max_entity, stats);
-}
-
-Result<bool> TruthStore::SnapshotFactMayExist(
-    const StorePin& pin, const std::string& entity,
-    const std::string& attribute) const {
-  const EpochPin* epoch_pin = pin.AsEpochPin();
-  if (epoch_pin == nullptr || epoch_pin->store_ != this) {
-    return Status::InvalidArgument("pin was not issued by this store");
-  }
-  return PinnedFactMayExist(*epoch_pin, entity, attribute);
 }
 
 uint64_t TruthStore::epoch() const {

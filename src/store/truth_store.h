@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -19,20 +20,80 @@
 #include "store/block_cache.h"
 #include "store/block_format.h"
 #include "store/manifest.h"
-#include "store/posterior_cache.h"
 #include "store/segment.h"
-#include "store/store_base.h"
 #include "store/wal.h"
 
 namespace ltm {
 namespace store {
+
+/// Read-path counters reported per materialization call.
+struct RangeScanStats {
+  size_t segments_scanned = 0;
+  /// Segments excluded by manifest zone stats (entity range).
+  size_t segments_skipped = 0;
+  /// Segments excluded by a negative bloom probe (point reads only).
+  size_t segments_skipped_bloom = 0;
+  /// Data blocks decoded (cache hits + disk reads).
+  uint64_t blocks_read = 0;
+  /// Of those, served from the block cache.
+  uint64_t block_cache_hits = 0;
+  /// Bytes actually read from disk for data blocks.
+  uint64_t bytes_read = 0;
+};
+
+/// Interns `rows` in order into a Dataset (RawDatabase dedup keeps each
+/// (entity, attribute, source) triple's first row).
+Dataset DatasetFromRows(std::string name, const RowViews& rows);
+
+/// Cumulative compaction work counters (write-amplification accounting).
+struct CompactionStats {
+  uint64_t compactions = 0;       ///< merge passes that committed
+  uint64_t trivial_moves = 0;     ///< segments relinked down a level, no IO
+  uint64_t input_segments = 0;
+  uint64_t output_segments = 0;
+  uint64_t bytes_read = 0;        ///< sum of input segment file bytes
+  uint64_t bytes_written = 0;     ///< sum of output segment file bytes
+  uint64_t rows_dropped = 0;      ///< duplicate (entity, attr, source) rows
+};
+
+/// Point-in-time store counters. PartitionedTruthStore::Stats() reports
+/// the aggregate over every partition (counts summed, max_level taken as
+/// the max, epoch/generation the composite values).
+struct TruthStoreStats {
+  uint64_t epoch = 0;
+  uint64_t generation = 0;
+  size_t num_segments = 0;
+  uint64_t segment_rows = 0;
+  size_t memtable_rows = 0;
+  uint64_t wal_records_replayed = 0;
+  bool recovered_torn_tail = false;
+  /// Live pin handles (MVCC read snapshots) outstanding right now.
+  size_t live_pins = 0;
+  /// Segments compacted away but kept on disk because a live pin still
+  /// references them; reclaimed when the last referencing pin drops.
+  size_t deferred_segments = 0;
+
+  /// Deepest populated level and the L0 (overlapping) segment count.
+  uint32_t max_level = 0;
+  size_t l0_segments = 0;
+  uint64_t next_row_seq = 0;
+  /// Edit records appended since the last manifest snapshot fold.
+  uint64_t manifest_edits_since_snapshot = 0;
+  /// Point probes answered "fact cannot exist" purely from blooms,
+  /// reading zero data blocks (cumulative).
+  uint64_t bloom_point_skips = 0;
+  BlockCacheStats block_cache;
+  CompactionStats compaction;
+};
 
 /// Knobs for a TruthStore instance.
 struct TruthStoreOptions {
   /// Auto-flush the memtable into a segment once it holds this many rows
   /// (0 = flush only when Flush() is called).
   size_t memtable_flush_rows = 0;
-  /// Capacity of the served-posterior LRU cache (0 disables it).
+  /// Total capacity of the served-posterior LRU caches (0 disables
+  /// them). Read from the PartitionedTruthStore's template, which splits
+  /// it across its per-partition caches; a child keeps no cache.
   size_t posterior_cache_capacity = 4096;
   /// fsync the WAL after every append. Off by default: appends are
   /// durable at the next Sync()/Flush() (group commit), and a crash loses
@@ -57,16 +118,6 @@ struct TruthStoreOptions {
   /// Fold the manifest edit log into a fresh snapshot every N edits.
   size_t manifest_snapshot_every = 32;
 
-  /// Router-assigned ingest sequence numbers. Off (the default): the
-  /// store assigns contiguous sequence numbers itself at flush time.
-  /// On — the PartitionedTruthStore child mode — every Append must carry
-  /// the caller's global sequence number in WalRecord::seq; the store
-  /// persists it in the (version-2) WAL, carries it through flush into
-  /// segment rows, and Materialize orders rows by it. This is what makes
-  /// a cross-partition merge reproduce the router's global ingest order
-  /// bit for bit.
-  bool external_sequencing = false;
-
   /// Label text merged into every `ltm_store_*` metric name this store
   /// registers (e.g. `partition="3"` makes
   /// `ltm_store_flushes_total{partition="3"}`). Empty (the default)
@@ -85,7 +136,7 @@ struct TruthStoreOptions {
 
 class TruthStore;
 
-/// A ref-counted MVCC read snapshot of the store at one epoch: the
+/// A ref-counted MVCC read snapshot of one TruthStore at one epoch: the
 /// committed segment list plus a copy of the memtable rows at pin time.
 /// While a pin is alive, compaction defers deleting any segment file the
 /// pin references, so reads against the pin never race file removal and
@@ -93,25 +144,24 @@ class TruthStore;
 /// a superseded segment reclaims its file.
 ///
 /// Obtained from TruthStore::PinEpoch(); read via
-/// TruthStore::MaterializeFromPin(). A pin created with entity bounds
-/// only holds the memtable rows inside those bounds — materializing a
-/// wider range from it would silently miss rows, so keep requests within
-/// the pin's bounds (MaterializeFromPin re-applies its own bounds on top).
+/// TruthStore::CollectPinnedRows(). A pin created with entity bounds only
+/// holds the memtable rows inside those bounds — reading a wider range
+/// from it would silently miss rows, so keep requests within the pin's
+/// bounds (CollectPinnedRows re-applies its own bounds on top).
 ///
 /// Thread-safe for concurrent reads; the handle itself must be destroyed
 /// on one thread. Must not outlive the TruthStore that issued it.
-class EpochPin : public StorePin {
+class EpochPin {
  public:
-  ~EpochPin() override;
+  ~EpochPin();
 
   /// Holds a back-reference into the issuing store's refcount table;
   /// duplicating it would double-release.
   EpochPin(EpochPin&&) = delete;
   EpochPin& operator=(EpochPin&&) = delete;
 
-  /// The store epoch this pin captured (for posterior-cache keying).
-  uint64_t epoch() const override { return epoch_; }
-  const EpochPin* AsEpochPin() const override { return this; }
+  /// The store epoch this pin captured.
+  uint64_t epoch() const { return epoch_; }
   const std::vector<SegmentInfo>& segments() const { return segments_; }
   const std::vector<WalRecord>& memtable_rows() const {
     return memtable_rows_;
@@ -148,14 +198,15 @@ struct StoreVerifyReport {
   std::string Summary() const;
 };
 
-/// A WAL-backed incremental claim store: the durable substrate for the
-/// §5.4 deployment story (LTMinc answers online while batch LTM refits
-/// periodically). A leveled LSM:
+/// One partition of a PartitionedTruthStore — the store every caller
+/// opens — which owns one contiguous entity range in its own directory.
+/// A leveled LSM:
 ///
-///   Append ─► WAL (checksummed records, group-commit fsync)
+///   Append ─► WAL (checksummed records carrying the router-assigned
+///          │   global ingest sequence number, group-commit fsync)
 ///          └► memtable (an in-memory RawDatabase delta)
-///   Flush  ─► the memtable's rows get contiguous global ingest sequence
-///             numbers and become an immutable block segment at L0
+///   Flush  ─► the memtable's rows, each with its ingest sequence number,
+///             become an immutable block segment at L0
 ///             (restartable prefix-compressed blocks + block index +
 ///             bloom filter, see segment.h) + the WAL rotates + one
 ///             version-edit record appends to the MANIFEST
@@ -176,19 +227,19 @@ struct StoreVerifyReport {
 /// flushes/compactions.
 ///
 /// Replay order is carried by the rows themselves: every row holds the
-/// global ingest sequence number assigned at flush. Materialize() sorts
-/// the selected rows by that sequence and re-adds them in order — the
-/// exact row order batch ingestion would have seen, regardless of which
-/// level compaction moved a row to — so downstream posteriors are
-/// bit-identical to a one-shot batch load. Point reads go bloom filter →
-/// block index binary search → ONE data block (through the shared block
-/// cache); MaterializeEntityRange() additionally skips whole segments via
+/// global ingest sequence number the router assigned, persisted through
+/// the WAL and every segment. CollectPinnedRows() returns rows sorted by
+/// it — the exact row order batch ingestion would have seen, regardless
+/// of which level compaction moved a row to — so downstream posteriors
+/// are bit-identical to a one-shot batch load. Point reads go bloom
+/// filter → block index binary search → ONE data block (through the
+/// shared block cache); range reads additionally skip whole segments via
 /// manifest zone stats.
 ///
 /// Thread-safe: appends, flushes, reads, and one background compaction
 /// may run concurrently. Not multi-process-safe — one TruthStore instance
 /// owns a directory at a time.
-class TruthStore : public TruthStoreBase {
+class TruthStore {
  public:
   /// Opens (or initializes) the store at `dir`, creating the directory if
   /// needed, and runs crash recovery as described above.
@@ -196,7 +247,7 @@ class TruthStore : public TruthStoreBase {
       const std::string& dir, TruthStoreOptions options = TruthStoreOptions());
 
   /// Joins any in-flight background compaction before tearing down.
-  ~TruthStore() override;
+  ~TruthStore();
 
   /// Owns a directory, a WAL appender, and a mutex — copying or moving a
   /// live store could never be correct, so both are compile errors.
@@ -206,15 +257,9 @@ class TruthStore : public TruthStoreBase {
   /// Appends one observation: WAL first, then the memtable. Records with
   /// observation != 1 are rejected (explicit negative claims are reserved
   /// in the record format but not yet served). May trigger an auto-flush
-  /// per `memtable_flush_rows`. Under external_sequencing the record's
-  /// `seq` is persisted as given; otherwise it is ignored (flush assigns
-  /// sequence numbers).
-  Status Append(const WalRecord& record) override LTM_EXCLUDES(mu_);
-
-  /// Appends every row of `raw` (in row order) and then Sync()s — one
-  /// durable group commit per chunk. The ingest fast path: no fact table
-  /// or claim graph is needed or built.
-  Status AppendRaw(const RawDatabase& raw) override LTM_EXCLUDES(mu_);
+  /// per `memtable_flush_rows`. The record's `seq` is persisted as
+  /// given.
+  Status Append(const WalRecord& record) LTM_EXCLUDES(mu_);
 
   /// Appends `records` in order under one lock hold, then Sync()s — the
   /// batched group-commit path the partitioned router uses after
@@ -224,11 +269,11 @@ class TruthStore : public TruthStoreBase {
       LTM_EXCLUDES(mu_);
 
   /// Makes all buffered appends durable (WAL fsync).
-  Status Sync() override LTM_EXCLUDES(mu_);
+  Status Sync() LTM_EXCLUDES(mu_);
 
   /// Writes the memtable as a new immutable L0 block segment, rotates the
   /// WAL, and appends a manifest edit. No-op on an empty memtable.
-  Status Flush() override LTM_EXCLUDES(mu_);
+  Status Flush() LTM_EXCLUDES(mu_);
 
   /// Major compaction: merges every segment into the bottom level
   /// (duplicate (entity, attribute, source) rows collapse to their
@@ -237,7 +282,7 @@ class TruthStore : public TruthStoreBase {
   /// Appends may proceed concurrently; segments flushed while the merge
   /// runs survive unmerged. At most one compaction (sync or async) at a
   /// time — a second concurrent call fails with FailedPrecondition.
-  Status Compact() override LTM_EXCLUDES(mu_);
+  Status Compact() LTM_EXCLUDES(mu_);
 
   /// One leveled compaction step, or nothing: merges all of L0 into L1
   /// once `l0_compaction_trigger` L0 segments exist, else spills one
@@ -245,7 +290,7 @@ class TruthStore : public TruthStoreBase {
   /// segment with no next-level overlap is relinked without rewriting).
   /// Returns false when no level needed work. Same single-compaction
   /// exclusivity as Compact().
-  Result<bool> CompactOnce() override LTM_EXCLUDES(mu_);
+  Result<bool> CompactOnce() LTM_EXCLUDES(mu_);
 
   /// Runs Compact() as a background job on `pool`; the future resolves
   /// to FailedPrecondition when a compaction is already in flight. The
@@ -264,25 +309,13 @@ class TruthStore : public TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const LTM_EXCLUDES(mu_);
 
-  /// Materializes from a pinned snapshot: CollectPinnedRows interned in
-  /// seq order — the same replay order a sequential materialize at the
-  /// pin's epoch uses, so posteriors computed from a pin are
-  /// bit-identical. Never retries: the pin's refcounts guarantee every
-  /// referenced segment file still exists. `min_entity`/`max_entity`
-  /// further restrict the read (must be within the pin's own bounds, if
-  /// it has them).
-  Result<Dataset> MaterializeFromPin(const EpochPin& pin,
-                                     const std::string* min_entity = nullptr,
-                                     const std::string* max_entity = nullptr,
-                                     RangeScanStats* stats = nullptr) const;
-
   /// The rows behind a pin as seq-sorted views (see
-  /// TruthStoreBase::ReadRowsAt): every in-range segment row — read
-  /// through the block cache, seeking inside one block on a point read —
-  /// plus the pin's memtable rows. The building block of the partitioned
-  /// store's cross-partition merge (child memtable rows only carry
-  /// meaningful seqs under external_sequencing). The rows are NOT
-  /// deduplicated; callers replay them through a RawDatabase in order.
+  /// PartitionedTruthStore::ReadRowsAt): every in-range segment row —
+  /// read through the block cache, seeking inside one block on a point
+  /// read — plus the pin's memtable rows. Never retries: the pin's
+  /// refcounts guarantee every referenced segment file still exists. The
+  /// rows are NOT deduplicated; callers replay them through a RawDatabase
+  /// in order.
   Result<RowViews> CollectPinnedRows(const EpochPin& pin,
                                      const std::string* min_entity = nullptr,
                                      const std::string* max_entity = nullptr,
@@ -299,60 +332,28 @@ class TruthStore : public TruthStoreBase {
                                   const std::string& entity,
                                   const std::string& attribute) const;
 
-  // TruthStoreBase snapshot surface: the polymorphic spellings of
-  // PinEpoch / CollectPinnedRows / PinnedFactMayExist. A pin passed
-  // back must be one this store issued (checked, InvalidArgument).
-  std::unique_ptr<StorePin> PinSnapshot(
-      const std::string* min_entity = nullptr,
-      const std::string* max_entity = nullptr) const override;
-  Result<RowViews> ReadRowsAt(const StorePin& pin,
-                              const std::string* min_entity,
-                              const std::string* max_entity,
-                              RangeScanStats* stats = nullptr) const override;
-  Result<bool> SnapshotFactMayExist(const StorePin& pin,
-                                    const std::string& entity,
-                                    const std::string& attribute)
-      const override;
-
   /// In-memory data version: advances on every append and every manifest
-  /// commit. Keys the posterior cache.
-  uint64_t epoch() const override LTM_EXCLUDES(mu_);
+  /// commit.
+  uint64_t epoch() const LTM_EXCLUDES(mu_);
 
-  TruthStoreStats Stats() const override LTM_EXCLUDES(mu_);
+  TruthStoreStats Stats() const LTM_EXCLUDES(mu_);
 
   /// Copy of the committed segment list (observability: store_cli
   /// inspect walks it to print per-level layout and bloom geometry).
   std::vector<SegmentInfo> segments() const LTM_EXCLUDES(mu_);
 
   /// Live EpochPin handles outstanding (observability + tests).
-  size_t num_pinned_epochs() const override LTM_EXCLUDES(mu_);
+  size_t num_pinned_epochs() const LTM_EXCLUDES(mu_);
   /// Superseded segments whose files are retained for live pins.
   size_t num_deferred_segments() const LTM_EXCLUDES(mu_);
 
-  /// The next ingest sequence number this store would accept/assign:
-  /// manifest next_row_seq, or one past the largest externally sequenced
-  /// row still in the memtable. The partitioned router recovers its
-  /// global sequence counter from the max of this over all children.
+  /// One past the largest ingest sequence number this store holds:
+  /// manifest next_row_seq, or one past the largest memtable row's seq.
+  /// The partitioned router recovers its global sequence counter from the
+  /// max of this over all children.
   uint64_t NextRowSeq() const LTM_EXCLUDES(mu_);
 
-  PosteriorCache& posterior_cache() { return cache_; }
-  PosteriorCache& posterior_cache_for(std::string_view entity) override {
-    (void)entity;
-    return cache_;
-  }
-  void ClearPosteriorCaches() override { cache_.Clear(); }
-  CacheStats PosteriorCacheStats() const override { return cache_.Stats(); }
-  /// The shared data-block cache (internally thread-safe).
-  BlockCache& block_cache() const { return block_cache_; }
-
-  /// The registry this store publishes into: the injected
-  /// TruthStoreOptions::metrics, or the store's own private registry.
-  /// Serving components layered on the store (ServeSession,
-  /// RefitScheduler) register their metrics here so one RenderText()
-  /// covers the whole stack. Never null.
-  obs::MetricsRegistry* metrics() const override { return metrics_; }
-
-  const std::string& dir() const override { return dir_; }
+  const std::string& dir() const { return dir_; }
 
   /// Offline integrity check of a store directory: manifest readable,
   /// every segment parses with valid checksums end to end and matches its
@@ -403,10 +404,9 @@ class TruthStore : public TruthStoreBase {
   mutable Mutex mu_;
   Manifest manifest_ LTM_GUARDED_BY(mu_);
   RawDatabase memtable_ LTM_GUARDED_BY(mu_);
-  /// Under external_sequencing: the caller-assigned seq of memtable row
-  /// i (the memtable dedups, so a seq is recorded only when its Add grew
-  /// the row count — keeping the FIRST occurrence's seq, the same rule
-  /// compaction applies). Empty in internal mode.
+  /// The caller-assigned seq of memtable row i (the memtable dedups, so a
+  /// seq is recorded only when its Add grew the row count — keeping the
+  /// FIRST occurrence's seq, the same rule compaction applies).
   std::vector<uint64_t> memtable_seqs_ LTM_GUARDED_BY(mu_);
   std::optional<WalWriter> wal_ LTM_GUARDED_BY(mu_);
   uint64_t epoch_ LTM_GUARDED_BY(mu_) = 0;
@@ -434,8 +434,8 @@ class TruthStore : public TruthStoreBase {
       readers_ LTM_GUARDED_BY(readers_mu_);
 
   /// Registry plumbing. owned_metrics_ backs metrics_ when no registry
-  /// was injected; both are declared before the caches so the registry
-  /// exists when their constructors register `ltm_cache_*` metrics.
+  /// was injected; both are declared before the block cache so the
+  /// registry exists when its constructor registers metrics.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;  // never null
 
@@ -464,7 +464,6 @@ class TruthStore : public TruthStoreBase {
   obs::Gauge* memtable_rows_gauge_;
   obs::Gauge* live_pins_gauge_;
 
-  PosteriorCache cache_;
   mutable BlockCache block_cache_;
 };
 
@@ -472,6 +471,29 @@ class TruthStore : public TruthStoreBase {
 /// ("wal-000007.log") for `id`.
 std::string SegmentFileName(uint64_t id);
 std::string WalFileName(uint64_t seq);
+
+/// True for the name of a file a TruthStore directory holds: its
+/// MANIFEST, a WAL ("wal-*.log"), a segment ("seg-*.blk", or a
+/// pre-block-format "seg-*.snap"), or the ".tmp" file of an atomic write
+/// of one of them.
+bool IsStoreFileName(std::string_view name);
+
+/// Checks that `dir`, which holds no MANIFEST, holds no committed store
+/// data either: no segment and no WAL longer than its header. A crashed
+/// first open leaves at most a header-sized WAL, so anything more means
+/// a store that lost its MANIFEST, and initializing a fresh store over it
+/// would destroy that data. FailedPrecondition names the first such file.
+Status CheckNoUnmanifestedData(const std::string& dir);
+
+/// Replays WAL `records` (read from `wal_path`) into the deduplicating
+/// `memtable` the way TruthStore::Open recovers its tail: the first
+/// occurrence of an (entity, attribute, source) row wins, and each new
+/// row appends its record's seq to `seqs`. Records with observation != 1
+/// are rejected with InvalidArgument.
+Status ReplayWalIntoMemtable(const std::vector<WalRecord>& records,
+                             const std::string& wal_path,
+                             RawDatabase* memtable,
+                             std::vector<uint64_t>* seqs);
 
 }  // namespace store
 }  // namespace ltm

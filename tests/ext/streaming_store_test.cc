@@ -8,7 +8,7 @@
 #include "ext/streaming.h"
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
-#include "store/truth_store.h"
+#include "store/partitioned_store.h"
 #include "test_util.h"
 #include "truth/ltm.h"
 #include "truth/ltm_incremental.h"
@@ -80,9 +80,9 @@ TEST_F(StreamingStoreTest, ObserveToStoreRequiresAnAttachedStore) {
 }
 
 TEST_F(StreamingStoreTest, BootstrapObserveAndServeAgainstTheStore) {
-  auto store = store::TruthStore::Open(dir_);
+  auto store = store::PartitionedTruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(history_).ok());
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
 
   StreamingPipeline pipeline(Options());
@@ -104,10 +104,10 @@ TEST_F(StreamingStoreTest, BootstrapObserveAndServeAgainstTheStore) {
   FactKey(chunk_a_, 0, &entity, &attribute);
   auto served = (*session)->Query({entity, attribute});
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  const uint64_t hits_before = (*store)->posterior_cache().hits();
+  const uint64_t hits_before = (*store)->PosteriorCacheStats().hits;
   auto repeat = (*session)->Query({entity, attribute});
   ASSERT_TRUE(repeat.ok());
-  EXPECT_GT((*store)->posterior_cache().hits(), hits_before);
+  EXPECT_GT((*store)->PosteriorCacheStats().hits, hits_before);
   EXPECT_DOUBLE_EQ(*served, *repeat);
 
   // The chunk's entities are new, so the full-evidence posterior agrees
@@ -123,9 +123,9 @@ TEST_F(StreamingStoreTest, BootstrapObserveAndServeAgainstTheStore) {
 }
 
 TEST_F(StreamingStoreTest, QueryRecomputesAfterNewEvidence) {
-  auto store = store::TruthStore::Open(dir_);
+  auto store = store::PartitionedTruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(history_).ok());
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
 
   StreamingPipeline pipeline(Options());
   ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
@@ -137,10 +137,10 @@ TEST_F(StreamingStoreTest, QueryRecomputesAfterNewEvidence) {
   auto first = (*session)->Query({entity, attribute});
   ASSERT_TRUE(first.ok());
   // Second read at the same epoch: served from cache.
-  const uint64_t misses_before = (*store)->posterior_cache().misses();
+  const uint64_t misses_before = (*store)->PosteriorCacheStats().misses;
   auto second = (*session)->Query({entity, attribute});
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*store)->posterior_cache().misses(), misses_before);
+  EXPECT_EQ((*store)->PosteriorCacheStats().misses, misses_before);
   EXPECT_DOUBLE_EQ(*first, *second);
 
   // New evidence advances the store epoch; the stale entry must not be
@@ -148,13 +148,13 @@ TEST_F(StreamingStoreTest, QueryRecomputesAfterNewEvidence) {
   ASSERT_TRUE(pipeline.ObserveToStore(chunk_a_).ok());
   auto third = (*session)->Query({entity, attribute});
   ASSERT_TRUE(third.ok());
-  EXPECT_GT((*store)->posterior_cache().misses(), misses_before);
+  EXPECT_GT((*store)->PosteriorCacheStats().misses, misses_before);
 }
 
 TEST_F(StreamingStoreTest, QueryMatchesFullGraphClosedForm) {
-  auto store = store::TruthStore::Open(dir_);
+  auto store = store::PartitionedTruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(history_).ok());
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
 
   StreamingPipeline pipeline(Options());
@@ -179,9 +179,9 @@ TEST_F(StreamingStoreTest, QueryMatchesFullGraphClosedForm) {
 }
 
 TEST_F(StreamingStoreTest, EpochDeltaTriggersRefit) {
-  auto store = store::TruthStore::Open(dir_);
+  auto store = store::PartitionedTruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(history_).ok());
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
 
   StreamingOptions options = Options();
   options.ltm.refit_epoch_delta = 1;  // any new evidence forces a refit
@@ -192,9 +192,9 @@ TEST_F(StreamingStoreTest, EpochDeltaTriggersRefit) {
 
   // With the trigger disabled, the same ingest does not refit.
   std::filesystem::remove_all(dir_ + "_no_trigger");
-  auto store2 = store::TruthStore::Open(dir_ + "_no_trigger");
+  auto store2 = store::PartitionedTruthStore::Open(dir_ + "_no_trigger");
   ASSERT_TRUE(store2.ok());
-  ASSERT_TRUE((*store2)->AppendDataset(history_).ok());
+  ASSERT_TRUE((*store2)->AppendRaw(history_.raw).ok());
   StreamingPipeline lazy(Options());
   ASSERT_TRUE(lazy.BootstrapFromStore(store2->get()).ok());
   ASSERT_TRUE(lazy.ObserveToStore(chunk_a_).ok());
@@ -205,9 +205,9 @@ TEST_F(StreamingStoreTest, EpochDeltaTriggersRefit) {
 // (a foreign writer appending straight to the store) — even when the
 // chunk-count trigger also fires, which only refits the in-memory mirror.
 TEST_F(StreamingStoreTest, EpochRefitCoversForeignDurableAppends) {
-  auto store = store::TruthStore::Open(dir_);
+  auto store = store::PartitionedTruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(history_).ok());
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
 
   StreamingOptions options = Options();
   options.refit_every_chunks = 1;     // chunk-count refit every observe
@@ -216,7 +216,7 @@ TEST_F(StreamingStoreTest, EpochRefitCoversForeignDurableAppends) {
   ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
 
   // Foreign writer: evidence reaches the store without the pipeline.
-  ASSERT_TRUE((*store)->AppendDataset(chunk_b_).ok());
+  ASSERT_TRUE((*store)->AppendRaw(chunk_b_.raw).ok());
   ASSERT_TRUE(pipeline.ObserveToStore(chunk_a_).ok());
   EXPECT_TRUE(pipeline.last_refit());
 
@@ -237,17 +237,17 @@ TEST_F(StreamingStoreTest, EpochRefitCoversForeignDurableAppends) {
 // bootstraps sees exactly the batch fit over everything ever ingested.
 TEST_F(StreamingStoreTest, RestartResumesFromDurableState) {
   {
-    auto store = store::TruthStore::Open(dir_);
+    auto store = store::PartitionedTruthStore::Open(dir_);
     ASSERT_TRUE(store.ok());
     StreamingPipeline pipeline(Options());
-    ASSERT_TRUE((*store)->AppendDataset(history_).ok());
+    ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
     ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
     ASSERT_TRUE(pipeline.ObserveToStore(chunk_a_).ok());
     ASSERT_TRUE(pipeline.ObserveToStore(chunk_b_).ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }  // process "dies"
 
-  auto reopened = store::TruthStore::Open(dir_);
+  auto reopened = store::PartitionedTruthStore::Open(dir_);
   ASSERT_TRUE(reopened.ok());
   StreamingPipeline resumed(Options());
   ASSERT_TRUE(resumed.BootstrapFromStore(reopened->get()).ok());

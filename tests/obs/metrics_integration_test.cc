@@ -1,5 +1,5 @@
 // End-to-end registry coverage: one injected MetricsRegistry observes a
-// real TruthStore (WAL, flush, compaction, caches), a ServeSession over
+// real store (WAL, flush, compaction, caches), a ServeSession over
 // it, and a Gibbs inference run — the unified-observability contract
 // that the whole stack reports through one exposition surface.
 
@@ -17,7 +17,7 @@
 #include "obs/metrics.h"
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
-#include "store/truth_store.h"
+#include "store/partitioned_store.h"
 #include "test_util.h"
 #include "truth/registry.h"
 
@@ -70,9 +70,9 @@ TEST(ObsMetricsIntegrationTest, OneRegistryObservesStoreServeAndInference) {
 
   // Store phase: two flushed segments, then a forced compaction — WAL,
   // flush, and compaction counters all move.
-  store::TruthStoreOptions store_options;
-  store_options.metrics = &registry;
-  auto store = store::TruthStore::Open(dir, store_options);
+  store::PartitionedStoreOptions store_options;
+  store_options.store.metrics = &registry;
+  auto store = store::PartitionedTruthStore::Open(dir, store_options);
   ASSERT_TRUE(store.ok());
   std::vector<EntityId> first_half;
   for (EntityId e = 0; e < world.raw.NumEntities() / 2; ++e) {
@@ -80,7 +80,7 @@ TEST(ObsMetricsIntegrationTest, OneRegistryObservesStoreServeAndInference) {
   }
   auto [second, first] = world.SplitByEntities(first_half);
   for (const Dataset* part : {&first, &second}) {
-    ASSERT_TRUE((*store)->AppendDataset(*part).ok());
+    ASSERT_TRUE((*store)->AppendRaw(part->raw).ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
   ASSERT_TRUE((*store)->Compact().ok());
@@ -150,11 +150,9 @@ TEST(ObsMetricsIntegrationTest, StoresWithoutInjectionStayPrivate) {
   fs::remove_all(dir);
 
   MetricsRegistry bystander;
-  auto store = store::TruthStore::Open(dir);
+  auto store = store::PartitionedTruthStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(
-      (*store)->AppendDataset(Dataset::FromRaw("w", testing::RandomRaw(5)))
-          .ok());
+  ASSERT_TRUE((*store)->AppendRaw(testing::RandomRaw(5)).ok());
   ASSERT_TRUE((*store)->Flush().ok());
 
   EXPECT_EQ(bystander.NumMetrics(), 0u);

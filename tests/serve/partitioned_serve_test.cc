@@ -10,9 +10,9 @@
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
 #include "store/partitioned_store.h"
-#include "store/truth_store.h"
 #include "test_util.h"
 #include "truth/ltm.h"
+#include "truth/ltm_incremental.h"
 
 namespace ltm {
 namespace serve {
@@ -121,14 +121,17 @@ TEST_F(ServeSessionPartitionedTest, QueryEntityRangeGloballyOrdered) {
   }
 }
 
-// Point queries through the router serve the same bits a single-store
-// session serves for identical data — partitioning is invisible to the
-// serving surface.
+// Point queries through a 3-way store serve the same bits as a session
+// over a one-partition store holding the same rows, and both equal the
+// batch-load oracle: a pipeline bootstrapped from Dataset::FromRaw of the
+// rows, scoring the entity's slice with LTMinc — partitioning is
+// invisible to the serving surface.
 TEST_F(ServeSessionPartitionedTest, QueriesMatchSingleStoreSession) {
   BootstrapPartitioned();
 
-  auto single = store::TruthStore::Open(root_ + "/single");
+  auto single = store::PartitionedTruthStore::Open(root_ + "/single");
   ASSERT_TRUE(single.ok());
+  ASSERT_EQ((*single)->num_partitions(), 1u);
   ASSERT_TRUE((*single)->AppendRaw(raw_).ok());
   ASSERT_TRUE((*single)->Flush().ok());
   ext::StreamingPipeline single_pipeline(Options());
@@ -137,6 +140,10 @@ TEST_F(ServeSessionPartitionedTest, QueriesMatchSingleStoreSession) {
       ServeSession::Create(&single_pipeline, ServeOptions());
   ASSERT_TRUE(single_session.ok());
 
+  ext::StreamingPipeline batch_pipeline(Options());
+  ASSERT_TRUE(batch_pipeline.Bootstrap(Dataset::FromRaw("batch", raw_)).ok());
+  const SourceQuality& fitted = batch_pipeline.quality();
+
   for (const char* e : {"apple", "grape", "mango", "zucchini"}) {
     const FactRef ref{e, std::string(e) + "-color"};
     auto parted = session_->Query(ref);
@@ -144,6 +151,34 @@ TEST_F(ServeSessionPartitionedTest, QueriesMatchSingleStoreSession) {
     ASSERT_TRUE(parted.ok());
     ASSERT_TRUE(plain.ok());
     EXPECT_EQ(*parted, *plain) << e;  // bit-identical
+
+    // The oracle: the entity's rows carved from the batch rows, the
+    // batch fit's quality remapped onto the slice's sources by name.
+    RawDatabase rows;
+    for (const RawRow& row : raw_.rows()) {
+      if (raw_.entities().Get(row.entity) != ref.entity) continue;
+      rows.Add(ref.entity, raw_.attributes().Get(row.attribute),
+               raw_.sources().Get(row.source));
+    }
+    const Dataset slice = Dataset::FromRaw("slice", std::move(rows));
+    SourceQuality quality;
+    for (SourceId s = 0; s < slice.raw.NumSources(); ++s) {
+      const auto id =
+          batch_pipeline.cumulative_sources().Find(slice.raw.sources().Get(s));
+      ASSERT_TRUE(id.has_value());
+      quality.sensitivity.push_back(fitted.sensitivity[*id]);
+      quality.specificity.push_back(fitted.specificity[*id]);
+      quality.precision.push_back(0.0);
+      quality.accuracy.push_back(0.0);
+    }
+    quality.expected_counts.resize(slice.raw.NumSources());
+    LtmIncremental scorer(std::move(quality), Options().ltm);
+    const TruthEstimate oracle = scorer.Score(slice.facts, slice.graph);
+    const auto fid = slice.facts.Find(*slice.raw.entities().Find(ref.entity),
+                                      *slice.raw.attributes().Find(
+                                          ref.attribute));
+    ASSERT_TRUE(fid.has_value());
+    EXPECT_EQ(*parted, oracle.probability[*fid]) << e;  // bit-identical
   }
 }
 
@@ -185,13 +220,18 @@ TEST_F(ServeSessionPartitionedTest, PartitionsSpecKeyCarvesTheStore) {
   store::PartitionedStoreOptions popts;
   popts.store = options->ApplyToStore(popts.store);
   popts.partitions = options->partitions;
-  auto store = store::OpenTruthStoreAuto(root_ + "/spec", popts);
+  auto store = store::PartitionedTruthStore::Open(root_ + "/spec", popts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ((*store)->num_partitions(), 3u);
 
   EXPECT_NE(options->ToSpecString().find("partitions=3"), std::string::npos);
   EXPECT_FALSE(ParseServeSpec("serve(partitions=0)").ok());
   EXPECT_FALSE(ParseServeSpec("serve(partitions=257)").ok());
+  // The spec bound is the store's own: everything the spec accepts, the
+  // store opens.
+  EXPECT_EQ(ParseServeSpec("serve(partitions=64)")->partitions,
+            store::kMaxPartitions);
+  EXPECT_FALSE(ParseServeSpec("serve(partitions=65)").ok());
 }
 
 }  // namespace

@@ -53,7 +53,8 @@ RawDatabase RandomRows(Rng* rng, size_t count, size_t entities,
 
 /// Appends `rows` one row per AppendRaw call, so rows a chunk repeats are
 /// stored twice (RawDatabase::Add would dedup them within one call).
-void AppendEachRow(store::TruthStoreBase* store, const RawDatabase& rows) {
+void AppendEachRow(store::PartitionedTruthStore* store,
+                   const RawDatabase& rows) {
   for (const RawRow& row : rows.rows()) {
     RawDatabase one;
     one.Add(rows.entities().Get(row.entity),

@@ -16,7 +16,7 @@
 #include "serve/refit_scheduler.h"
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
-#include "store/truth_store.h"
+#include "store/partitioned_store.h"
 #include "test_util.h"
 #include "truth/ltm.h"
 
@@ -55,10 +55,10 @@ class ServeSessionTest : public ::testing::Test {
   /// Opens the store, ingests + flushes `history_`, and bootstraps the
   /// pipeline from it.
   void Bootstrap(ext::StreamingOptions options) {
-    auto store = store::TruthStore::Open(dir_);
+    auto store = store::PartitionedTruthStore::Open(dir_);
     ASSERT_TRUE(store.ok());
     store_ = std::move(*store);
-    ASSERT_TRUE(store_->AppendDataset(history_).ok());
+    ASSERT_TRUE(store_->AppendRaw(history_.raw).ok());
     ASSERT_TRUE(store_->Flush().ok());
     pipeline_ = std::make_unique<ext::StreamingPipeline>(options);
     ASSERT_TRUE(pipeline_->BootstrapFromStore(store_.get()).ok());
@@ -97,7 +97,7 @@ class ServeSessionTest : public ::testing::Test {
   Dataset world_;
   Dataset history_;
   Dataset arrivals_;
-  std::unique_ptr<store::TruthStore> store_;
+  std::unique_ptr<store::PartitionedTruthStore> store_;
   std::unique_ptr<ext::StreamingPipeline> pipeline_;
 };
 
@@ -235,7 +235,7 @@ TEST_F(ServeSessionTest, BackgroundSchedulerRefitsAfterForeignIngest) {
 
   // Foreign writer: rows reach the store without the pipeline seeing
   // them; NotifyIngest arms the background refit.
-  ASSERT_TRUE(store_->AppendDataset(arrivals_).ok());
+  ASSERT_TRUE(store_->AppendRaw(arrivals_.raw).ok());
   ASSERT_TRUE((*session)->NotifyIngest().ok());
 
   // The refit runs on the pool; wait for it to land.

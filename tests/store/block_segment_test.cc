@@ -11,6 +11,7 @@
 
 #include "store/block_cache.h"
 #include "store/block_format.h"
+#include "store/child_store_util.h"
 #include "store/truth_store.h"
 #include "test_util.h"
 
@@ -432,10 +433,9 @@ TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
       std::snprintf(entity, sizeof(entity), "movie-%05zu",
                     seg * kEntities + e);
       for (int a = 0; a < 2; ++a) {
-        ASSERT_TRUE((*store)
-                        ->Append(WalRecord{entity,
-                                           "attr-" + std::to_string(a),
-                                           "source-" + std::to_string(a), 1})
+        ASSERT_TRUE(AppendNext(store->get(),
+                               WalRecord{entity, "attr-" + std::to_string(a),
+                                         "source-" + std::to_string(a), 1})
                         .ok());
       }
     }
@@ -449,7 +449,7 @@ TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
   const auto pin = (*store)->PinEpoch();
   const std::string key = "movie-00100";  // lives in segment 4 of 8
   RangeScanStats rs;
-  auto slice = (*store)->MaterializeFromPin(*pin, &key, &key, &rs);
+  auto slice = PinnedDataset(**store, *pin, &key, &key, &rs);
   ASSERT_TRUE(slice.ok()) << slice.status().ToString();
   EXPECT_EQ(slice->raw.NumRows(), 2u);
   EXPECT_EQ(slice->raw.NumEntities(), 1u);
@@ -462,7 +462,7 @@ TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
   // The same lookup again is served from the block cache: one block
   // decoded, zero disk bytes.
   RangeScanStats warm;
-  auto again = (*store)->MaterializeFromPin(*pin, &key, &key, &warm);
+  auto again = PinnedDataset(**store, *pin, &key, &key, &warm);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(warm.blocks_read, 1u);
   EXPECT_EQ(warm.block_cache_hits, 1u);
@@ -473,11 +473,11 @@ TEST_F(BlockSegmentTest, PinnedFactMayExistAnswersFromBloomsAlone) {
   auto store = TruthStore::Open(Path("store"));
   ASSERT_TRUE(store.ok());
   for (const char* e : {"apple", "banana"}) {
-    ASSERT_TRUE((*store)->Append(WalRecord{e, "color", "s1", 1}).ok());
+    ASSERT_TRUE(AppendNext(store->get(), WalRecord{e, "color", "s1", 1}).ok());
   }
   ASSERT_TRUE((*store)->Flush().ok());
   for (const char* e : {"cherry", "damson"}) {
-    ASSERT_TRUE((*store)->Append(WalRecord{e, "color", "s1", 1}).ok());
+    ASSERT_TRUE(AppendNext(store->get(), WalRecord{e, "color", "s1", 1}).ok());
   }
   ASSERT_TRUE((*store)->Flush().ok());
 
@@ -493,7 +493,8 @@ TEST_F(BlockSegmentTest, PinnedFactMayExistAnswersFromBloomsAlone) {
   EXPECT_GT((*store)->Stats().bloom_point_skips, skips_before);
 
   // Memtable rows are visible to the probe before any flush.
-  ASSERT_TRUE((*store)->Append(WalRecord{"elder", "color", "s1", 1}).ok());
+  ASSERT_TRUE(
+      AppendNext(store->get(), WalRecord{"elder", "color", "s1", 1}).ok());
   const auto pin2 = (*store)->PinEpoch();
   auto memtable_hit = (*store)->PinnedFactMayExist(*pin2, "elder", "color");
   ASSERT_TRUE(memtable_hit.ok());

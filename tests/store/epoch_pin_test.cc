@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "store/child_store_util.h"
 #include "store/truth_store.h"
 #include "test_util.h"
 
@@ -55,12 +56,13 @@ class EpochPinTest : public ::testing::Test {
 TEST_F(EpochPinTest, MaterializeFromPinMatchesMaterializeAtCapture) {
   auto store = TruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(base_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), base_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
-  ASSERT_TRUE((*store)->AppendDataset(extra_).ok());  // memtable rows too
+  ASSERT_TRUE(AppendAll(store->get(), extra_.raw).ok());  // memtable rows too
 
   uint64_t epoch = 0;
-  auto at_capture = (*store)->Materialize(&epoch);
+  auto at_capture =
+      MaterializeChild(**store, nullptr, nullptr, nullptr, &epoch);
   ASSERT_TRUE(at_capture.ok());
 
   const auto pin = (*store)->PinEpoch();
@@ -69,18 +71,18 @@ TEST_F(EpochPinTest, MaterializeFromPinMatchesMaterializeAtCapture) {
   EXPECT_EQ((*store)->Stats().live_pins, 1u);
 
   // The store moves on; the pin must not.
-  ASSERT_TRUE((*store)->AppendDataset(world_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), world_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
   ASSERT_GT((*store)->epoch(), epoch);
 
-  auto pinned = (*store)->MaterializeFromPin(*pin);
+  auto pinned = PinnedDataset(**store, *pin);
   ASSERT_TRUE(pinned.ok());
   EXPECT_EQ(Triples(*pinned), Triples(*at_capture));
 
   // A bounded read through the same pin re-filters to the bounds.
   const std::string entity =
       std::string(base_.raw.entities().Get(0));
-  auto bounded = (*store)->MaterializeFromPin(*pin, &entity, &entity);
+  auto bounded = PinnedDataset(**store, *pin, &entity, &entity);
   ASSERT_TRUE(bounded.ok());
   for (const auto& [e, a, s] : Triples(*bounded)) {
     EXPECT_EQ(e, entity);
@@ -91,13 +93,13 @@ TEST_F(EpochPinTest, PinSurvivesCompactionAndFlush) {
   auto store = TruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   // Two segments so compaction has something to merge.
-  ASSERT_TRUE((*store)->AppendDataset(base_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), base_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
-  ASSERT_TRUE((*store)->AppendDataset(extra_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), extra_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
 
   const auto pin = (*store)->PinEpoch();
-  auto baseline = (*store)->MaterializeFromPin(*pin);
+  auto baseline = PinnedDataset(**store, *pin);
   ASSERT_TRUE(baseline.ok());
   std::vector<std::string> pinned_files;
   for (const SegmentInfo& seg : pin->segments()) {
@@ -108,7 +110,7 @@ TEST_F(EpochPinTest, PinSurvivesCompactionAndFlush) {
 
   // Compaction supersedes both pinned segments; their files must be
   // retained (deferred), not deleted, while the pin lives.
-  ASSERT_TRUE((*store)->AppendDataset(world_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), world_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
   ASSERT_TRUE((*store)->Compact().ok());
   EXPECT_EQ((*store)->num_deferred_segments(), pinned_files.size());
@@ -118,7 +120,7 @@ TEST_F(EpochPinTest, PinSurvivesCompactionAndFlush) {
   }
 
   // The pinned view is unchanged — same triples in the same order.
-  auto reread = (*store)->MaterializeFromPin(*pin);
+  auto reread = PinnedDataset(**store, *pin);
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(Triples(*reread), Triples(*baseline));
 }
@@ -126,9 +128,9 @@ TEST_F(EpochPinTest, PinSurvivesCompactionAndFlush) {
 TEST_F(EpochPinTest, DroppingLastPinReclaimsDeferredSegments) {
   auto store = TruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(base_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), base_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
-  ASSERT_TRUE((*store)->AppendDataset(extra_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), extra_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
 
   std::vector<std::string> pinned_files;
@@ -150,7 +152,7 @@ TEST_F(EpochPinTest, DroppingLastPinReclaimsDeferredSegments) {
     for (const std::string& path : pinned_files) {
       EXPECT_TRUE(fs::exists(path)) << path;
     }
-    auto pinned = (*store)->MaterializeFromPin(*outer);
+    auto pinned = PinnedDataset(**store, *outer);
     ASSERT_TRUE(pinned.ok());
   }
   // Last pin dropped: deferred files are reclaimed.
@@ -165,7 +167,7 @@ TEST_F(EpochPinTest, FailpointDuringPinnedReadSurfacesAndRecovers) {
   {
     auto store = TruthStore::Open(dir_);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->AppendDataset(base_).ok());
+    ASSERT_TRUE(AppendAll(store->get(), base_.raw).ok());
     ASSERT_TRUE((*store)->Flush().ok());
 
     const auto pin = (*store)->PinEpoch();
@@ -176,13 +178,13 @@ TEST_F(EpochPinTest, FailpointDuringPinnedReadSurfacesAndRecovers) {
         }
         return Status::OK();
       });
-      auto failed = (*store)->MaterializeFromPin(*pin);
+      auto failed = PinnedDataset(**store, *pin);
       ASSERT_FALSE(failed.ok());
       EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
     }
     // The failure left no partial state: the same pin reads fine, and
     // the pin still releases cleanly below.
-    auto retried = (*store)->MaterializeFromPin(*pin);
+    auto retried = PinnedDataset(**store, *pin);
     ASSERT_TRUE(retried.ok());
     EXPECT_EQ(retried->raw.NumRows(), base_.raw.NumRows());
   }  // pin and store torn down with the failpoint long gone
@@ -193,7 +195,7 @@ TEST_F(EpochPinTest, FailpointDuringPinnedReadSurfacesAndRecovers) {
   EXPECT_TRUE(verify->orphan_files.empty());
   auto reopened = TruthStore::Open(dir_);
   ASSERT_TRUE(reopened.ok());
-  auto ds = (*reopened)->Materialize();
+  auto ds = MaterializeChild(**reopened);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->raw.NumRows(), base_.raw.NumRows());
 }
@@ -204,11 +206,11 @@ TEST_F(EpochPinTest, FailpointDuringPinnedReadSurfacesAndRecovers) {
 TEST_F(EpochPinTest, ConcurrentPinnedReadsSeeFrozenStateUnderWriters) {
   auto store = TruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->AppendDataset(base_).ok());
+  ASSERT_TRUE(AppendAll(store->get(), base_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
 
   const auto pin = (*store)->PinEpoch();
-  auto baseline = (*store)->MaterializeFromPin(*pin);
+  auto baseline = PinnedDataset(**store, *pin);
   ASSERT_TRUE(baseline.ok());
   const auto expect = Triples(*baseline);
 
@@ -218,7 +220,7 @@ TEST_F(EpochPinTest, ConcurrentPinnedReadsSeeFrozenStateUnderWriters) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&]() {
       while (!stop.load(std::memory_order_relaxed)) {
-        auto ds = (*store)->MaterializeFromPin(*pin);
+        auto ds = PinnedDataset(**store, *pin);
         if (!ds.ok() || Triples(*ds) != expect) {
           reader_failures.fetch_add(1, std::memory_order_relaxed);
           return;
@@ -234,7 +236,7 @@ TEST_F(EpochPinTest, ConcurrentPinnedReadsSeeFrozenStateUnderWriters) {
       one.Add(extra_.raw.entities().Get(rows[i].entity),
               extra_.raw.attributes().Get(rows[i].attribute),
               extra_.raw.sources().Get(rows[i].source));
-      if (!(*store)->AppendRaw(one).ok()) return;
+      if (!AppendAll(store->get(), one).ok()) return;
       if (i % 8 == 7 && !(*store)->Flush().ok()) return;
       if (i % 24 == 23 && !(*store)->Compact().ok()) return;
     }
@@ -245,7 +247,7 @@ TEST_F(EpochPinTest, ConcurrentPinnedReadsSeeFrozenStateUnderWriters) {
   EXPECT_EQ(reader_failures.load(), 0);
 
   // Writers made it all the way through while readers held the pin.
-  auto after = (*store)->Materialize();
+  auto after = MaterializeChild(**store);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->raw.NumRows(), base_.raw.NumRows() + extra_.raw.NumRows());
 }

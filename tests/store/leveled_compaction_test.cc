@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "store/child_store_util.h"
 #include "store/truth_store.h"
 #include "test_util.h"
 
@@ -40,19 +41,6 @@ class LeveledCompactionTest : public ::testing::Test {
   void TearDown() override { SetFailpointHandler(nullptr); }
 
   std::string Dir(const std::string& name) { return root_ + "/" + name; }
-
-  static Status AppendRows(TruthStore* st, const RawDatabase& raw,
-                           size_t from, size_t to) {
-    for (size_t i = from; i < to && i < raw.NumRows(); ++i) {
-      const RawRow& row = raw.rows()[i];
-      WalRecord record;
-      record.entity = std::string(raw.entities().Get(row.entity));
-      record.attribute = std::string(raw.attributes().Get(row.attribute));
-      record.source = std::string(raw.sources().Get(row.source));
-      LTM_RETURN_IF_ERROR(st->Append(record));
-    }
-    return st->Sync();
-  }
 
   std::string root_;
 };
@@ -90,7 +78,7 @@ TEST_F(LeveledCompactionTest, L0TriggerGatesCompactOnce) {
   EXPECT_GT(stats.compaction.bytes_read, 0u);
   EXPECT_GT(stats.compaction.bytes_written, 0u);
 
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(Triples(*ds),
             Triples(Dataset::FromRaw("batch", testing::RandomRaw(41))));
@@ -123,7 +111,7 @@ TEST_F(LeveledCompactionTest, LeveledStateRoundTripsReopenBitIdentical) {
 
   auto reopened = TruthStore::Open(dir, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto ds = (*reopened)->Materialize();
+  auto ds = MaterializeChild(**reopened);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(Triples(*ds),
             Triples(Dataset::FromRaw("batch", testing::RandomRaw(42))));
@@ -175,7 +163,7 @@ TEST_F(LeveledCompactionTest, OverBudgetLevelSpillsByTrivialMoveWithoutIo) {
   }
   EXPECT_TRUE(moved);
 
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(Triples(*ds),
             Triples(Dataset::FromRaw("batch", testing::RandomRaw(43))));
@@ -188,14 +176,18 @@ TEST_F(LeveledCompactionTest, DuplicateSourceRowsCollapseWithoutChangingData) {
   ASSERT_TRUE(st.ok());
   // The same (entity, attribute, source) triple lands in two segments —
   // re-asserted evidence, not new evidence.
-  ASSERT_TRUE((*st)->Append(WalRecord{"apple", "color", "s1", 1}).ok());
-  ASSERT_TRUE((*st)->Append(WalRecord{"banana", "color", "s1", 1}).ok());
+  ASSERT_TRUE(
+      AppendNext(st->get(), WalRecord{"apple", "color", "s1", 1}).ok());
+  ASSERT_TRUE(
+      AppendNext(st->get(), WalRecord{"banana", "color", "s1", 1}).ok());
   ASSERT_TRUE((*st)->Flush().ok());
-  ASSERT_TRUE((*st)->Append(WalRecord{"apple", "color", "s1", 1}).ok());
-  ASSERT_TRUE((*st)->Append(WalRecord{"apple", "color", "s2", 1}).ok());
+  ASSERT_TRUE(
+      AppendNext(st->get(), WalRecord{"apple", "color", "s1", 1}).ok());
+  ASSERT_TRUE(
+      AppendNext(st->get(), WalRecord{"apple", "color", "s2", 1}).ok());
   ASSERT_TRUE((*st)->Flush().ok());
 
-  auto before = (*st)->Materialize();
+  auto before = MaterializeChild(**st);
   ASSERT_TRUE(before.ok());
 
   ASSERT_TRUE((*st)->Compact().ok());
@@ -204,7 +196,7 @@ TEST_F(LeveledCompactionTest, DuplicateSourceRowsCollapseWithoutChangingData) {
 
   // Materialization already deduped (RawDatabase is a set), so the
   // physical drop must not change what readers see.
-  auto after = (*st)->Materialize();
+  auto after = MaterializeChild(**st);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(Triples(*after), Triples(*before));
 }
@@ -262,7 +254,7 @@ TEST_F(LeveledCompactionTest, ReopenAfterCrashAtNewBoundariesIsBitIdentical) {
     }
     auto st = TruthStore::Open(dir, options);
     ASSERT_TRUE(st.ok()) << st.status().ToString();
-    auto ds = (*st)->Materialize();
+    auto ds = MaterializeChild(**st);
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     EXPECT_EQ(Triples(*ds), batch_triples);
     // Recovery reaped any torn segment the crash left behind.
@@ -290,7 +282,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   ASSERT_TRUE((*st)->Flush().ok());
 
   auto pin = (*st)->PinEpoch();
-  auto baseline = (*st)->MaterializeFromPin(*pin);
+  auto baseline = PinnedDataset(**st, *pin);
   ASSERT_TRUE(baseline.ok());
   std::vector<std::string> pinned_files;
   for (const SegmentInfo& seg : pin->segments()) {
@@ -307,7 +299,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
     ASSERT_FALSE((*st)->CompactOnce().ok());
   }
   // The failed merge committed nothing: the pinned view is untouched.
-  auto after_crash = (*st)->MaterializeFromPin(*pin);
+  auto after_crash = PinnedDataset(**st, *pin);
   ASSERT_TRUE(after_crash.ok());
   EXPECT_EQ(Triples(*after_crash), Triples(*baseline));
 
@@ -320,7 +312,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   for (const std::string& path : pinned_files) {
     EXPECT_TRUE(fs::exists(path)) << path;
   }
-  auto after_compact = (*st)->MaterializeFromPin(*pin);
+  auto after_compact = PinnedDataset(**st, *pin);
   ASSERT_TRUE(after_compact.ok());
   EXPECT_EQ(Triples(*after_compact), Triples(*baseline));
 
@@ -330,7 +322,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   for (const std::string& path : pinned_files) {
     EXPECT_FALSE(fs::exists(path)) << path;
   }
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(Triples(*ds), Triples(*baseline));
   auto report = TruthStore::Verify(dir);

@@ -4,12 +4,17 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "data/tsv_io.h"
 #include "store/truth_store.h"
 #include "test_util.h"
 #include "truth/ltm.h"
@@ -42,9 +47,9 @@ class PartitionedTruthStoreTest : public ::testing::Test {
     return opts;
   }
 
-  /// Appends rows [from, to) of `raw` through the base surface, then
+  /// Appends rows [from, to) of `raw` one Append at a time, then
   /// Sync()s — the router assigns the global seqs.
-  static Status AppendRows(TruthStoreBase* st, const RawDatabase& raw,
+  static Status AppendRows(PartitionedTruthStore* st, const RawDatabase& raw,
                            size_t from, size_t to) {
     for (size_t i = from; i < to && i < raw.NumRows(); ++i) {
       const RawRow& row = raw.rows()[i];
@@ -68,6 +73,61 @@ class PartitionedTruthStoreTest : public ::testing::Test {
     opts.kernel = LtmKernel::kReference;
     LatentTruthModel model(opts);
     return model.Score(ds.facts, ds.graph).probability;
+  }
+
+  /// A private copy of the checked-in legacy single-store directory,
+  /// written by the build before the store became partition-only: one
+  /// flushed and compacted chunk, a second flushed chunk, and an
+  /// unflushed WAL tail holding duplicate (entity, attribute, source)
+  /// rows.
+  std::string CopyLegacyFixture(const std::string& name) {
+    const std::string dir = Dir(name);
+    fs::copy(LegacyFixtureDir(), dir, fs::copy_options::recursive);
+    return dir;
+  }
+
+  static std::string LegacyFixtureDir() {
+    return std::string(LTM_TESTDATA_DIR) + "/legacy_single_store";
+  }
+
+  /// The fixture's source chunks loaded as one batch, in ingest order —
+  /// what `ltm_cli` sees on the concatenated TSVs.
+  static Dataset LegacyFixtureBatch() {
+    RawDatabase raw;
+    for (int c = 1; c <= 5; ++c) {
+      auto chunk = LoadRawDatabaseFromTsv(std::string(LTM_TESTDATA_DIR) +
+                                          "/legacy_single_store_tsv/chunk" +
+                                          std::to_string(c) + ".tsv");
+      EXPECT_TRUE(chunk.ok()) << chunk.status().ToString();
+      if (!chunk.ok()) break;
+      for (const RawRow& row : chunk->rows()) {
+        raw.Add(chunk->entities().Get(row.entity),
+                chunk->attributes().Get(row.attribute),
+                chunk->sources().Get(row.source));
+      }
+    }
+    return Dataset::FromRaw("batch", std::move(raw));
+  }
+
+  /// Every regular file under `dir` (relative path -> bytes).
+  static std::map<std::string, std::string> FileBytes(const std::string& dir) {
+    std::map<std::string, std::string> out;
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      if (!entry.is_regular_file()) continue;
+      std::ifstream in(entry.path(), std::ios::binary);
+      out[fs::relative(entry.path(), dir).string()] =
+          std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return out;
+  }
+
+  /// Names of the entries directly under `dir`.
+  static std::set<std::string> Entries(const std::string& dir) {
+    std::set<std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      out.insert(entry.path().filename().string());
+    }
+    return out;
   }
 
   std::string root_;
@@ -117,25 +177,30 @@ TEST_F(PartitionedTruthStoreTest, OpenCarvesFreshDirectoryAndReopensIt) {
 }
 
 TEST_F(PartitionedTruthStoreTest, AutoOpenFollowsTheDirectoryLayout) {
-  // A PARTMAP directory opens partitioned even when asked for one.
+  // A PARTMAP directory keeps its layout even when asked for one
+  // partition.
   const std::string pdir = Dir("auto_part");
   { ASSERT_TRUE(PartitionedTruthStore::Open(pdir, FourWay()).ok()); }
   PartitionedStoreOptions one;
   one.partitions = 1;
-  auto as_auto = OpenTruthStoreAuto(pdir, one);
-  ASSERT_TRUE(as_auto.ok()) << as_auto.status().ToString();
-  EXPECT_EQ((*as_auto)->num_partitions(), 4u);
+  auto reopened = PartitionedTruthStore::Open(pdir, one);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->num_partitions(), 4u);
 
-  // A single-store directory is refused partitioned, not migrated.
-  const std::string sdir = Dir("auto_single");
-  { ASSERT_TRUE(TruthStore::Open(sdir).ok()); }
-  PartitionedStoreOptions four = FourWay();
-  EXPECT_EQ(OpenTruthStoreAuto(sdir, four).status().code(),
+  // A legacy single-store directory is refused for more than one
+  // partition, untouched...
+  const std::string sdir = CopyLegacyFixture("auto_single");
+  const auto legacy_bytes = FileBytes(sdir);
+  EXPECT_EQ(PartitionedTruthStore::Open(sdir, FourWay()).status().code(),
             StatusCode::kFailedPrecondition);
-  one.partitions = 1;
-  auto as_single = OpenTruthStoreAuto(sdir, one);
-  ASSERT_TRUE(as_single.ok()) << as_single.status().ToString();
-  EXPECT_EQ((*as_single)->num_partitions(), 1u);
+  EXPECT_EQ(FileBytes(sdir), legacy_bytes);
+
+  // ...and converted into exactly one partition otherwise.
+  auto converted = PartitionedTruthStore::Open(sdir, one);
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  EXPECT_EQ((*converted)->num_partitions(), 1u);
+  EXPECT_EQ(Entries(sdir), (std::set<std::string>{kPartitionMapFileName,
+                                                  PartitionDirName(1)}));
 }
 
 TEST_F(PartitionedTruthStoreTest, RoutesAppendsByEntityRange) {
@@ -168,23 +233,25 @@ TEST_F(PartitionedTruthStoreTest, RoutesAppendsByEntityRange) {
   EXPECT_GT(slice->raw.NumRows(), 0u);
 }
 
-// The tentpole acceptance pin: the same rows ingested in the same order
-// into a 4-way partitioned store and into a single store yield
-// BIT-IDENTICAL posteriors under the reference kernel — partitioning is
-// invisible to inference because global ingest order is reproduced
-// exactly from the per-partition WALs and segments.
+// The partitioning acceptance pin: the same rows ingested in the same
+// order into a 4-way and a one-partition store yield BIT-IDENTICAL
+// posteriors under the reference kernel, and both equal the batch load
+// of those rows — partitioning is invisible to inference because global
+// ingest order is reproduced exactly from the per-partition WALs and
+// segments.
 TEST_F(PartitionedTruthStoreTest, PinnedPosteriorsBitIdenticalToSingleStore) {
   const RawDatabase raw = testing::RandomRaw(21);
   const size_t n = raw.NumRows();
+  const Dataset batch = Dataset::FromRaw("batch", testing::RandomRaw(21));
+  const std::vector<double> batch_posteriors = LtmPosteriors(batch);
 
-  auto single = TruthStore::Open(Dir("single"));
+  auto single = PartitionedTruthStore::Open(Dir("single"));
   ASSERT_TRUE(single.ok());
+  ASSERT_EQ((*single)->num_partitions(), 1u);
   auto parted = PartitionedTruthStore::Open(Dir("parted"), FourWay());
   ASSERT_TRUE(parted.ok());
 
-  for (TruthStoreBase* st :
-       {static_cast<TruthStoreBase*>(single->get()),
-        static_cast<TruthStoreBase*>(parted->get())}) {
+  for (PartitionedTruthStore* st : {single->get(), parted->get()}) {
     ASSERT_TRUE(AppendRows(st, raw, 0, n / 3).ok());
     ASSERT_TRUE(st->Flush().ok());
     ASSERT_TRUE(AppendRows(st, raw, n / 3, 2 * n / 3).ok());
@@ -198,8 +265,10 @@ TEST_F(PartitionedTruthStoreTest, PinnedPosteriorsBitIdenticalToSingleStore) {
   ASSERT_TRUE(ds_single.ok());
   auto ds_parted = (*parted)->Materialize();
   ASSERT_TRUE(ds_parted.ok());
-  ExpectSameClaimData(*ds_single, *ds_parted);
-  EXPECT_EQ(LtmPosteriors(*ds_single), LtmPosteriors(*ds_parted));
+  ExpectSameClaimData(batch, *ds_single);
+  ExpectSameClaimData(batch, *ds_parted);
+  EXPECT_EQ(LtmPosteriors(*ds_single), batch_posteriors);
+  EXPECT_EQ(LtmPosteriors(*ds_parted), batch_posteriors);
 
   // And the partitioned store round-trips a reopen to the same bits.
   parted->reset();
@@ -207,8 +276,140 @@ TEST_F(PartitionedTruthStoreTest, PinnedPosteriorsBitIdenticalToSingleStore) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   auto ds_reopened = (*reopened)->Materialize();
   ASSERT_TRUE(ds_reopened.ok());
-  ExpectSameClaimData(*ds_single, *ds_reopened);
-  EXPECT_EQ(LtmPosteriors(*ds_single), LtmPosteriors(*ds_reopened));
+  ExpectSameClaimData(batch, *ds_reopened);
+  EXPECT_EQ(LtmPosteriors(*ds_reopened), batch_posteriors);
+}
+
+// A directory written by the single-store build converts on open into a
+// one-partition layout whose rows and reference-kernel posteriors are
+// bit-identical to the batch load of the TSVs it was ingested from — and
+// stay so across a reopen.
+TEST_F(PartitionedTruthStoreTest, LegacyFixtureConvertsBitIdenticalToBatch) {
+  const Dataset batch = LegacyFixtureBatch();
+  const std::vector<double> batch_posteriors = LtmPosteriors(batch);
+  const std::string dir = CopyLegacyFixture("legacy");
+  {
+    auto st = PartitionedTruthStore::Open(dir);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    EXPECT_EQ((*st)->num_partitions(), 1u);
+    EXPECT_EQ(Entries(dir), (std::set<std::string>{kPartitionMapFileName,
+                                                   PartitionDirName(1)}));
+    auto ds = (*st)->Materialize();
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    ExpectSameClaimData(batch, *ds);
+    EXPECT_EQ(LtmPosteriors(*ds), batch_posteriors);
+  }
+  auto st = PartitionedTruthStore::Open(dir);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  auto ds = (*st)->Materialize();
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  ExpectSameClaimData(batch, *ds);
+  EXPECT_EQ(LtmPosteriors(*ds), batch_posteriors);
+  st->reset();
+  auto report = PartitionedTruthStore::Verify(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  EXPECT_FALSE(report->legacy.has_value());
+  ASSERT_EQ(report->partitions.size(), 1u);
+  EXPECT_TRUE(report->partitions[0].report.orphan_files.empty());
+}
+
+// A kill on either side of the conversion's PARTMAP commit recovers to
+// exactly the legacy layout (before it) or exactly the converted one
+// (after it), and the next open completes the conversion bit-identically.
+TEST_F(PartitionedTruthStoreTest, CrashAroundLegacyConversionCommitRecovers) {
+  const Dataset batch = LegacyFixtureBatch();
+  const std::vector<double> batch_posteriors = LtmPosteriors(batch);
+  const auto legacy_bytes = FileBytes(LegacyFixtureDir());
+  for (const std::string point :
+       {"partition-convert-child-written", "partition-convert-committed"}) {
+    SCOPED_TRACE("crash at " + point);
+    const std::string dir = CopyLegacyFixture(point);
+    {
+      ScopedFailpoint crash([point](std::string_view at) {
+        return at == point ? Status::Internal("injected crash at " + point)
+                           : Status::OK();
+      });
+      ASSERT_FALSE(PartitionedTruthStore::Open(dir).ok());
+    }
+    const bool committed = point == "partition-convert-committed";
+    // The root still holds the legacy files, byte for byte; what differs
+    // is whether the PARTMAP made the built partition the store.
+    std::map<std::string, std::string> root_files;
+    for (const auto& [name, bytes] : FileBytes(dir)) {
+      if (name.find('/') == std::string::npos &&
+          name != kPartitionMapFileName) {
+        root_files[name] = bytes;
+      }
+    }
+    EXPECT_EQ(root_files, legacy_bytes);
+    EXPECT_EQ(fs::exists(dir + "/" + kPartitionMapFileName), committed);
+    auto report = PartitionedTruthStore::Verify(dir);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->legacy.has_value(), !committed) << report->Summary();
+
+    auto st = PartitionedTruthStore::Open(dir);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    EXPECT_EQ(Entries(dir), (std::set<std::string>{kPartitionMapFileName,
+                                                   PartitionDirName(1)}));
+    EXPECT_EQ((*st)->partition_map().generation, 1u);
+    auto ds = (*st)->Materialize();
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    ExpectSameClaimData(batch, *ds);
+    EXPECT_EQ(LtmPosteriors(*ds), batch_posteriors);
+  }
+}
+
+// Verify reports a legacy directory as legacy and never modifies it.
+TEST_F(PartitionedTruthStoreTest, VerifyLeavesLegacyDirectoryByteIdentical) {
+  const std::string dir = CopyLegacyFixture("verify_legacy");
+  const auto before = FileBytes(dir);
+  auto report = PartitionedTruthStore::Verify(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  ASSERT_TRUE(report->legacy.has_value());
+  EXPECT_EQ(report->legacy->segments, 2u);
+  EXPECT_GT(report->legacy->wal_records, 0u);
+  EXPECT_NE(report->Summary().find("legacy"), std::string::npos);
+  EXPECT_EQ(FileBytes(dir), before);
+  EXPECT_EQ(before, FileBytes(LegacyFixtureDir()));
+}
+
+// A legacy directory whose MANIFEST is lost is not a fresh directory:
+// the open refuses instead of carving a store and reaping the root
+// segments and WAL. Files that are not store files are never reaped.
+TEST_F(PartitionedTruthStoreTest, RefusesLegacyDirectoryThatLostItsManifest) {
+  const std::string dir = CopyLegacyFixture("lost_manifest");
+  fs::remove(dir + "/" + kManifestFileName);
+  const auto before = FileBytes(dir);
+  for (const size_t partitions : {size_t{1}, size_t{4}}) {
+    PartitionedStoreOptions opts;
+    opts.partitions = partitions;
+    const Status st = PartitionedTruthStore::Open(dir, opts).status();
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_NE(st.ToString().find("refusing to re-initialize"),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(FileBytes(dir), before);
+  }
+
+  const std::string other = Dir("foreign_files");
+  fs::create_directories(other);
+  for (const char* name : {"notes.txt", "seg-notes.txt", "wal-README"}) {
+    std::ofstream(other + "/" + name) << "not a store file\n";
+  }
+  const auto foreign = FileBytes(other);
+  {
+    auto st = PartitionedTruthStore::Open(other);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+  }
+  auto reopened = PartitionedTruthStore::Open(other);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto after = FileBytes(other);
+  for (const auto& [name, bytes] : foreign) {
+    ASSERT_EQ(after.count(name), 1u) << name;
+    EXPECT_EQ(after.at(name), bytes);
+  }
 }
 
 TEST_F(PartitionedTruthStoreTest, SplitAndMergeRoundTripPreservesEveryRow) {

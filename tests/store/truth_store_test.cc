@@ -1,3 +1,4 @@
+#include "store/child_store_util.h"
 #include "store/truth_store.h"
 
 #include <gtest/gtest.h>
@@ -35,20 +36,6 @@ class TruthStoreTest : public ::testing::Test {
 
   std::string Dir(const std::string& name) { return root_ + "/" + name; }
 
-  /// Appends rows [from, to) of `raw` to the store, by string.
-  static Status AppendRows(TruthStore* st, const RawDatabase& raw,
-                           size_t from, size_t to) {
-    for (size_t i = from; i < to && i < raw.NumRows(); ++i) {
-      const RawRow& row = raw.rows()[i];
-      WalRecord record;
-      record.entity = std::string(raw.entities().Get(row.entity));
-      record.attribute = std::string(raw.attributes().Get(row.attribute));
-      record.source = std::string(raw.sources().Get(row.source));
-      LTM_RETURN_IF_ERROR(st->Append(record));
-    }
-    return st->Sync();
-  }
-
   static std::vector<double> LtmPosteriors(const Dataset& ds) {
     LtmOptions opts = LtmOptions::ScaledDefaults(ds.facts.NumFacts());
     opts.iterations = 40;
@@ -80,7 +67,7 @@ TEST_F(TruthStoreTest, OpenInitializesAnEmptyStore) {
   TruthStoreStats stats = (*st)->Stats();
   EXPECT_EQ(stats.num_segments, 0u);
   EXPECT_EQ(stats.memtable_rows, 0u);
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->raw.NumRows(), 0u);
 
@@ -102,7 +89,7 @@ TEST_F(TruthStoreTest, AppendsSurviveReopenWithoutFlush) {
   ASSERT_TRUE(st.ok()) << st.status().ToString();
   EXPECT_EQ((*st)->Stats().wal_records_replayed, raw.NumRows());
   EXPECT_EQ((*st)->Stats().memtable_rows, raw.NumRows());
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   ExpectSameClaimData(Dataset::FromRaw("batch", testing::PaperTable1()), *ds);
 }
@@ -122,21 +109,21 @@ TEST_F(TruthStoreTest, MaterializeMatchesBatchThroughFlushAndCompact) {
   ASSERT_TRUE(AppendRows(st->get(), raw, 2 * n / 3, n).ok());
 
   EXPECT_EQ((*st)->Stats().num_segments, 2u);
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   ExpectSameClaimData(batch, *ds);
 
   // Compaction merges the two segments and must not disturb row order.
   ASSERT_TRUE((*st)->Compact().ok());
   EXPECT_EQ((*st)->Stats().num_segments, 1u);
-  ds = (*st)->Materialize();
+  ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   ExpectSameClaimData(batch, *ds);
 
   // And the merged state round-trips a reopen.
   st = TruthStore::Open(dir);
   ASSERT_TRUE(st.ok());
-  ds = (*st)->Materialize();
+  ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   ExpectSameClaimData(batch, *ds);
 }
@@ -190,7 +177,7 @@ TEST_F(TruthStoreTest, PinnedPosteriorsBitIdenticalAfterCrashRecovery) {
     auto st = TruthStore::Open(dir);
     ASSERT_TRUE(st.ok()) << st.status().ToString();
     ASSERT_TRUE(AppendRows(st->get(), raw, 3 * n / 4, n).ok());
-    auto ds = (*st)->Materialize();
+    auto ds = MaterializeChild(**st);
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     EXPECT_EQ(LtmPosteriors(*ds), batch_posteriors);
     // A verify pass after recovery sees a consistent store.
@@ -207,7 +194,7 @@ TEST_F(TruthStoreTest, PinnedPosteriorsBitIdenticalAfterCrashRecovery) {
   ASSERT_TRUE(AppendRows(st->get(), raw, n / 2, n).ok());
   ASSERT_TRUE((*st)->Flush().ok());
   ASSERT_TRUE((*st)->Compact().ok());
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(LtmPosteriors(*ds), batch_posteriors);
 }
@@ -233,7 +220,7 @@ TEST_F(TruthStoreTest, TornWalTailIsTruncatedAndAppendsResume) {
   // The torn record's row can be re-appended and everything works.
   ASSERT_TRUE(AppendRows(st->get(), raw, raw.NumRows() - 1, raw.NumRows())
                   .ok());
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   ExpectSameClaimData(Dataset::FromRaw("batch", testing::PaperTable1()), *ds);
 }
@@ -247,7 +234,7 @@ TEST_F(TruthStoreTest, FreshOpenRecoversFromATornInitialWal) {
   std::ofstream(dir + "/" + WalFileName(1), std::ios::binary) << "LT";
   auto st = TruthStore::Open(dir);
   ASSERT_TRUE(st.ok()) << st.status().ToString();
-  ASSERT_TRUE((*st)->Append(WalRecord{"e", "a", "s", 1}).ok());
+  ASSERT_TRUE(AppendNext(st->get(), WalRecord{"e", "a", "s", 1}).ok());
   ASSERT_TRUE((*st)->Sync().ok());
   auto reopened = TruthStore::Open(dir);
   ASSERT_TRUE(reopened.ok());
@@ -307,19 +294,20 @@ TEST_F(TruthStoreTest, ZoneStatsSkipSegmentsOutsideTheEntityRange) {
   // Segment 1 covers entities a*/b*, segment 2 covers x*/y*.
   for (const char* e : {"apple", "banana"}) {
     ASSERT_TRUE(
-        (*st)->Append(WalRecord{e, "attr1", "s1", 1}).ok());
+        AppendNext(st->get(), WalRecord{e, "attr1", "s1", 1}).ok());
     ASSERT_TRUE(
-        (*st)->Append(WalRecord{e, "attr2", "s2", 1}).ok());
+        AppendNext(st->get(), WalRecord{e, "attr2", "s2", 1}).ok());
   }
   ASSERT_TRUE((*st)->Flush().ok());
   for (const char* e : {"xylophone", "yak"}) {
     ASSERT_TRUE(
-        (*st)->Append(WalRecord{e, "attr1", "s1", 1}).ok());
+        AppendNext(st->get(), WalRecord{e, "attr1", "s1", 1}).ok());
   }
   ASSERT_TRUE((*st)->Flush().ok());
 
   RangeScanStats stats;
-  auto ds = (*st)->MaterializeEntityRange("x", "z", &stats);
+  const std::string x = "x", z = "z", apple = "apple";
+  auto ds = MaterializeChild(**st, &x, &z, &stats);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(stats.segments_skipped, 1u);
   EXPECT_EQ(stats.segments_scanned, 1u);
@@ -328,7 +316,7 @@ TEST_F(TruthStoreTest, ZoneStatsSkipSegmentsOutsideTheEntityRange) {
   EXPECT_FALSE(ds->raw.entities().Find("apple").has_value());
 
   stats = RangeScanStats();
-  ds = (*st)->MaterializeEntityRange("apple", "apple", &stats);
+  ds = MaterializeChild(**st, &apple, &apple, &stats);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(stats.segments_skipped, 1u);
   EXPECT_EQ(ds->raw.NumEntities(), 1u);
@@ -340,13 +328,13 @@ TEST_F(TruthStoreTest, EpochAdvancesOnAppendFlushAndCompact) {
   auto st = TruthStore::Open(dir);
   ASSERT_TRUE(st.ok());
   const uint64_t e0 = (*st)->epoch();
-  ASSERT_TRUE((*st)->Append(WalRecord{"e", "a", "s", 1}).ok());
+  ASSERT_TRUE(AppendNext(st->get(), WalRecord{"e", "a", "s", 1}).ok());
   const uint64_t e1 = (*st)->epoch();
   EXPECT_GT(e1, e0);
   ASSERT_TRUE((*st)->Flush().ok());
   const uint64_t e2 = (*st)->epoch();
   EXPECT_GT(e2, e1);
-  ASSERT_TRUE((*st)->Append(WalRecord{"e2", "a", "s", 1}).ok());
+  ASSERT_TRUE(AppendNext(st->get(), WalRecord{"e2", "a", "s", 1}).ok());
   ASSERT_TRUE((*st)->Flush().ok());
   ASSERT_TRUE((*st)->Compact().ok());
   EXPECT_GT((*st)->epoch(), e2);
@@ -355,7 +343,7 @@ TEST_F(TruthStoreTest, EpochAdvancesOnAppendFlushAndCompact) {
 TEST_F(TruthStoreTest, RejectsExplicitNegativeObservations) {
   auto st = TruthStore::Open(Dir("negobs"));
   ASSERT_TRUE(st.ok());
-  Status s = (*st)->Append(WalRecord{"e", "a", "s", 0});
+  Status s = AppendNext(st->get(), WalRecord{"e", "a", "s", 0});
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
@@ -418,7 +406,7 @@ TEST_F(TruthStoreTest, ConcurrentAppendsDuringBackgroundCompaction) {
   ASSERT_TRUE(compaction.get().ok()) << compaction.get().ToString();
 
   EXPECT_EQ((*st)->Stats().num_segments, 1u);
-  auto ds = (*st)->Materialize();
+  auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
   ExpectSameClaimData(Dataset::FromRaw("batch", testing::RandomRaw(33)), *ds);
   auto report = TruthStore::Verify(dir);
