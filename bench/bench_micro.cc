@@ -122,8 +122,8 @@ void BM_GibbsSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_GibbsSweep)->Arg(1000)->Arg(10000);
 
-// The fused log-odds kernel: one adjacency pass per fact, all
-// transcendentals memoized in log(count + alpha) tables.
+// The fused log-odds kernel: one adjacency pass per fact over per-source
+// Eq. 2 terms cached per shard and refreshed when a flip moves a count.
 void BM_GibbsSweepFused(benchmark::State& state) {
   const auto& data = SharedProcessData(state.range(0));
   LtmOptions opts = LtmOptions::ScaledDefaults(data.graph.NumFacts());

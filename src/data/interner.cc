@@ -3,7 +3,7 @@
 namespace ltm {
 
 uint32_t StringInterner::Intern(std::string_view s) {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it != index_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(strings_.size());
   strings_.emplace_back(s);
@@ -12,7 +12,7 @@ uint32_t StringInterner::Intern(std::string_view s) {
 }
 
 std::optional<uint32_t> StringInterner::Find(std::string_view s) const {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

@@ -2,6 +2,7 @@
 #define LTM_DATA_INTERNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,8 +34,17 @@ class StringInterner {
   const std::vector<std::string>& strings() const { return strings_; }
 
  private:
+  /// Transparent hash: with std::equal_to<> it lets Intern/Find look a
+  /// string_view up without building a temporary std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, uint32_t> index_;
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> index_;
 };
 
 }  // namespace ltm

@@ -12,14 +12,16 @@
 
 namespace ltm {
 
-/// Memoized transcendental tables for the fused Gibbs kernel: the Eq. 2
-/// conditional depends on the per-source counts n_{s,i,j} only through
-/// log(n + alpha_{i,j}) and log(n_{s,i,0} + n_{s,i,1} + alpha_i0 +
+/// Memoized transcendental tables behind the fused Gibbs kernel: the
+/// Eq. 2 conditional depends on the per-source counts n_{s,i,j} only
+/// through log(n + alpha_{i,j}) and log(n_{s,i,0} + n_{s,i,1} + alpha_i0 +
 /// alpha_i1), and the counts are small non-negative integers (bounded by
 /// the busiest source's claim count). So each distinct argument is
-/// log()'d once and every later sweep reads it back from a lazily-grown
-/// table — the precompute-the-transcendentals idiom of large-scale
-/// collapsed Gibbs/LDA samplers.
+/// log()'d once and read back from a lazily-grown table — the
+/// precompute-the-transcendentals idiom of large-scale collapsed
+/// Gibbs/LDA samplers. FusedFlipLogOdds reads it per claim; the fused
+/// sweep reads it only when it refreshes a source's cached terms
+/// (FusedKernelState).
 ///
 /// Tables are keyed by the truth label i (and observation j for the
 /// numerator family) because the Beta pseudo-counts differ per (i, j).
@@ -77,7 +79,7 @@ class LogCountTables {
   std::array<double, 2> alpha_sum_{};
 };
 
-/// The fused per-fact Gibbs update: returns the flip log-odds
+/// The uncached fused per-fact Gibbs update: returns the flip log-odds
 ///
 ///   delta = log p(t_f = 1-cur | t_-f, o) - log p(t_f = cur | t_-f, o)
 ///
@@ -87,7 +89,9 @@ class LogCountTables {
 /// the excluded counts and never go negative). The reference kernel
 /// walks the adjacency twice and calls std::log four times per entry;
 /// this walks it once and calls std::log zero times once the tables are
-/// warm. p(flip) = sigmoid(delta).
+/// warm. p(flip) = sigmoid(delta). FusedSweepRange reads the same terms
+/// from its per-source cache; this per-fact form is the oracle tests
+/// compare that cache against.
 ///
 /// `counts` is the n_{s,i,j} matrix flattened s*4 + i*2 + j — the
 /// authoritative matrix of a sequential chain or a shard's private copy.
@@ -97,15 +101,36 @@ double FusedFlipLogOdds(const ClaimGraph& graph, FactId f, int cur,
                         const std::array<double, 2>& log_beta,
                         LogCountTables* tables);
 
-/// One fused Gibbs pass over facts [begin, end): per fact, evaluate
-/// FusedFlipLogOdds, draw one uniform from `rng`, and on a flip update
-/// `truth` and `counts` in place. Returns the flip count. LtmGibbs runs
-/// every fused shard's sweep (one shard or many) through it.
+/// Per-shard state of the fused kernel: the log memo plus a per-source
+/// cache of the two Eq. 2 terms FusedFlipLogOdds adds per claim. For the
+/// packed fact-side entry e = (s << 1) | j and a fact currently labelled
+/// cur (other = 1 - cur), terms[e * 4 + cur * 2 + k] holds
+///
+///   k = 0:  LogNum(other, j, n_{s,other,j}) - LogDen(other, n_{s,other,+})
+///   k = 1:  LogNum(cur, j, n_{s,cur,j} - 1) - LogDen(cur, n_{s,cur,+} - 1)
+///
+/// so one source's eight terms share a cache line. A k = 1 cell whose
+/// self-excluded count would be negative (no claim of (s, j) sits under
+/// cur) is never read and holds NaN. Each shard owns one instance, so
+/// concurrent shards share nothing and a warm sweep allocates nothing.
+struct FusedKernelState {
+  LogCountTables tables;
+  std::vector<double> terms;  // NumSources() * 8 doubles
+};
+
+/// One fused Gibbs pass over facts [begin, end). It first rebuilds every
+/// source's cached terms in `state` from `counts` (O(sources)); then per
+/// fact it sums the cached terms of the fact's claims in FusedFlipLogOdds'
+/// order (so the flip log-odds match it to the bit), draws one uniform
+/// from `rng`, and on a flip updates `truth` and `counts` in place and
+/// refreshes the terms of the flipped fact's sources. Returns the flip
+/// count. LtmGibbs runs every fused shard's sweep (one shard or many)
+/// through it.
 int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
                     std::vector<uint8_t>* truth,
                     std::vector<int64_t>* counts,
                     const std::array<double, 2>& log_beta,
-                    LogCountTables* tables, Rng* rng);
+                    FusedKernelState* state, Rng* rng);
 
 /// Rebuilds the flattened n_{s,i,j} count matrix (s*4 + i*2 + j, the
 /// layout both kernels index) from the graph and a truth assignment.

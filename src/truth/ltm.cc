@@ -53,8 +53,10 @@ LtmGibbs::LtmGibbs(const ClaimGraph& graph, const LtmOptions& options)
     shard_flips_.assign(num_shards_, 0);
   }
   if (kernel_ == LtmKernel::kFused) {
-    shard_tables_.resize(static_cast<size_t>(num_shards_));
-    for (LogCountTables& tables : shard_tables_) tables.Reset(alpha_);
+    shard_kernels_.resize(static_cast<size_t>(num_shards_));
+    for (FusedKernelState& state : shard_kernels_) {
+      state.tables.Reset(alpha_);
+    }
   }
   DrawInitialTruth();
 }
@@ -108,10 +110,10 @@ double LtmGibbs::LogConditional(FactId f, int i, bool exclude_self,
 
 int LtmGibbs::SweepRange(FactId begin, FactId end,
                          std::vector<int64_t>* counts, Rng* rng,
-                         LogCountTables* tables) {
+                         FusedKernelState* fused) {
   if (kernel_ == LtmKernel::kFused) {
     return FusedSweepRange(graph_, begin, end, &truth_, counts, log_beta_,
-                           tables, rng);
+                           fused, rng);
   }
   int flips = 0;
   for (FactId f = begin; f < end; ++f) {
@@ -144,7 +146,7 @@ Status LtmGibbs::RunSweep(const std::function<Status()>& stop_check,
     if (stop_check) LTM_RETURN_IF_ERROR(stop_check());
     *flips = SweepRange(0, static_cast<FactId>(truth_.size()), &counts_,
                         &rng_,
-                        shard_tables_.empty() ? nullptr : &shard_tables_[0]);
+                        shard_kernels_.empty() ? nullptr : &shard_kernels_[0]);
     return Status::OK();
   }
 
@@ -159,7 +161,7 @@ Status LtmGibbs::RunSweep(const std::function<Status()>& stop_check,
         shard_flips_[k] =
             SweepRange(shard_bounds_[k], shard_bounds_[k + 1],
                        &shard_counts_[k], &shard_rngs_[k],
-                       shard_tables_.empty() ? nullptr : &shard_tables_[k]);
+                       shard_kernels_.empty() ? nullptr : &shard_kernels_[k]);
       },
       stop_check);
   // A cancelled/expired sweep leaves the chain torn (some shards swept,
@@ -263,6 +265,9 @@ Result<TruthResult> LatentTruthModel::Run(const RunContext& ctx,
   obs::Counter* sweeps_total =
       ctx.metrics == nullptr ? nullptr
                              : ctx.metrics->counter("ltm_infer_sweeps_total");
+  obs::Counter* flips_total =
+      ctx.metrics == nullptr ? nullptr
+                             : ctx.metrics->counter("ltm_infer_flips_total");
   obs::Histogram* sweep_micros =
       ctx.metrics == nullptr
           ? nullptr
@@ -275,6 +280,7 @@ Result<TruthResult> LatentTruthModel::Run(const RunContext& ctx,
       LTM_RETURN_IF_ERROR(sampler.RunSweep(stop_check, &flips));
       if (sweeps_total != nullptr) {
         sweeps_total->Increment();
+        flips_total->Increment(static_cast<uint64_t>(flips));
         sweep_micros->Record(
             static_cast<uint64_t>(sweep_timer.ElapsedSeconds() * 1e6));
       }

@@ -48,8 +48,10 @@ namespace ltm {
 /// Two kernels evaluate the per-fact update (LtmOptions::kernel):
 /// `reference` calls LogConditional twice per fact (bit-pinned chain),
 /// `fused` accumulates the flip log-odds in one adjacency pass from
-/// memoized log-count tables (truth/gibbs_kernel.h) — same RNG draw
-/// sequence, statistically equivalent posteriors, ~2x+ sweep throughput.
+/// per-source Eq. 2 terms cached per shard and refreshed only when a flip
+/// moves that source's counts (truth/gibbs_kernel.h) — same RNG draw
+/// sequence, statistically equivalent posteriors, several times the
+/// reference sweep throughput.
 /// kAuto resolves to `reference` on one shard and `fused` on several.
 class LtmGibbs {
  public:
@@ -124,10 +126,10 @@ class LtmGibbs {
                         const std::vector<int64_t>& counts) const;
 
   /// Gibbs-samples facts [begin, end) against `counts` using `rng` and
-  /// the selected kernel (`tables` backs the fused one), updating
+  /// the selected kernel (`fused` backs the fused one), updating
   /// `counts` and truth_ in place. Returns the flip count.
   int SweepRange(FactId begin, FactId end, std::vector<int64_t>* counts,
-                 Rng* rng, LogCountTables* tables);
+                 Rng* rng, FusedKernelState* fused);
 
   /// Draws a fresh Bernoulli(0.5) truth assignment (shard k from stream
   /// k) and marks the count matrix stale. Consumes exactly NumFacts draws
@@ -160,9 +162,9 @@ class LtmGibbs {
   mutable bool counts_stale_ LTM_GUARDED_BY(counts_mutex_) = true;
   mutable Mutex counts_mutex_;  // guards the lazy build only
   std::vector<std::vector<int64_t>> shard_counts_;  // per-shard local views
-  // Fused-kernel memo tables: one per shard, never shared across threads
-  // (lazy growth is unsynchronized).
-  std::vector<LogCountTables> shard_tables_;
+  // Fused-kernel state (log memo + cached per-source terms): one per
+  // shard, never shared across threads (both grow unsynchronized).
+  std::vector<FusedKernelState> shard_kernels_;
   std::vector<int> shard_flips_;
   std::vector<double> truth_sum_;  // sum of sampled t_f
   int num_samples_ = 0;
@@ -183,9 +185,10 @@ class LatentTruthModel : public TruthMethod {
   /// The one run loop: steps an LtmGibbs chain under `ctx`, seeded from
   /// `ctx.seed` (falling back to the options seed). Per sweep: checks
   /// cancellation/deadline, records a `gibbs_sweep` span (and, with
-  /// ctx.metrics, the sweep counter and timing histogram), reports the
-  /// flip fraction as the convergence delta, and (with ctx.on_state) the
-  /// hard truth assignment. With ctx.with_quality the §5.3 quality
+  /// ctx.metrics, the sweep and flip counters and the timing histogram),
+  /// reports the flip fraction as the convergence delta, and (with
+  /// ctx.on_state) the hard truth assignment. With ctx.with_quality the
+  /// §5.3 quality
   /// read-off is attached, computed from the full claim graph even for
   /// the LTMpos ablation.
   Result<TruthResult> Run(const RunContext& ctx, const FactTable& facts,

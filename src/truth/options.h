@@ -35,11 +35,12 @@ enum class LtmKernel {
   /// adjacency entry — the original Algorithm 1 transcription whose
   /// posteriors are pinned bit-identical across releases.
   kReference,
-  /// One pass per fact accumulating the flip log-odds directly, with all
-  /// transcendentals served from memoized log(count + alpha) tables
-  /// (truth/gibbs_kernel.h). Statistically equivalent to kReference —
-  /// same RNG draw sequence, different floating-point rounding — and
-  /// ~2x+ faster per sweep; validated against the exact oracle and the
+  /// One pass per fact accumulating the flip log-odds directly from
+  /// per-source Eq. 2 terms cached per shard and refreshed only when a
+  /// flip moves that source's counts (truth/gibbs_kernel.h): two cached
+  /// loads per claim. Statistically equivalent to kReference — same RNG
+  /// draw sequence, different floating-point rounding — and several
+  /// times faster per sweep; validated against the exact oracle and the
   /// reference chain by tests/truth/ltm_kernel_test.cc.
   kFused,
 };

@@ -69,8 +69,9 @@ struct RunContext {
   /// the LTM family; others leave it empty).
   bool with_quality = false;
 
-  /// When set, samplers publish per-sweep timing into this registry
-  /// (`ltm_infer_sweeps_total`, `ltm_infer_sweep_micros`). Off (null) by
+  /// When set, samplers publish per-sweep timing and flip counts into
+  /// this registry (`ltm_infer_sweeps_total`, `ltm_infer_flips_total`,
+  /// `ltm_infer_sweep_micros`). Off (null) by
   /// default: inference is the hot loop, and the instrumentation only
   /// ever observes timing — never sampled values — so enabling it cannot
   /// change results. Must outlive the run. Propagated to nested runs.

@@ -77,7 +77,7 @@ TEST_F(PaperExampleTest, FactTableMatchesTable2) {
 }
 
 // Definition 3 / Table 3: 13 claims with the exact observations.
-TEST_F(PaperExampleTest, ClaimTableMatchesTable3) {
+TEST_F(PaperExampleTest, ClaimGraphMatchesTable3) {
   EXPECT_EQ(claims_.NumClaims(), 13u);
   EXPECT_EQ(claims_.NumPositiveClaims(), 8u);
   EXPECT_EQ(claims_.NumNegativeClaims(), 5u);
@@ -121,7 +121,7 @@ TEST_F(PaperExampleTest, PositiveClaimsPrecedeNegativeWithinFact) {
   }
 }
 
-TEST(ClaimTableFromClaimsTest, SortsAndDedups) {
+TEST(ClaimGraphFromClaimsTest, SortsAndDedups) {
   std::vector<Claim> input{
       {2, 0, false}, {0, 1, true}, {0, 0, false}, {1, 0, true},
       {0, 1, false},  // Duplicate (fact 0, source 1): first kept.
@@ -138,7 +138,7 @@ TEST(ClaimTableFromClaimsTest, SortsAndDedups) {
   EXPECT_EQ(g.FactClaims(2).size(), 1u);
 }
 
-TEST(ClaimTableFromClaimsTest, FactsWithNoClaimsGetEmptySpans) {
+TEST(ClaimGraphFromClaimsTest, FactsWithNoClaimsGetEmptySpans) {
   ClaimGraph g = ClaimGraph::FromClaims({{1, 0, true}}, 3, 1);
   EXPECT_EQ(g.FactClaims(0).size(), 0u);
   EXPECT_EQ(g.FactClaims(1).size(), 1u);
@@ -203,7 +203,7 @@ TEST(ClaimGraphTest, EmptyTable) {
 // The canonical fact-side order, checked against a brute-force
 // transcription of Definition 3: the fact's asserters ascending, then the
 // entity's other sources ascending.
-TEST(ClaimGraphTest, FactSideMatchesClaimTableOrder) {
+TEST(ClaimGraphTest, FactSideMatchesCanonicalOrder) {
   RawDatabase raw = testing::RandomRaw(11);
   FactTable facts = FactTable::Build(raw);
   ClaimGraph g = ClaimGraph::Build(raw, facts);

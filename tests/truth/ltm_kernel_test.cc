@@ -6,17 +6,23 @@
 // marginals match the exact enumeration oracle on small instances, fused
 // and reference posterior means agree within sampling tolerance on
 // synthetic LTM-process data, the counts invariant holds sweep by sweep,
-// and the kernel option wires through specs, the registry, and both
-// samplers (including the sharded thread-pool path the TSan leg covers).
+// the cached-term sweep reproduces the uncached per-fact log-odds chain
+// bit for bit, and the kernel option wires through specs, the registry,
+// and both samplers (including the sharded thread-pool path the TSan leg
+// covers).
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "eval/metrics.h"
 #include "synth/ltm_process.h"
+#include "synth/movie_simulator.h"
 #include "test_util.h"
 #include "truth/exact_inference.h"
 #include "truth/gibbs_kernel.h"
@@ -331,6 +337,185 @@ TEST(GibbsKernelTest, ConcurrentCountReadsAfterConstructionAreSafe) {
   std::thread b(reader);
   a.join();
   b.join();
+}
+
+// ---------------------------------------------------------------------------
+// The cached-term sweep against the uncached per-fact oracle.
+
+using SweepFn = std::function<int(int shard, FactId begin, FactId end,
+                                  std::vector<int64_t>* counts, Rng* rng)>;
+
+// The uncached fused sweep: FusedFlipLogOdds per fact, one uniform per
+// fact, counts updated in place on a flip.
+int OracleSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
+                     std::vector<uint8_t>* truth,
+                     std::vector<int64_t>* counts,
+                     const std::array<double, 2>& log_beta,
+                     LogCountTables* tables, Rng* rng) {
+  int flips = 0;
+  for (FactId f = begin; f < end; ++f) {
+    const int cur = (*truth)[f];
+    const double delta =
+        FusedFlipLogOdds(graph, f, cur, *counts, log_beta, tables);
+    if (rng->Uniform() < 1.0 / (1.0 + std::exp(-delta))) {
+      ++flips;
+      const int other = 1 - cur;
+      (*truth)[f] = static_cast<uint8_t>(other);
+      for (uint32_t entry : graph.FactClaims(f)) {
+        const uint32_t s = ClaimGraph::PackedId(entry);
+        const int j = ClaimGraph::PackedObs(entry);
+        --(*counts)[s * 4 + cur * 2 + j];
+        ++(*counts)[s * 4 + other * 2 + j];
+      }
+    }
+  }
+  return flips;
+}
+
+// One sweep of the sharded scheme LtmGibbs runs: shard k sweeps its
+// PartitionFacts range against a private copy of `counts` with rngs[k],
+// and the count deltas merge at the barrier. Returns the flip count.
+int ShardedSweep(const std::vector<uint32_t>& bounds, std::vector<Rng>* rngs,
+                 std::vector<int64_t>* counts, const SweepFn& sweep_range) {
+  const int shards = static_cast<int>(rngs->size());
+  std::vector<std::vector<int64_t>> local(shards, *counts);
+  int flips = 0;
+  for (int k = 0; k < shards; ++k) {
+    flips += sweep_range(k, bounds[k], bounds[k + 1], &local[k],
+                         &(*rngs)[k]);
+  }
+  for (size_t e = 0; e < counts->size(); ++e) {
+    int64_t acc = (*counts)[e];
+    for (int k = 0; k < shards; ++k) acc += local[k][e] - (*counts)[e];
+    (*counts)[e] = acc;
+  }
+  return flips;
+}
+
+std::vector<Rng> ShardStreams(uint64_t seed, int shards) {
+  Rng root(seed);
+  if (shards == 1) return {root};
+  std::vector<Rng> streams;
+  for (int k = 0; k < shards; ++k) {
+    streams.push_back(root.SplitStream(static_cast<uint64_t>(k)));
+  }
+  return streams;
+}
+
+// Runs FusedSweepRange and the FusedFlipLogOdds loop side by side from the
+// same random truth and streams, asserting after every sweep that both
+// chains hold the same truth vector, count matrix and flip count. On one
+// shard it also checks that the cached terms left behind by the sweep
+// reproduce FusedFlipLogOdds for every fact to the bit, i.e. the per-flip
+// refresh left no stale source.
+void ExpectCachedSweepMatchesOracle(const ClaimGraph& graph,
+                                    const LtmOptions& opts, int shards,
+                                    uint64_t seed, int sweeps) {
+  SCOPED_TRACE(::testing::Message() << "shards=" << shards
+                                    << " seed=" << seed);
+  const std::array<std::array<double, 2>, 2> alpha{
+      {{opts.alpha0.neg, opts.alpha0.pos}, {opts.alpha1.neg, opts.alpha1.pos}}};
+  const std::array<double, 2> log_beta{std::log(opts.beta.neg),
+                                       std::log(opts.beta.pos)};
+  const std::vector<uint32_t> bounds = graph.PartitionFacts(shards);
+  ASSERT_EQ(bounds.size(), static_cast<size_t>(shards) + 1);
+
+  std::vector<uint8_t> truth(graph.NumFacts());
+  Rng init(seed ^ 0x5eedu);
+  for (uint8_t& t : truth) t = init.Bernoulli(0.5) ? 1 : 0;
+  std::vector<int64_t> counts(graph.NumSources() * 4);
+  RecountClaims(graph, truth, &counts);
+
+  std::vector<uint8_t> cached_truth = truth;
+  std::vector<int64_t> cached_counts = counts;
+  std::vector<Rng> cached_rngs = ShardStreams(seed, shards);
+  std::vector<FusedKernelState> states(shards);
+  for (FusedKernelState& state : states) state.tables.Reset(alpha);
+  const SweepFn cached = [&](int k, FactId begin, FactId end,
+                             std::vector<int64_t>* c, Rng* rng) {
+    return FusedSweepRange(graph, begin, end, &cached_truth, c, log_beta,
+                           &states[k], rng);
+  };
+
+  std::vector<uint8_t> oracle_truth = truth;
+  std::vector<int64_t> oracle_counts = counts;
+  std::vector<Rng> oracle_rngs = ShardStreams(seed, shards);
+  std::vector<LogCountTables> tables(shards);
+  for (LogCountTables& t : tables) t.Reset(alpha);
+  const SweepFn oracle = [&](int k, FactId begin, FactId end,
+                             std::vector<int64_t>* c, Rng* rng) {
+    return OracleSweepRange(graph, begin, end, &oracle_truth, c, log_beta,
+                            &tables[k], rng);
+  };
+
+  int total_flips = 0;
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    const int cached_flips =
+        ShardedSweep(bounds, &cached_rngs, &cached_counts, cached);
+    const int oracle_flips =
+        ShardedSweep(bounds, &oracle_rngs, &oracle_counts, oracle);
+    ASSERT_EQ(cached_flips, oracle_flips) << "sweep " << sweep;
+    ASSERT_EQ(cached_truth, oracle_truth) << "sweep " << sweep;
+    ASSERT_EQ(cached_counts, oracle_counts) << "sweep " << sweep;
+    total_flips += cached_flips;
+    if (shards != 1) continue;
+    for (FactId f = 0; f < graph.NumFacts(); ++f) {
+      const int cur = cached_truth[f];
+      const double* t = states[0].terms.data() + cur * 2;
+      double delta = log_beta[1 - cur] - log_beta[cur];
+      for (uint32_t entry : graph.FactClaims(f)) {
+        delta += t[entry * 4];
+        delta -= t[entry * 4 + 1];
+      }
+      const double oracle_delta = FusedFlipLogOdds(
+          graph, f, cur, cached_counts, log_beta, &tables[0]);
+      ASSERT_EQ(std::bit_cast<uint64_t>(delta),
+                std::bit_cast<uint64_t>(oracle_delta))
+          << "sweep " << sweep << " fact " << f;
+    }
+  }
+  // The chains must actually move, or the comparison proves nothing.
+  EXPECT_GT(total_flips, 0);
+}
+
+// A random world with the count cells the cache must never compute
+// through a negative index: source 0 makes only negative claims (its
+// positive cells are zero under both labels), and source 1 makes a
+// single positive claim (all of its cells but one are zero).
+ClaimGraph RandomWorldWithSparseSources(uint64_t seed) {
+  constexpr size_t kFacts = 80;
+  constexpr size_t kSources = 7;
+  Rng rng(seed);
+  std::vector<Claim> claims;
+  for (FactId f = 0; f < kFacts; ++f) {
+    if (rng.Bernoulli(0.5)) claims.push_back(Claim{f, 0, false});
+    if (f == kFacts / 2) claims.push_back(Claim{f, 1, true});
+    for (SourceId s = 2; s < kSources; ++s) {
+      if (rng.Bernoulli(0.3)) continue;
+      claims.push_back(Claim{f, s, rng.Bernoulli(0.6)});
+    }
+  }
+  return ClaimGraph::FromClaims(std::move(claims), kFacts, kSources);
+}
+
+TEST(GibbsKernelTest, CachedTermSweepMatchesUncachedOracle) {
+  for (uint64_t seed : {3u, 11u, 29u, 47u}) {
+    const ClaimGraph graph = RandomWorldWithSparseSources(seed);
+    for (int shards : {1, 4}) {
+      ExpectCachedSweepMatchesOracle(graph, TinyOptions(), shards, seed,
+                                     /*sweeps=*/30);
+    }
+  }
+
+  synth::MovieSimOptions gen;
+  gen.num_movies = 2000;
+  gen.seed = 19;
+  const Dataset movies = synth::GenerateMovieDataset(gen);
+  for (int shards : {1, 4}) {
+    ExpectCachedSweepMatchesOracle(movies.graph,
+                                   LtmOptions::MovieDataDefaults(), shards,
+                                   /*seed=*/7, /*sweeps=*/20);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ ClaimGraph BuildGraph(uint64_t seed) {
   return ClaimGraph::Build(raw, facts);
 }
 
-TEST(ParallelLtmGibbsTest, MultiShardDeterministicAcrossRepeatedRuns) {
+TEST(ShardedLtmGibbsTest, MultiShardDeterministicAcrossRepeatedRuns) {
   ClaimGraph graph = BuildGraph(71);
   LtmOptions opts = SmallDataOptions();
   opts.threads = 4;
@@ -42,7 +42,7 @@ TEST(ParallelLtmGibbsTest, MultiShardDeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.probability, b.probability);
 }
 
-TEST(ParallelLtmGibbsTest, RegistryThreads4DeterministicForFixedSeed) {
+TEST(ShardedLtmGibbsTest, RegistryThreads4DeterministicForFixedSeed) {
   RawDatabase raw = testing::RandomRaw(71);
   FactTable facts = FactTable::Build(raw);
   ClaimGraph claims = ClaimGraph::Build(raw, facts);
@@ -64,7 +64,7 @@ TEST(ParallelLtmGibbsTest, RegistryThreads4DeterministicForFixedSeed) {
 // The merged count matrix must equal a fresh recount of the claim graph
 // against the current truth vector after every parallel sweep — the
 // invariant that catches barrier-merge bugs.
-TEST(ParallelLtmGibbsTest, MergedCountsStayConsistentWithTruth) {
+TEST(ShardedLtmGibbsTest, MergedCountsStayConsistentWithTruth) {
   ClaimGraph graph = BuildGraph(29);
   LtmOptions opts = SmallDataOptions();
   opts.threads = 3;
@@ -91,7 +91,7 @@ TEST(ParallelLtmGibbsTest, MergedCountsStayConsistentWithTruth) {
   }
 }
 
-TEST(ParallelLtmGibbsTest, MultiShardRecoversTruthOnGoodSyntheticData) {
+TEST(ShardedLtmGibbsTest, MultiShardRecoversTruthOnGoodSyntheticData) {
   synth::LtmProcessOptions gen;
   gen.num_facts = 800;
   gen.num_sources = 16;
@@ -112,7 +112,7 @@ TEST(ParallelLtmGibbsTest, MultiShardRecoversTruthOnGoodSyntheticData) {
   EXPECT_GT(m.accuracy(), 0.95) << m.confusion.ToString();
 }
 
-TEST(ParallelLtmGibbsTest, ThreadsZeroAutoResolvesAndRuns) {
+TEST(ShardedLtmGibbsTest, ThreadsZeroAutoResolvesAndRuns) {
   RawDatabase raw = testing::RandomRaw(13);
   FactTable facts = FactTable::Build(raw);
   ClaimGraph claims = ClaimGraph::Build(raw, facts);
@@ -126,7 +126,7 @@ TEST(ParallelLtmGibbsTest, ThreadsZeroAutoResolvesAndRuns) {
   }
 }
 
-TEST(ParallelLtmGibbsTest, MoreShardsThanFactsIsHarmless) {
+TEST(ShardedLtmGibbsTest, MoreShardsThanFactsIsHarmless) {
   RawDatabase raw = testing::RandomRaw(99, /*entities=*/2, /*max_attrs=*/2,
                                        /*sources=*/3);
   FactTable facts = FactTable::Build(raw);
@@ -137,7 +137,7 @@ TEST(ParallelLtmGibbsTest, MoreShardsThanFactsIsHarmless) {
   EXPECT_EQ(est.probability.size(), graph.NumFacts());
 }
 
-TEST(ParallelLtmGibbsTest, EmptyClaimTable) {
+TEST(ShardedLtmGibbsTest, EmptyClaimTable) {
   ClaimGraph graph;
   LtmOptions opts = SmallDataOptions();
   opts.threads = 4;
@@ -145,7 +145,7 @@ TEST(ParallelLtmGibbsTest, EmptyClaimTable) {
   EXPECT_TRUE(est.probability.empty());
 }
 
-TEST(ParallelLtmGibbsTest, CancelledContextStopsShardedRun) {
+TEST(ShardedLtmGibbsTest, CancelledContextStopsShardedRun) {
   RawDatabase raw = testing::RandomRaw(31);
   FactTable facts = FactTable::Build(raw);
   ClaimGraph claims = ClaimGraph::Build(raw, facts);
@@ -161,7 +161,7 @@ TEST(ParallelLtmGibbsTest, CancelledContextStopsShardedRun) {
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
-TEST(ParallelLtmGibbsTest, DeadlineExpiresShardedRun) {
+TEST(ShardedLtmGibbsTest, DeadlineExpiresShardedRun) {
   RawDatabase raw = testing::RandomRaw(31);
   FactTable facts = FactTable::Build(raw);
   ClaimGraph claims = ClaimGraph::Build(raw, facts);
@@ -178,7 +178,7 @@ TEST(ParallelLtmGibbsTest, DeadlineExpiresShardedRun) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST(ParallelLtmGibbsTest, ShardedQualityReadOffMatchesSequentialShape) {
+TEST(ShardedLtmGibbsTest, ShardedQualityReadOffMatchesSequentialShape) {
   Dataset ds = Dataset::FromRaw("paper", testing::PaperTable1());
   LtmOptions opts = SmallDataOptions();
   opts.threads = 2;
@@ -192,7 +192,7 @@ TEST(ParallelLtmGibbsTest, ShardedQualityReadOffMatchesSequentialShape) {
   EXPECT_EQ(result->quality->sensitivity.size(), ds.graph.NumSources());
 }
 
-TEST(ParallelLtmGibbsTest, LtmPosShardedUsesFilteredClaims) {
+TEST(ShardedLtmGibbsTest, LtmPosShardedUsesFilteredClaims) {
   RawDatabase raw = testing::RandomRaw(77, 40, 4, 12, 0.6);
   FactTable facts = FactTable::Build(raw);
   ClaimGraph claims = ClaimGraph::Build(raw, facts);

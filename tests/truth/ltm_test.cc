@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
@@ -226,6 +228,7 @@ TEST(LtmGibbsTest, GoldenPosteriorsUnmovedByMetricsAndTracing) {
   LatentTruthModel model(opts);
   RunContext ctx;
   ctx.metrics = &registry;
+  ctx.collect_trace = true;
   FactTable unused;
   auto run = model.Run(ctx, unused, graph);
   obs::TraceRecorder::Global().Disable();
@@ -237,9 +240,18 @@ TEST(LtmGibbsTest, GoldenPosteriorsUnmovedByMetricsAndTracing) {
   }
 
   // The side channel filled up while the chain didn't move: one sweep
-  // span and one timing sample per iteration.
+  // span and one timing sample per iteration, and every flip the trace
+  // reports (delta is the flip fraction of the facts) counted once.
   EXPECT_EQ(registry.CounterValue("ltm_infer_sweeps_total"),
             static_cast<uint64_t>(opts.iterations));
+  ASSERT_EQ(run->trace.size(), static_cast<size_t>(opts.iterations));
+  uint64_t traced_flips = 0;
+  for (const IterationStat& stat : run->trace) {
+    traced_flips += static_cast<uint64_t>(
+        std::llround(stat.delta * static_cast<double>(graph.NumFacts())));
+  }
+  EXPECT_GT(traced_flips, 0u);
+  EXPECT_EQ(registry.CounterValue("ltm_infer_flips_total"), traced_flips);
   bool saw_sweep_span = false;
   for (const obs::TraceEvent& event : obs::TraceRecorder::Global().Collect()) {
     if (std::string(event.name) == "gibbs_sweep") saw_sweep_span = true;
