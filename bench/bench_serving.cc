@@ -49,6 +49,7 @@
 #include "common/timer.h"
 #include "eval/table_printer.h"
 #include "ext/streaming.h"
+#include "obs/metrics.h"
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
 #include "store/partitioned_store.h"
@@ -309,7 +310,15 @@ bool Run(const ServingConfig& cfg) {
   stop_ingest.store(true, std::memory_order_relaxed);
   ingest.join();
 
-  const serve::ServeStats stats = (*session)->Stats();
+  const obs::MetricsRegistry& metrics = *store->metrics();
+  const auto count = [&metrics](const char* name) {
+    return static_cast<unsigned long long>(metrics.CounterValue(name));
+  };
+  const unsigned long long refits_scheduled =
+      count("ltm_serve_refit_scheduled_total");
+  const unsigned long long refits_completed =
+      count("ltm_serve_refit_completed_total");
+  const unsigned long long refits_shed = count("ltm_serve_refit_shed_total");
   TablePrinter table(
       {"Phase", "Clients", "offered QPS", "p50 us", "p99 us", "Shed"});
   for (const PhaseResult& r : results) {
@@ -323,16 +332,13 @@ bool Run(const ServingConfig& cfg) {
       "completed %llu / shed %llu; final epoch %llu\n"
       "session totals: %llu queries, %llu coalesced, %llu slice computes, "
       "cache %llu/%llu hit/miss\n",
-      static_cast<unsigned long long>(appends.load()),
-      static_cast<unsigned long long>(stats.refit.scheduled),
-      static_cast<unsigned long long>(stats.refit.completed),
-      static_cast<unsigned long long>(stats.refit.shed),
-      static_cast<unsigned long long>(stats.epoch),
-      static_cast<unsigned long long>(stats.queries),
-      static_cast<unsigned long long>(stats.coalesced),
-      static_cast<unsigned long long>(stats.slice_computes),
-      static_cast<unsigned long long>(stats.cache.hits),
-      static_cast<unsigned long long>(stats.cache.misses));
+      static_cast<unsigned long long>(appends.load()), refits_scheduled,
+      refits_completed, refits_shed,
+      static_cast<unsigned long long>(store->epoch()),
+      count("ltm_serve_queries_total"), count("ltm_serve_coalesced_total"),
+      count("ltm_serve_slice_computes_total"),
+      count("ltm_cache_posterior_hits_total"),
+      count("ltm_cache_posterior_misses_total"));
   const auto per_partition = store->PartitionStats();
   std::printf("store: %zu partition(s)\n", per_partition.size());
   for (size_t p = 0; p < per_partition.size(); ++p) {
@@ -368,10 +374,8 @@ bool Run(const ServingConfig& cfg) {
                "\"shed\": %llu},\n"
                "  \"results\": [",
                cfg.movies, cold.size(), hot.size(), cfg.partitions,
-               cfg.duration_ms,
-               static_cast<unsigned long long>(stats.refit.scheduled),
-               static_cast<unsigned long long>(stats.refit.completed),
-               static_cast<unsigned long long>(stats.refit.shed));
+               cfg.duration_ms, refits_scheduled, refits_completed,
+               refits_shed);
   for (size_t i = 0; i < results.size(); ++i) {
     const PhaseResult& r = results[i];
     std::fprintf(f,

@@ -8,16 +8,14 @@
 //   serve_cli <dir> --queries queries.tsv        # entity<TAB>attribute rows
 //   serve_cli <dir> --range MIN MAX              # inclusive entity range
 //   serve_cli <dir> --spec "serve(batch_window_us=200,max_inflight=8)" ...
-//   serve_cli <dir> --stats                      # session counters to stderr
 //   serve_cli <dir> stats                        # metrics exposition to stdout
 //   serve_cli <dir> --dump-metrics ...           # same, after the reads
 //   serve_cli <dir> --trace-out trace.json ...   # chrome://tracing spans
 //
 // Output: one `entity<TAB>attribute<TAB>posterior` line per served fact
-// on stdout. Multiple read flags compose; --stats prints the session's
-// ServeStats after all reads; `stats` / --dump-metrics render the whole
-// process metrics registry (store, caches, serve, inference) in
-// Prometheus text exposition format.
+// on stdout. Multiple read flags compose; `stats` / --dump-metrics render
+// the whole process metrics registry (store, caches, serve, inference) in
+// Prometheus text exposition format after all reads.
 
 #include <cstdio>
 #include <fstream>
@@ -40,7 +38,7 @@ int Usage() {
       stderr,
       "usage: serve_cli <store-dir> [stats] [--spec \"serve(key=value,...)\"]\n"
       "                 [--query ENTITY ATTRIBUTE]... [--queries FILE]\n"
-      "                 [--range MIN MAX] [--stats] [--dump-metrics]\n"
+      "                 [--range MIN MAX] [--dump-metrics]\n"
       "                 [--trace-out FILE]\n"
       "spec keys: batch_window_us, max_inflight, refit_debounce_epochs,\n"
       "           refit_queue, block_cache_mb, bloom_bits_per_key,\n"
@@ -70,7 +68,6 @@ int main(int argc, char** argv) {
   bool have_range = false;
   std::string range_min;
   std::string range_max;
-  bool want_stats = false;
   bool dump_metrics = false;
   std::string trace_out;
   for (int i = 2; i < argc; ++i) {
@@ -92,8 +89,6 @@ int main(int argc, char** argv) {
       have_range = true;
       range_min = argv[++i];
       range_max = argv[++i];
-    } else if (flag == "--stats") {
-      want_stats = true;
     } else {
       return Usage();
     }
@@ -179,37 +174,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (want_stats) {
-    const ltm::serve::ServeStats stats = (*session)->Stats();
-    std::fprintf(stderr,
-                 "queries: %llu (coalesced %llu, shed %llu)  "
-                 "range queries: %llu\n",
-                 static_cast<unsigned long long>(stats.queries),
-                 static_cast<unsigned long long>(stats.coalesced),
-                 static_cast<unsigned long long>(stats.shed),
-                 static_cast<unsigned long long>(stats.range_queries));
-    std::fprintf(stderr,
-                 "cache: %llu hit(s) %llu miss(es)  slice computes: %llu\n",
-                 static_cast<unsigned long long>(stats.cache.hits),
-                 static_cast<unsigned long long>(stats.cache.misses),
-                 static_cast<unsigned long long>(stats.slice_computes));
-    std::fprintf(stderr,
-                 "block cache: %llu hit(s) %llu miss(es) %llu eviction(s)  "
-                 "bloom point skips: %llu\n",
-                 static_cast<unsigned long long>(stats.block_cache.hits),
-                 static_cast<unsigned long long>(stats.block_cache.misses),
-                 static_cast<unsigned long long>(stats.block_cache.evictions),
-                 static_cast<unsigned long long>(stats.bloom_point_skips));
-    std::fprintf(stderr,
-                 "epoch: %llu  quality version: %llu  live pins: %zu  "
-                 "partitions: %zu\n",
-                 static_cast<unsigned long long>(stats.epoch),
-                 static_cast<unsigned long long>(stats.quality_version),
-                 stats.live_pins, (*store)->num_partitions());
-    std::fprintf(stderr, "latency: p50 %.1fus p99 %.1fus (%llu sample(s))\n",
-                 stats.latency.p50_us, stats.latency.p99_us,
-                 static_cast<unsigned long long>(stats.latency.count));
-  }
   if (dump_metrics) {
     std::fputs(ltm::obs::MetricsRegistry::Global().RenderText().c_str(),
                stdout);

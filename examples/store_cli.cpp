@@ -178,33 +178,36 @@ int PrintLevelLayout(const std::string& seg_dir,
   return 0;
 }
 
+/// A counter family summed over every partition's series, for printf.
+unsigned long long Count(const ltm::obs::MetricsRegistry& metrics,
+                         const char* family) {
+  return static_cast<unsigned long long>(metrics.CounterSum(family));
+}
+
 /// Read-path and compaction counters (the tail of the inspect output).
-void PrintStatsFooter(const ltm::store::TruthStoreStats& stats) {
+void PrintStatsFooter(const ltm::obs::MetricsRegistry& metrics) {
+  const auto gauge = [&metrics](const char* family) {
+    return static_cast<long long>(metrics.GaugeSum(family));
+  };
   std::printf("block cache:          %llu hit(s), %llu miss(es), "
-              "%llu eviction(s), %llu/%llu byte(s)\n",
-              static_cast<unsigned long long>(stats.block_cache.hits),
-              static_cast<unsigned long long>(stats.block_cache.misses),
-              static_cast<unsigned long long>(stats.block_cache.evictions),
-              static_cast<unsigned long long>(stats.block_cache.size_bytes),
-              static_cast<unsigned long long>(
-                  stats.block_cache.capacity_bytes));
+              "%llu eviction(s), %lld/%lld byte(s)\n",
+              Count(metrics, "ltm_cache_block_hits_total"),
+              Count(metrics, "ltm_cache_block_misses_total"),
+              Count(metrics, "ltm_cache_block_evictions_total"),
+              gauge("ltm_cache_block_size_bytes"),
+              gauge("ltm_cache_block_capacity_bytes"));
   std::printf("bloom point skips:    %llu\n",
-              static_cast<unsigned long long>(stats.bloom_point_skips));
+              Count(metrics, "ltm_store_bloom_point_skips_total"));
   std::printf("compactions:          %llu (%llu trivial move(s), "
               "%llu -> %llu segment(s), %llu read / %llu written "
               "byte(s), %llu duplicate row(s) dropped)\n",
-              static_cast<unsigned long long>(stats.compaction.compactions),
-              static_cast<unsigned long long>(
-                  stats.compaction.trivial_moves),
-              static_cast<unsigned long long>(
-                  stats.compaction.input_segments),
-              static_cast<unsigned long long>(
-                  stats.compaction.output_segments),
-              static_cast<unsigned long long>(stats.compaction.bytes_read),
-              static_cast<unsigned long long>(
-                  stats.compaction.bytes_written),
-              static_cast<unsigned long long>(
-                  stats.compaction.rows_dropped));
+              Count(metrics, "ltm_store_compactions_total"),
+              Count(metrics, "ltm_store_compaction_trivial_moves_total"),
+              Count(metrics, "ltm_store_compaction_input_segments_total"),
+              Count(metrics, "ltm_store_compaction_output_segments_total"),
+              Count(metrics, "ltm_store_compaction_bytes_read_total"),
+              Count(metrics, "ltm_store_compaction_bytes_written_total"),
+              Count(metrics, "ltm_store_compaction_rows_dropped_total"));
 }
 
 }  // namespace
@@ -330,7 +333,7 @@ int main(int argc, char** argv) {
         return rc;
       }
     }
-    PrintStatsFooter(stats);
+    PrintStatsFooter(*(*store)->metrics());
   } else if (command == "materialize") {
     if (out_path.empty()) return Usage();
     auto ds = (*store)->Materialize();
@@ -381,14 +384,14 @@ int main(int argc, char** argv) {
       std::printf("%s\t%s\t%.6f\n", queries[i].entity.c_str(),
                   queries[i].attribute.c_str(), (*posteriors)[i]);
     }
-    const ltm::serve::ServeStats sstats = (*session)->Stats();
+    const ltm::obs::MetricsRegistry& metrics = *(*store)->metrics();
     std::fprintf(stderr,
                  "block cache: %llu hit(s) %llu miss(es) %llu eviction(s); "
                  "bloom point skips: %llu\n",
-                 static_cast<unsigned long long>(sstats.block_cache.hits),
-                 static_cast<unsigned long long>(sstats.block_cache.misses),
-                 static_cast<unsigned long long>(sstats.block_cache.evictions),
-                 static_cast<unsigned long long>(sstats.bloom_point_skips));
+                 Count(metrics, "ltm_cache_block_hits_total"),
+                 Count(metrics, "ltm_cache_block_misses_total"),
+                 Count(metrics, "ltm_cache_block_evictions_total"),
+                 Count(metrics, "ltm_store_bloom_point_skips_total"));
   } else if (command != "stats") {
     return Usage();
   }

@@ -20,6 +20,7 @@
 #include "eval/metrics.h"
 #include "eval/table_printer.h"
 #include "ext/streaming.h"
+#include "obs/metrics.h"
 #include "serve/serve_session.h"
 #include "store/partitioned_store.h"
 #include "synth/labeling.h"
@@ -164,13 +165,16 @@ int main() {
   auto served = (*session)->Query(ref);
   served = (*session)->Query(ref);  // repeat read: LRU hit
   if (served.ok()) {
-    const ltm::serve::ServeStats sstats = (*session)->Stats();
+    const ltm::obs::MetricsRegistry& metrics = *(*store)->metrics();
     std::printf("\nServeSession::Query(\"%s\", \"%s\") = %.4f  (cache: "
                 "%llu hit(s), %llu miss(es); %llu slice compute(s))\n",
                 ref.entity.c_str(), ref.attribute.c_str(), *served,
-                static_cast<unsigned long long>(sstats.cache.hits),
-                static_cast<unsigned long long>(sstats.cache.misses),
-                static_cast<unsigned long long>(sstats.slice_computes));
+                static_cast<unsigned long long>(
+                    metrics.CounterValue("ltm_cache_posterior_hits_total")),
+                static_cast<unsigned long long>(
+                    metrics.CounterValue("ltm_cache_posterior_misses_total")),
+                static_cast<unsigned long long>(
+                    metrics.CounterValue("ltm_serve_slice_computes_total")));
   }
 
   // Compact the accumulated segments and show the durable footprint.

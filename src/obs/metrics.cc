@@ -1,6 +1,6 @@
 #include "obs/metrics.h"
 
-#include <chrono>
+#include <string_view>
 
 namespace ltm {
 namespace obs {
@@ -10,15 +10,6 @@ size_t ThreadIndex() {
   thread_local const size_t index =
       next_index.fetch_add(1, std::memory_order_relaxed);
   return index;
-}
-
-uint64_t NowUnixMicros() {
-  // Monitoring-only wall clock — see the header contract. Allowlisted
-  // for the determinism lint (`wall-clock src/obs/`).
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -59,6 +50,24 @@ void SplitLabels(const std::string& name, std::string* base,
   }
   *base = name.substr(0, brace);
   *labels = name.substr(brace + 1, name.size() - brace - 2);
+}
+
+/// Sum of the bare series `family` and every `family{...}` series in
+/// `metrics`. The labelled series sort contiguously after `family{`, so
+/// one ordered range covers them without touching `family_other`.
+template <typename T>
+auto SumFamily(const std::map<std::string, std::unique_ptr<T>>& metrics,
+               const std::string& family) {
+  decltype(metrics.begin()->second->Value()) total = 0;
+  if (const auto it = metrics.find(family); it != metrics.end()) {
+    total += it->second->Value();
+  }
+  const std::string labelled = family + "{";
+  for (auto it = metrics.lower_bound(labelled); it != metrics.end(); ++it) {
+    if (!std::string_view(it->first).starts_with(labelled)) break;
+    total += it->second->Value();
+  }
+  return total;
 }
 
 void RenderHistogram(const std::string& name, const Histogram& histogram,
@@ -132,6 +141,16 @@ int64_t MetricsRegistry::GaugeValue(const std::string& name) const {
   MutexLock lock(mu_);
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? 0 : it->second->Value();
+}
+
+uint64_t MetricsRegistry::CounterSum(const std::string& family) const {
+  MutexLock lock(mu_);
+  return SumFamily(counters_, family);
+}
+
+int64_t MetricsRegistry::GaugeSum(const std::string& family) const {
+  MutexLock lock(mu_);
+  return SumFamily(gauges_, family);
 }
 
 size_t MetricsRegistry::NumMetrics() const {

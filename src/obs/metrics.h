@@ -19,14 +19,6 @@ namespace obs {
 /// hashing pthread ids.
 size_t ThreadIndex();
 
-/// Wall-clock microseconds since the Unix epoch. This is the ONE
-/// sanctioned wall-clock read in the instrumented subsystems: stats
-/// snapshots use it so exported serving metrics can be correlated with
-/// external dashboards. It is monitoring-only — no posterior, cache
-/// key, or scheduling decision may read it (the determinism lint
-/// allowlists wall-clock in src/obs/ and nowhere else).
-uint64_t NowUnixMicros();
-
 /// Monotonic counter with a sharded-atomic hot path: Increment() is one
 /// relaxed fetch_add on a cache-line-private slot picked by thread
 /// index, so concurrent writers on different threads never bounce the
@@ -107,6 +99,15 @@ class MetricsRegistry {
   /// name was never registered.
   uint64_t CounterValue(const std::string& name) const LTM_EXCLUDES(mu_);
   int64_t GaugeValue(const std::string& name) const LTM_EXCLUDES(mu_);
+
+  /// Family reads: the bare series `family` plus every labelled series
+  /// `family{...}` (e.g. each partition's `{partition="N"}` copy), summed.
+  /// Another family whose name merely starts with `family` is not
+  /// included (`ltm_store_flush_rows_total` when summing
+  /// `ltm_store_flush`); a family nobody registered reads 0. Like
+  /// Counter::Value(), exact once writers quiesce.
+  uint64_t CounterSum(const std::string& family) const LTM_EXCLUDES(mu_);
+  int64_t GaugeSum(const std::string& family) const LTM_EXCLUDES(mu_);
 
   /// Number of registered metric names across all three kinds.
   size_t NumMetrics() const LTM_EXCLUDES(mu_);

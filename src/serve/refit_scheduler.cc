@@ -46,8 +46,7 @@ RefitScheduler::RefitScheduler(ThreadPool* pool, RefitFn fn,
       owned_metrics_(metrics == nullptr
                          ? std::make_unique<obs::MetricsRegistry>()
                          : nullptr),
-      last_fit_epochs_{initial_fit_epoch},
-      last_fit_epoch_(initial_fit_epoch) {
+      last_fit_epochs_{initial_fit_epoch} {
   obs::MetricsRegistry* reg =
       metrics != nullptr ? metrics : owned_metrics_.get();
   scheduled_ = reg->counter("ltm_serve_refit_scheduled_total");
@@ -136,7 +135,6 @@ void RefitScheduler::RunOne(std::vector<uint64_t> epochs) {
   MutexLock lock(mu_);
   if (fit.ok()) {
     completed_->Increment();
-    last_fit_epoch_ = *fit;
     // Re-arm the debounce at the trigger snapshot. The fit itself only
     // reports a composite epoch, so the per-slot baseline comes from
     // the trigger — except in the one-partition shape, where the fit's
@@ -145,7 +143,9 @@ void RefitScheduler::RunOne(std::vector<uint64_t> epochs) {
     // the fit count against the *fitted* epoch, not the trigger).
     if (epochs.size() == 1) epochs[0] = std::max(epochs[0], *fit);
     last_fit_epochs_ = std::move(epochs);
-    last_fit_epoch_gauge_->Set(static_cast<int64_t>(last_fit_epoch_));
+    // The composite epoch the fit covered (observability only; the
+    // per-slot baseline above is what debounces).
+    last_fit_epoch_gauge_->Set(static_cast<int64_t>(*fit));
   } else {
     // Leave the baseline alone: the next notification past the
     // threshold retries.
@@ -177,18 +177,6 @@ void RefitScheduler::RunOne(std::vector<uint64_t> epochs) {
 void RefitScheduler::Drain() {
   MutexLock lock(mu_);
   while (in_flight_) idle_cv_.Wait(mu_);
-}
-
-RefitSchedulerStats RefitScheduler::Stats() const {
-  MutexLock lock(mu_);
-  RefitSchedulerStats stats;
-  stats.scheduled = scheduled_->Value();
-  stats.completed = completed_->Value();
-  stats.failed = failed_->Value();
-  stats.shed = shed_->Value();
-  stats.last_fit_epoch = last_fit_epoch_;
-  stats.in_flight = in_flight_;
-  return stats;
 }
 
 }  // namespace serve

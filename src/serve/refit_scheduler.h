@@ -28,15 +28,6 @@ struct RefitSchedulerOptions {
   size_t max_queue = 1;
 };
 
-struct RefitSchedulerStats {
-  uint64_t scheduled = 0;   ///< Refit jobs submitted to the pool.
-  uint64_t completed = 0;   ///< Jobs that fit successfully.
-  uint64_t failed = 0;      ///< Jobs whose fit returned an error.
-  uint64_t shed = 0;        ///< Pending triggers dropped by admission control.
-  uint64_t last_fit_epoch = 0;
-  bool in_flight = false;
-};
-
 /// Debounces epoch-advance notifications into background Gibbs refits on
 /// a ThreadPool, with admission control. Notifications are cheap (one
 /// lock) and never block on a fit: when a refit is already running, the
@@ -55,6 +46,11 @@ struct RefitSchedulerStats {
 /// whose length differs from the baseline's (the store split or merged
 /// partitions) always fires: a rebalance rewrote the layout and the
 /// per-slot comparison is meaningless until a fit re-baselines.
+///
+/// The scheduler keeps no stats of its own: it counts into the registry's
+/// `ltm_serve_refit_{scheduled,completed,failed,shed}_total` counters and
+/// sets the `ltm_serve_refit_{queue_depth,in_flight,last_fit_epoch}`
+/// gauges.
 class RefitScheduler {
  public:
   /// `fn` runs on `pool` threads; it must be safe to call from one
@@ -95,8 +91,6 @@ class RefitScheduler {
   /// Blocks until no job is running and nothing is pending.
   void Drain() LTM_EXCLUDES(mu_);
 
-  RefitSchedulerStats Stats() const LTM_EXCLUDES(mu_);
-
  private:
   /// True when `epochs` crosses the debounce threshold against the
   /// current baseline (any slot advanced enough, or the layout changed).
@@ -118,8 +112,6 @@ class RefitScheduler {
 
   /// Backs the metric pointers when no registry was injected.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  /// Registry counters/gauges; mutated only with mu_ held, so a Stats()
-  /// snapshot under the same lock stays internally consistent.
   obs::Counter* scheduled_;
   obs::Counter* completed_;
   obs::Counter* failed_;
@@ -137,9 +129,6 @@ class RefitScheduler {
   /// Debounce baseline: the per-partition epochs captured by the trigger
   /// whose fit last completed. Starts as {initial_fit_epoch}.
   std::vector<uint64_t> last_fit_epochs_ LTM_GUARDED_BY(mu_);
-  /// Composite epoch the last successful fit covered (stats/gauge only;
-  /// the per-slot baseline above is what debounces).
-  uint64_t last_fit_epoch_ LTM_GUARDED_BY(mu_);
 };
 
 }  // namespace serve

@@ -122,8 +122,8 @@ Result<double> ServeSession::Query(const FactRef& fact,
   const WallTimer timer;
   queries_->Increment();
   // Reads observe epoch advances too (a foreign writer may never call
-  // NotifyIngest); admission feedback from a read-side poke is folded
-  // into Stats().refit rather than failing the read.
+  // NotifyIngest); admission feedback from a read-side poke is counted
+  // in ltm_serve_refit_shed_total rather than failing the read.
   if (scheduler_ != nullptr) {
     (void)scheduler_->NotifyPartitionEpochs(store_->PartitionEpochs());
   }
@@ -345,30 +345,6 @@ Result<std::vector<ServedFact>> ServeSession::QueryEntityRange(
 std::unique_ptr<ServeSnapshot> ServeSession::AcquireSnapshot() {
   return std::unique_ptr<ServeSnapshot>(
       new ServeSnapshot(this, store_->PinSnapshot(), CurrentQuality()));
-}
-
-ServeStats ServeSession::Stats() const {
-  ServeStats stats;
-  stats.queries = queries_->Value();
-  stats.snapshot_queries = snapshot_queries_->Value();
-  stats.range_queries = range_queries_->Value();
-  stats.coalesced = coalesced_->Value();
-  stats.shed = shed_->Value();
-  stats.slice_computes = slice_computes_->Value();
-  stats.cache = store_->PosteriorCacheStats();
-  const store::TruthStoreStats store_stats = store_->Stats();
-  stats.block_cache = store_stats.block_cache;
-  stats.bloom_point_skips = store_stats.bloom_point_skips;
-  if (scheduler_ != nullptr) stats.refit = scheduler_->Stats();
-  stats.epoch = store_->epoch();
-  {
-    MutexLock lock(mu_);
-    stats.quality_version = quality_->version;
-  }
-  stats.live_pins = store_->num_pinned_epochs();
-  stats.latency = query_micros_->Snapshot();
-  stats.unix_micros = static_cast<int64_t>(obs::NowUnixMicros());
-  return stats;
 }
 
 Result<double> ServeSnapshot::Query(const FactRef& fact,

@@ -40,31 +40,6 @@ struct ServedFact {
   double posterior = 0.0;
 };
 
-/// One-call snapshot of a session's counters.
-struct ServeStats {
-  uint64_t queries = 0;         ///< Point queries (incl. batch items).
-  uint64_t snapshot_queries = 0;///< Queries served through ServeSnapshot.
-  uint64_t range_queries = 0;
-  uint64_t coalesced = 0;       ///< Queries that joined another's slice compute.
-  uint64_t shed = 0;            ///< Queries rejected by admission control.
-  uint64_t slice_computes = 0;  ///< Entity read+score passes run on misses.
-  store::CacheStats cache;
-  /// The served store's data-block cache (hits/misses/evictions/bytes).
-  store::BlockCacheStats block_cache;
-  /// Point probes answered "fact cannot exist" purely from segment bloom
-  /// filters, reading zero data blocks (cumulative, store-wide).
-  uint64_t bloom_point_skips = 0;
-  RefitSchedulerStats refit;    ///< Zeros when the scheduler is disabled.
-  uint64_t epoch = 0;
-  uint64_t quality_version = 0;
-  size_t live_pins = 0;
-  obs::Histogram::Percentiles latency;
-  /// Wall-clock stamp (microseconds since the Unix epoch) so exported
-  /// stats can be correlated with external monitoring. Never feeds any
-  /// computation (see tools/determinism_allowlist.txt).
-  int64_t unix_micros = 0;
-};
-
 class ServeSnapshot;
 
 /// The client-facing online serving front-end (the redesigned read API):
@@ -98,6 +73,9 @@ class ServeSnapshot;
 ///     RefitScheduler); queries keep serving the previous quality until
 ///     the new fit installs (the install bumps the quality version and
 ///     clears the cache).
+///   - Observability: the session counts into the store's registry
+///     (`ltm_serve_*`, next to the store's and caches' series) and keeps
+///     no stats of its own.
 ///
 /// Coalescing semantics: a coalesced read returns the posterior at the
 /// epoch its leader pinned, which is never older than the leader's call
@@ -173,8 +151,6 @@ class ServeSession {
   /// directly (e.g. an ObserveToStore that refit). Sessions with a
   /// scheduler do this automatically after their own background refits.
   Status RefreshQuality() LTM_EXCLUDES(pipeline_mu_);
-
-  ServeStats Stats() const;
 
   store::PartitionedTruthStore* store() const { return store_; }
 

@@ -30,13 +30,21 @@ BlockCache::BlockCache(uint64_t capacity_bytes, size_t num_shards,
   inserts_ = reg->counter("ltm_cache_block_inserts_total");
   evictions_ = reg->counter("ltm_cache_block_evictions_total");
   size_bytes_gauge_ = reg->gauge("ltm_cache_block_size_bytes");
-  reg->gauge("ltm_cache_block_capacity_bytes")
-      ->Set(static_cast<int64_t>(capacity_bytes_));
+  capacity_bytes_gauge_ = reg->gauge("ltm_cache_block_capacity_bytes");
+  capacity_bytes_gauge_->Add(static_cast<int64_t>(capacity_bytes_));
   const size_t shards = RoundUpToPowerOfTwo(num_shards < 1 ? 1 : num_shards);
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
+}
+
+BlockCache::~BlockCache() {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    MutexLock lock(shard->mu);
+    size_bytes_gauge_->Add(-static_cast<int64_t>(shard->size_bytes));
+  }
+  capacity_bytes_gauge_->Add(-static_cast<int64_t>(capacity_bytes_));
 }
 
 BlockCache::Shard& BlockCache::ShardFor(uint64_t segment_id, uint64_t offset) {
@@ -108,21 +116,6 @@ void BlockCache::EraseSegment(uint64_t segment_id) {
       }
     }
   }
-}
-
-BlockCacheStats BlockCache::Stats() const {
-  BlockCacheStats stats;
-  stats.capacity_bytes = capacity_bytes_;
-  stats.hits = hits_->Value();
-  stats.misses = misses_->Value();
-  stats.inserts = inserts_->Value();
-  stats.evictions = evictions_->Value();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    MutexLock lock(shard->mu);
-    stats.size_bytes += shard->size_bytes;
-    stats.entries += shard->lru.size();
-  }
-  return stats;
 }
 
 }  // namespace store

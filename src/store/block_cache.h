@@ -15,21 +15,6 @@
 namespace ltm {
 namespace store {
 
-/// One-call snapshot of the cache's counters. The counters live in a
-/// MetricsRegistry (`ltm_cache_block_*`) and each is bumped under the
-/// owning shard's lock; size/entries are summed shard by shard, so
-/// cross-shard totals can lag one another by in-flight operations, which
-/// is fine for monitoring.
-struct BlockCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t inserts = 0;
-  uint64_t evictions = 0;
-  uint64_t size_bytes = 0;
-  uint64_t capacity_bytes = 0;
-  size_t entries = 0;
-};
-
 /// Sharded LRU cache of verified data-block bytes, keyed
 /// (segment id, block offset) and charged by block size — the layer under
 /// PosteriorCache that turns a repeat point lookup's one block read into
@@ -46,6 +31,12 @@ struct BlockCacheStats {
 ///
 /// Thread-safe. A capacity of 0 disables caching (every Get misses,
 /// Insert drops).
+///
+/// The cache keeps no stats of its own: it counts into the registry's
+/// `ltm_cache_block_{hits,misses,inserts,evictions}_total` counters, and
+/// keeps `ltm_cache_block_{size,capacity}_bytes` by deltas, so every
+/// partition's cache in one registry adds up and a destroyed cache (a
+/// closed store, a reaped partition) takes its share back out.
 class BlockCache {
  public:
   /// `metrics` is where the `ltm_cache_block_*` counters register (must
@@ -53,6 +44,7 @@ class BlockCache {
   /// standalone instances stay isolated.
   explicit BlockCache(uint64_t capacity_bytes, size_t num_shards = 8,
                       obs::MetricsRegistry* metrics = nullptr);
+  ~BlockCache();
 
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
@@ -72,8 +64,6 @@ class BlockCache {
   /// file is deleted or reclaimed). Dropped entries do not count as
   /// capacity evictions.
   void EraseSegment(uint64_t segment_id);
-
-  BlockCacheStats Stats() const;
 
   uint64_t capacity_bytes() const { return capacity_bytes_; }
 
@@ -109,15 +99,15 @@ class BlockCache {
   const uint64_t per_shard_capacity_;
   /// Backs the metric pointers when no registry was injected.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  /// Registry counters; each increment happens under the shard lock of
-  /// the operation that caused it.
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* inserts_;
   obs::Counter* evictions_;
-  /// Tracks total cached bytes across shards via +/- deltas.
   obs::Gauge* size_bytes_gauge_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Touched only by the constructor and destructor, so it sits after
+  /// the members every Get/Insert reads.
+  obs::Gauge* capacity_bytes_gauge_;
 };
 
 }  // namespace store

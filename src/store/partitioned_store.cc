@@ -814,21 +814,6 @@ TruthStoreStats PartitionedTruthStore::Stats() const {
     stats.max_level = std::max(stats.max_level, c.max_level);
     stats.l0_segments += c.l0_segments;
     stats.manifest_edits_since_snapshot += c.manifest_edits_since_snapshot;
-    stats.bloom_point_skips += c.bloom_point_skips;
-    stats.block_cache.hits += c.block_cache.hits;
-    stats.block_cache.misses += c.block_cache.misses;
-    stats.block_cache.inserts += c.block_cache.inserts;
-    stats.block_cache.evictions += c.block_cache.evictions;
-    stats.block_cache.size_bytes += c.block_cache.size_bytes;
-    stats.block_cache.capacity_bytes += c.block_cache.capacity_bytes;
-    stats.block_cache.entries += c.block_cache.entries;
-    stats.compaction.compactions += c.compaction.compactions;
-    stats.compaction.trivial_moves += c.compaction.trivial_moves;
-    stats.compaction.input_segments += c.compaction.input_segments;
-    stats.compaction.output_segments += c.compaction.output_segments;
-    stats.compaction.bytes_read += c.compaction.bytes_read;
-    stats.compaction.bytes_written += c.compaction.bytes_written;
-    stats.compaction.rows_dropped += c.compaction.rows_dropped;
   }
   return stats;
 }
@@ -885,22 +870,6 @@ void PartitionedTruthStore::ClearPosteriorCaches() {
   for (const std::unique_ptr<PosteriorCache>& cache : caches_) {
     cache->Clear();
   }
-}
-
-CacheStats PartitionedTruthStore::PosteriorCacheStats() const {
-  ReaderMutexLock lock(table_mu_);
-  CacheStats total;
-  for (const std::unique_ptr<PosteriorCache>& cache : caches_) {
-    const CacheStats c = cache->Stats();
-    total.hits += c.hits;
-    total.misses += c.misses;
-    total.coalesced += c.coalesced;
-    total.puts += c.puts;
-    total.evictions += c.evictions;
-    total.size += c.size;
-    total.capacity += c.capacity;
-  }
-  return total;
 }
 
 size_t PartitionedTruthStore::num_pinned_epochs() const {

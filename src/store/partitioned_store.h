@@ -270,8 +270,6 @@ class PartitionedTruthStore {
       LTM_EXCLUDES(table_mu_);
   /// Clears every partition's posterior cache (quality version bumps).
   void ClearPosteriorCaches() LTM_EXCLUDES(table_mu_);
-  /// Aggregated posterior-cache counters across partitions.
-  CacheStats PosteriorCacheStats() const LTM_EXCLUDES(table_mu_);
 
   /// Live StorePin handles outstanding (observability + tests).
   size_t num_pinned_epochs() const;

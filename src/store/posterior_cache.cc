@@ -18,8 +18,14 @@ PosteriorCache::PosteriorCache(size_t capacity, obs::MetricsRegistry* metrics)
   puts_ = reg->counter("ltm_cache_posterior_puts_total");
   evictions_ = reg->counter("ltm_cache_posterior_evictions_total");
   size_gauge_ = reg->gauge("ltm_cache_posterior_size");
-  reg->gauge("ltm_cache_posterior_capacity")
-      ->Set(static_cast<int64_t>(capacity_));
+  capacity_gauge_ = reg->gauge("ltm_cache_posterior_capacity");
+  capacity_gauge_->Add(static_cast<int64_t>(capacity_));
+}
+
+PosteriorCache::~PosteriorCache() {
+  MutexLock lock(mutex_);
+  size_gauge_->Add(-static_cast<int64_t>(lru_.size()));
+  capacity_gauge_->Add(-static_cast<int64_t>(capacity_));
 }
 
 std::optional<double> PosteriorCache::Get(const std::string& fact_key,
@@ -39,7 +45,7 @@ std::optional<double> PosteriorCache::Get(const std::string& fact_key,
       index_.erase(it);
       lru_.erase(entry);
       evictions_->Increment();
-      size_gauge_->Set(static_cast<int64_t>(lru_.size()));
+      size_gauge_->Add(-1);
     }
     // A reader still at an older epoch just misses: the cached entry is
     // fresher than the reader, so evicting it here would let that
@@ -88,30 +94,17 @@ void PosteriorCache::Put(const std::string& fact_key, uint64_t epoch,
   } else {
     lru_.push_front(
         Entry{fact_key, epoch, posterior, std::this_thread::get_id()});
+    size_gauge_->Add(1);
   }
   index_.emplace(lru_.front().key, lru_.begin());
-  size_gauge_->Set(static_cast<int64_t>(lru_.size()));
 }
 
 void PosteriorCache::Clear() {
   MutexLock lock(mutex_);
   evictions_->Increment(lru_.size());
+  size_gauge_->Add(-static_cast<int64_t>(lru_.size()));
   index_.clear();
   lru_.clear();
-  size_gauge_->Set(0);
-}
-
-CacheStats PosteriorCache::Stats() const {
-  MutexLock lock(mutex_);
-  CacheStats stats;
-  stats.hits = hits_->Value();
-  stats.misses = misses_->Value();
-  stats.coalesced = coalesced_->Value();
-  stats.puts = puts_->Value();
-  stats.evictions = evictions_->Value();
-  stats.size = lru_.size();
-  stats.capacity = capacity_;
-  return stats;
 }
 
 size_t PosteriorCache::size() const {

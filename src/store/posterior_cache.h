@@ -17,26 +17,6 @@
 namespace ltm {
 namespace store {
 
-/// A single-lock snapshot of the cache's counters. The counters live in
-/// a MetricsRegistry (`ltm_cache_posterior_*`) but every increment still
-/// happens under the cache mutex, and Stats() reads them in the same
-/// critical section — so the numbers stay mutually consistent (hits +
-/// misses equals the number of Get calls at the instant of the snapshot,
-/// even under concurrent readers).
-struct CacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  /// Gets answered from an entry another thread wrote at the same epoch —
-  /// the cache-level signature of duplicate-query coalescing (hits on an
-  /// entry the reading thread did not Put itself).
-  uint64_t coalesced = 0;
-  uint64_t puts = 0;
-  /// Entries dropped for capacity (LRU) or staleness (epoch advance).
-  uint64_t evictions = 0;
-  size_t size = 0;
-  size_t capacity = 0;
-};
-
 /// Thread-safe LRU cache of served fact posteriors, keyed on
 /// (fact key, store epoch). The epoch is the TruthStore's in-memory data
 /// version — it advances on every append and every manifest commit — so
@@ -44,6 +24,12 @@ struct CacheStats {
 /// afterwards: a Get with a newer epoch treats the stale entry as a miss
 /// and evicts it. This is what lets StreamingPipeline answer repeated
 /// online reads without refitting (§5.4 serving).
+///
+/// The cache keeps no stats of its own: it counts into the registry's
+/// `ltm_cache_posterior_{hits,misses,coalesced,puts,evictions}_total`
+/// counters, and keeps `ltm_cache_posterior_{size,capacity}` by deltas,
+/// so caches sharing one registry (one per partition) add up and a
+/// destroyed cache takes its share back out.
 class PosteriorCache {
  public:
   /// `metrics` is where the `ltm_cache_posterior_*` counters register
@@ -51,6 +37,7 @@ class PosteriorCache {
   /// so standalone instances stay isolated.
   explicit PosteriorCache(size_t capacity,
                           obs::MetricsRegistry* metrics = nullptr);
+  ~PosteriorCache();
 
   /// The LRU list's iterators are self-referential and the mutex is not
   /// movable; copying a live cache is never meaningful, so neither is
@@ -78,16 +65,8 @@ class PosteriorCache {
 
   void Clear() LTM_EXCLUDES(mutex_);
 
-  /// One-lock snapshot of every counter plus current size/capacity.
-  /// Preferred over the scalar accessors when more than one field is
-  /// needed: two separate calls can interleave with concurrent Gets and
-  /// report totals from different instants.
-  CacheStats Stats() const LTM_EXCLUDES(mutex_);
-
   size_t size() const LTM_EXCLUDES(mutex_);
   size_t capacity() const { return capacity_; }
-  uint64_t hits() const { return hits_->Value(); }
-  uint64_t misses() const { return misses_->Value(); }
 
  private:
   struct Entry {
@@ -102,8 +81,6 @@ class PosteriorCache {
   const size_t capacity_;
   /// Backs the metric pointers when no registry was injected.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  /// Registry counters; incremented only with mutex_ held (see the
-  /// CacheStats contract above).
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* coalesced_;
@@ -117,6 +94,9 @@ class PosteriorCache {
   /// a Put copies the key once.
   std::unordered_map<std::string_view, std::list<Entry>::iterator> index_
       LTM_GUARDED_BY(mutex_);
+  /// Touched only by the constructor and destructor, so it sits after
+  /// the members every Get/Put reads.
+  obs::Gauge* capacity_gauge_;
 };
 
 }  // namespace store

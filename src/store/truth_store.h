@@ -45,20 +45,12 @@ struct RangeScanStats {
 /// (entity, attribute, source) triple's first row).
 Dataset DatasetFromRows(std::string name, const RowViews& rows);
 
-/// Cumulative compaction work counters (write-amplification accounting).
-struct CompactionStats {
-  uint64_t compactions = 0;       ///< merge passes that committed
-  uint64_t trivial_moves = 0;     ///< segments relinked down a level, no IO
-  uint64_t input_segments = 0;
-  uint64_t output_segments = 0;
-  uint64_t bytes_read = 0;        ///< sum of input segment file bytes
-  uint64_t bytes_written = 0;     ///< sum of output segment file bytes
-  uint64_t rows_dropped = 0;      ///< duplicate (entity, attr, source) rows
-};
-
-/// Point-in-time store counters. PartitionedTruthStore::Stats() reports
+/// Point-in-time store layout. PartitionedTruthStore::Stats() reports
 /// the aggregate over every partition (counts summed, max_level taken as
-/// the max, epoch/generation the composite values).
+/// the max, epoch/generation the composite values). Work counters —
+/// compactions, block-cache traffic, bloom skips — are not copied here:
+/// read them from the store's MetricsRegistry (`ltm_store_*`,
+/// `ltm_cache_block_*`).
 struct TruthStoreStats {
   uint64_t epoch = 0;
   uint64_t generation = 0;
@@ -79,11 +71,6 @@ struct TruthStoreStats {
   uint64_t next_row_seq = 0;
   /// Edit records appended since the last manifest snapshot fold.
   uint64_t manifest_edits_since_snapshot = 0;
-  /// Point probes answered "fact cannot exist" purely from blooms,
-  /// reading zero data blocks (cumulative).
-  uint64_t bloom_point_skips = 0;
-  BlockCacheStats block_cache;
-  CompactionStats compaction;
 };
 
 /// Knobs for a TruthStore instance.
@@ -327,7 +314,7 @@ class TruthStore {
   /// block is read. False means definitely absent (blooms have no false
   /// negatives), so the caller can serve the no-claim prior without
   /// materializing anything; such all-negative probes are counted in
-  /// TruthStoreStats::bloom_point_skips.
+  /// `ltm_store_bloom_point_skips_total`.
   Result<bool> PinnedFactMayExist(const EpochPin& pin,
                                   const std::string& entity,
                                   const std::string& attribute) const;
@@ -439,10 +426,7 @@ class TruthStore {
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;  // never null
 
-  /// `ltm_store_*` metrics, resolved once in the constructor. Counter
-  /// increments happen inside the same mu_-held regions that used to
-  /// mutate the ad-hoc stats structs, so cross-counter invariants (e.g.
-  /// input vs output segment totals) stay consistent under the lock.
+  /// `ltm_store_*` metrics, resolved once in the constructor.
   obs::Counter* wal_appends_;
   obs::Counter* wal_syncs_;
   obs::Histogram* wal_append_micros_;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ext/streaming.h"
+#include "obs/metrics.h"
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
 #include "store/partitioned_store.h"
@@ -104,10 +105,13 @@ TEST_F(StreamingStoreTest, BootstrapObserveAndServeAgainstTheStore) {
   FactKey(chunk_a_, 0, &entity, &attribute);
   auto served = (*session)->Query({entity, attribute});
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  const uint64_t hits_before = (*store)->PosteriorCacheStats().hits;
+  const obs::MetricsRegistry& metrics = *(*store)->metrics();
+  const uint64_t hits_before =
+      metrics.CounterValue("ltm_cache_posterior_hits_total");
   auto repeat = (*session)->Query({entity, attribute});
   ASSERT_TRUE(repeat.ok());
-  EXPECT_GT((*store)->PosteriorCacheStats().hits, hits_before);
+  EXPECT_GT(metrics.CounterValue("ltm_cache_posterior_hits_total"),
+            hits_before);
   EXPECT_DOUBLE_EQ(*served, *repeat);
 
   // The chunk's entities are new, so the full-evidence posterior agrees
@@ -137,10 +141,13 @@ TEST_F(StreamingStoreTest, QueryRecomputesAfterNewEvidence) {
   auto first = (*session)->Query({entity, attribute});
   ASSERT_TRUE(first.ok());
   // Second read at the same epoch: served from cache.
-  const uint64_t misses_before = (*store)->PosteriorCacheStats().misses;
+  const obs::MetricsRegistry& metrics = *(*store)->metrics();
+  const uint64_t misses_before =
+      metrics.CounterValue("ltm_cache_posterior_misses_total");
   auto second = (*session)->Query({entity, attribute});
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*store)->PosteriorCacheStats().misses, misses_before);
+  EXPECT_EQ(metrics.CounterValue("ltm_cache_posterior_misses_total"),
+            misses_before);
   EXPECT_DOUBLE_EQ(*first, *second);
 
   // New evidence advances the store epoch; the stale entry must not be
@@ -148,7 +155,8 @@ TEST_F(StreamingStoreTest, QueryRecomputesAfterNewEvidence) {
   ASSERT_TRUE(pipeline.ObserveToStore(chunk_a_).ok());
   auto third = (*session)->Query({entity, attribute});
   ASSERT_TRUE(third.ok());
-  EXPECT_GT((*store)->PosteriorCacheStats().misses, misses_before);
+  EXPECT_GT(metrics.CounterValue("ltm_cache_posterior_misses_total"),
+            misses_before);
 }
 
 TEST_F(StreamingStoreTest, QueryMatchesFullGraphClosedForm) {

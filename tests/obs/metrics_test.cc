@@ -78,6 +78,58 @@ TEST(ObsMetricsTest, RenderTextGoldenFormat) {
             "ltm_test_ops_total 3\n");
 }
 
+// Family sums: the bare series plus every `{...}`-labelled series, as the
+// partitioned store registers them side by side.
+TEST(ObsMetricsTest, FamilySumsBareAndLabelledSeries) {
+  MetricsRegistry reg;
+  reg.counter("ltm_test_ops_total")->Increment(2);
+  reg.counter("ltm_test_ops_total{partition=\"1\"}")->Increment(3);
+  reg.counter("ltm_test_ops_total{partition=\"2\",level=\"1\"}")->Increment(5);
+  EXPECT_EQ(reg.CounterSum("ltm_test_ops_total"), 10u);
+  reg.gauge("ltm_test_size")->Set(-4);
+  reg.gauge("ltm_test_size{partition=\"1\"}")->Set(7);
+  reg.gauge("ltm_test_size{partition=\"2\"}")->Set(100);
+  EXPECT_EQ(reg.GaugeSum("ltm_test_size"), 103);
+  // Only labelled series, no bare one: still summed.
+  reg.counter("ltm_test_lonely_total{partition=\"3\"}")->Increment(4);
+  EXPECT_EQ(reg.CounterSum("ltm_test_lonely_total"), 4u);
+  // Each kind reads only its own map.
+  EXPECT_EQ(reg.GaugeSum("ltm_test_ops_total"), 0);
+  EXPECT_EQ(reg.CounterSum("ltm_test_size"), 0u);
+}
+
+// A family never sums another family that merely shares its prefix.
+TEST(ObsMetricsTest, FamilySumsIgnorePrefixCollisions) {
+  MetricsRegistry reg;
+  reg.counter("ltm_store_flushes_total")->Increment(1);
+  reg.counter("ltm_store_flushes_total{partition=\"2\"}")->Increment(2);
+  reg.counter("ltm_store_flush_rows_total")->Increment(1000);
+  reg.counter("ltm_store_flush_rows_total{partition=\"2\"}")->Increment(500);
+  EXPECT_EQ(reg.CounterSum("ltm_store_flushes_total"), 3u);
+  EXPECT_EQ(reg.CounterSum("ltm_store_flush_rows_total"), 1500u);
+  // `ltm_store_flush` is a strict prefix of both families, but is not
+  // itself registered; `ltm_test_x` is a strict prefix of `ltm_test_xy`.
+  EXPECT_EQ(reg.CounterSum("ltm_store_flush"), 0u);
+  reg.gauge("ltm_test_x")->Set(1);
+  reg.gauge("ltm_test_xy")->Set(20);
+  reg.gauge("ltm_test_xy{partition=\"1\"}")->Set(300);
+  reg.gauge("ltm_test_x_y{partition=\"1\"}")->Set(4000);
+  EXPECT_EQ(reg.GaugeSum("ltm_test_x"), 1);
+  EXPECT_EQ(reg.GaugeSum("ltm_test_xy"), 320);
+  // A kind collision renders under "!kind" and is not part of the family.
+  reg.counter("ltm_test_x")->Increment(9);
+  EXPECT_EQ(reg.GaugeSum("ltm_test_x"), 1);
+  EXPECT_EQ(reg.CounterSum("ltm_test_x"), 0u);
+}
+
+TEST(ObsMetricsTest, FamilySumsOfUnregisteredNamesReadZero) {
+  MetricsRegistry reg;
+  EXPECT_EQ(reg.CounterSum("ltm_test_missing_total"), 0u);
+  EXPECT_EQ(reg.GaugeSum("ltm_test_missing"), 0);
+  // Reading does not register anything.
+  EXPECT_EQ(reg.NumMetrics(), 0u);
+}
+
 // Concurrency storm: many threads hammering one counter, one gauge, and
 // one histogram while a reader polls snapshots. Run under TSan, this is
 // the data-race check for the sharded hot path; in every mode the final

@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "ext/streaming.h"
+#include "obs/metrics.h"
 #include "serve/refit_scheduler.h"
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
@@ -62,6 +63,14 @@ class ServeSessionTest : public ::testing::Test {
     ASSERT_TRUE(store_->Flush().ok());
     pipeline_ = std::make_unique<ext::StreamingPipeline>(options);
     ASSERT_TRUE(pipeline_->BootstrapFromStore(store_.get()).ok());
+  }
+
+  /// The session counts into its store's registry.
+  uint64_t CounterValue(const std::string& name) const {
+    return store_->metrics()->CounterValue(name);
+  }
+  int64_t GaugeValue(const std::string& name) const {
+    return store_->metrics()->GaugeValue(name);
   }
 
   FactRef Ref(const Dataset& ds, FactId f) {
@@ -144,10 +153,10 @@ TEST_F(ServeSessionTest, QueryMatchesFullGraphClosedForm) {
   ASSERT_TRUE(served.ok());
   EXPECT_DOUBLE_EQ(*served, Options().ltm.beta.Mean());
   // The no-claim answer is cached too: a repeat is a hit, not a compute.
-  const uint64_t computes = (*session)->Stats().slice_computes;
+  const uint64_t computes = CounterValue("ltm_serve_slice_computes_total");
   auto repeat = (*session)->Query(unknown);
   ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ((*session)->Stats().slice_computes, computes);
+  EXPECT_EQ(CounterValue("ltm_serve_slice_computes_total"), computes);
 }
 
 TEST_F(ServeSessionTest, QueryBatchAlignsWithPointQueries) {
@@ -187,7 +196,7 @@ TEST_F(ServeSessionTest, QueryEntityRangeScoresSliceAndWarmsCache) {
 
   // Point reads of range-served facts hit the warmed cache — no further
   // slice computations — and agree with the range's posteriors.
-  const uint64_t computes = (*session)->Stats().slice_computes;
+  const uint64_t computes = CounterValue("ltm_serve_slice_computes_total");
   for (const ServedFact& fact : *served) {
     FactRef ref;
     ref.entity = fact.entity;
@@ -196,8 +205,8 @@ TEST_F(ServeSessionTest, QueryEntityRangeScoresSliceAndWarmsCache) {
     ASSERT_TRUE(point.ok());
     EXPECT_EQ(*point, fact.posterior);
   }
-  EXPECT_EQ((*session)->Stats().slice_computes, computes);
-  EXPECT_EQ((*session)->Stats().range_queries, 1u);
+  EXPECT_EQ(CounterValue("ltm_serve_slice_computes_total"), computes);
+  EXPECT_EQ(CounterValue("ltm_serve_range_queries_total"), 1u);
 }
 
 TEST_F(ServeSessionTest, RefreshQualityServesTheNewFit) {
@@ -206,7 +215,7 @@ TEST_F(ServeSessionTest, RefreshQualityServesTheNewFit) {
   Bootstrap(options);
   auto session = ServeSession::Create(pipeline_.get(), ServeOptions());
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->Stats().quality_version, 0u);
+  EXPECT_EQ(GaugeValue("ltm_serve_quality_version"), 0);
 
   const FactRef probe = Ref(history_, 0);
   ASSERT_TRUE((*session)->Query(probe).ok());
@@ -216,7 +225,7 @@ TEST_F(ServeSessionTest, RefreshQualityServesTheNewFit) {
   ASSERT_TRUE(pipeline_->ObserveToStore(arrivals_).ok());
   ASSERT_TRUE(pipeline_->last_refit());
   ASSERT_TRUE((*session)->RefreshQuality().ok());
-  EXPECT_EQ((*session)->Stats().quality_version, 1u);
+  EXPECT_EQ(GaugeValue("ltm_serve_quality_version"), 1);
 
   // Post-refresh answers match the closed form under the new fit.
   auto refreshed = (*session)->Query(probe);
@@ -241,12 +250,16 @@ TEST_F(ServeSessionTest, BackgroundSchedulerRefitsAfterForeignIngest) {
   // The refit runs on the pool; wait for it to land.
   bool refitted = false;
   for (int i = 0; i < 500 && !refitted; ++i) {
-    refitted = (*session)->Stats().refit.completed >= 1 &&
-               (*session)->Stats().refit.in_flight == false;
+    refitted = CounterValue("ltm_serve_refit_completed_total") >= 1 &&
+               GaugeValue("ltm_serve_refit_in_flight") == 0;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_TRUE(refitted);
-  EXPECT_GE((*session)->Stats().quality_version, 1u);
+  EXPECT_GE(GaugeValue("ltm_serve_quality_version"), 1);
+  // Registry reads are relaxed atomics and order nothing. Acquiring a
+  // snapshot takes the lock the refit installed its quality under, which
+  // orders the refit's pipeline writes before the read below.
+  EXPECT_GE((*session)->AcquireSnapshot()->quality_version(), 1u);
   EXPECT_GE(pipeline_->last_fit_epoch(), arrivals_.raw.NumRows());
 
   // The new fit covers the foreign rows: an arrival fact now serves a
@@ -287,9 +300,9 @@ TEST_F(ServeSessionConcurrencyTest, DuplicateQueriesCoalesce) {
   EXPECT_EQ(failures.load(), 0);
   for (int c = 1; c < kClients; ++c) EXPECT_EQ(values[c], values[0]);
   // One materialization served all four clients.
-  const ServeStats stats = (*session)->Stats();
-  EXPECT_EQ(stats.slice_computes, 1u);
-  EXPECT_EQ(stats.queries, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(CounterValue("ltm_serve_slice_computes_total"), 1u);
+  EXPECT_EQ(CounterValue("ltm_serve_queries_total"),
+            static_cast<uint64_t>(kClients));
 }
 
 TEST_F(ServeSessionConcurrencyTest, AdmissionControlShedsBeyondMaxInflight) {
@@ -315,7 +328,7 @@ TEST_F(ServeSessionConcurrencyTest, AdmissionControlShedsBeyondMaxInflight) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   auto shed = (*session)->Query(other);
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ((*session)->Stats().shed, 1u);
+  EXPECT_EQ(CounterValue("ltm_serve_shed_total"), 1u);
   leader.join();
 
   // Once the slot frees, the same query is admitted.
@@ -422,25 +435,25 @@ TEST_F(RefitSchedulerTest, DebounceGatesScheduling) {
   std::atomic<int> fits{0};
   RefitSchedulerOptions options;
   options.debounce_epochs = 10;
+  obs::MetricsRegistry metrics;
   RefitScheduler scheduler(
       &pool,
       [&](const RunContext&) -> Result<uint64_t> {
         fits.fetch_add(1, std::memory_order_relaxed);
         return 15;
       },
-      options, /*initial_fit_epoch=*/5);
+      options, /*initial_fit_epoch=*/5, &metrics);
 
   ASSERT_TRUE(scheduler.NotifyEpoch(9).ok());  // 9 < 5 + 10: below
   scheduler.Drain();
   EXPECT_EQ(fits.load(), 0);
-  EXPECT_EQ(scheduler.Stats().scheduled, 0u);
+  EXPECT_EQ(metrics.CounterValue("ltm_serve_refit_scheduled_total"), 0u);
 
   ASSERT_TRUE(scheduler.NotifyEpoch(15).ok());  // crosses the threshold
   scheduler.Drain();
   EXPECT_EQ(fits.load(), 1);
-  const RefitSchedulerStats stats = scheduler.Stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.last_fit_epoch, 15u);
+  EXPECT_EQ(metrics.CounterValue("ltm_serve_refit_completed_total"), 1u);
+  EXPECT_EQ(metrics.GaugeValue("ltm_serve_refit_last_fit_epoch"), 15);
 
   // Re-armed: epochs below the new threshold do nothing.
   ASSERT_TRUE(scheduler.NotifyEpoch(20).ok());
@@ -459,6 +472,7 @@ TEST_F(RefitSchedulerTest, BoundedQueueShedsOldestAndChainsNewest) {
   RefitSchedulerOptions options;
   options.debounce_epochs = 1;
   options.max_queue = 1;
+  obs::MetricsRegistry metrics;
   RefitScheduler scheduler(
       &pool,
       [&](const RunContext&) -> Result<uint64_t> {
@@ -474,7 +488,7 @@ TEST_F(RefitSchedulerTest, BoundedQueueShedsOldestAndChainsNewest) {
         fit_epochs.push_back(fit_epochs.empty() ? 10 : 30);
         return fit_epochs.back();
       },
-      options, /*initial_fit_epoch=*/0);
+      options, /*initial_fit_epoch=*/0, &metrics);
 
   ASSERT_TRUE(scheduler.NotifyEpoch(10).ok());  // runs (and blocks)
   // Wait until the job is actually in flight before queueing triggers.
@@ -487,7 +501,7 @@ TEST_F(RefitSchedulerTest, BoundedQueueShedsOldestAndChainsNewest) {
   ASSERT_TRUE(scheduler.NotifyEpoch(20).ok());   // dedup: no-op
   Status shed = scheduler.NotifyEpoch(30);       // sheds epoch-20 trigger
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(scheduler.Stats().shed, 1u);
+  EXPECT_EQ(metrics.CounterValue("ltm_serve_refit_shed_total"), 1u);
 
   {
     std::lock_guard<std::mutex> lock(gate_mu);
@@ -497,9 +511,8 @@ TEST_F(RefitSchedulerTest, BoundedQueueShedsOldestAndChainsNewest) {
   scheduler.Drain();
 
   // The blocked fit completed, then the newest pending trigger chained.
-  const RefitSchedulerStats stats = scheduler.Stats();
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_FALSE(stats.in_flight);
+  EXPECT_EQ(metrics.CounterValue("ltm_serve_refit_completed_total"), 2u);
+  EXPECT_EQ(metrics.GaugeValue("ltm_serve_refit_in_flight"), 0);
   EXPECT_EQ(fits.load(), 2);
 }
 
@@ -508,6 +521,7 @@ TEST_F(RefitSchedulerTest, FailedFitKeepsTriggerArmed) {
   std::atomic<int> calls{0};
   RefitSchedulerOptions options;
   options.debounce_epochs = 5;
+  obs::MetricsRegistry metrics;
   RefitScheduler scheduler(
       &pool,
       [&](const RunContext&) -> Result<uint64_t> {
@@ -516,21 +530,20 @@ TEST_F(RefitSchedulerTest, FailedFitKeepsTriggerArmed) {
         }
         return 40;
       },
-      options, /*initial_fit_epoch=*/0);
+      options, /*initial_fit_epoch=*/0, &metrics);
 
   ASSERT_TRUE(scheduler.NotifyEpoch(10).ok());
   scheduler.Drain();
-  RefitSchedulerStats stats = scheduler.Stats();
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.last_fit_epoch, 0u);  // unchanged: the fit never landed
+  EXPECT_EQ(metrics.CounterValue("ltm_serve_refit_failed_total"), 1u);
+  // Unchanged: the fit never landed.
+  EXPECT_EQ(metrics.GaugeValue("ltm_serve_refit_last_fit_epoch"), 0);
 
   // The next epoch advance retries (the debounce still measures from the
   // last successful fit).
   ASSERT_TRUE(scheduler.NotifyEpoch(12).ok());
   scheduler.Drain();
-  stats = scheduler.Stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.last_fit_epoch, 40u);
+  EXPECT_EQ(metrics.CounterValue("ltm_serve_refit_completed_total"), 1u);
+  EXPECT_EQ(metrics.GaugeValue("ltm_serve_refit_last_fit_epoch"), 40);
 }
 
 // Partitioned stores report one epoch per partition; the debounce is
@@ -541,20 +554,21 @@ TEST_F(RefitSchedulerTest, PartitionEpochVectorDebounce) {
   std::atomic<int> fits{0};
   RefitSchedulerOptions options;
   options.debounce_epochs = 10;
+  obs::MetricsRegistry metrics;
   RefitScheduler scheduler(
       &pool,
       [&](const RunContext&) -> Result<uint64_t> {
         fits.fetch_add(1, std::memory_order_relaxed);
         return 100;
       },
-      options, /*initial_fit_epoch=*/0);
+      options, /*initial_fit_epoch=*/0, &metrics);
 
   // The scalar seed is a width-1 baseline; a 3-partition vector is a
   // layout change, so the first notify fires and re-baselines per slot.
   ASSERT_TRUE(scheduler.NotifyPartitionEpochs({3, 4, 5}).ok());
   scheduler.Drain();
   EXPECT_EQ(fits.load(), 1);
-  EXPECT_EQ(scheduler.Stats().last_fit_epoch, 100u);
+  EXPECT_EQ(metrics.GaugeValue("ltm_serve_refit_last_fit_epoch"), 100);
 
   // Every slot below its own baseline + debounce: no trigger.
   ASSERT_TRUE(scheduler.NotifyPartitionEpochs({12, 13, 14}).ok());
@@ -572,7 +586,7 @@ TEST_F(RefitSchedulerTest, PartitionEpochVectorDebounce) {
   ASSERT_TRUE(scheduler.NotifyPartitionEpochs({0, 0}).ok());
   scheduler.Drain();
   EXPECT_EQ(fits.load(), 3);
-  EXPECT_FALSE(scheduler.Stats().in_flight);
+  EXPECT_EQ(metrics.GaugeValue("ltm_serve_refit_in_flight"), 0);
 }
 
 }  // namespace

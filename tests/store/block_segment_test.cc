@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "store/block_cache.h"
 #include "store/block_format.h"
 #include "store/child_store_util.h"
@@ -470,7 +471,10 @@ TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
 }
 
 TEST_F(BlockSegmentTest, PinnedFactMayExistAnswersFromBloomsAlone) {
-  auto store = TruthStore::Open(Path("store"));
+  obs::MetricsRegistry metrics;
+  TruthStoreOptions options;
+  options.metrics = &metrics;
+  auto store = TruthStore::Open(Path("store"), options);
   ASSERT_TRUE(store.ok());
   for (const char* e : {"apple", "banana"}) {
     ASSERT_TRUE(AppendNext(store->get(), WalRecord{e, "color", "s1", 1}).ok());
@@ -486,11 +490,13 @@ TEST_F(BlockSegmentTest, PinnedFactMayExistAnswersFromBloomsAlone) {
   ASSERT_TRUE(present.ok());
   EXPECT_TRUE(*present);
 
-  const uint64_t skips_before = (*store)->Stats().bloom_point_skips;
+  const uint64_t skips_before =
+      metrics.CounterValue("ltm_store_bloom_point_skips_total");
   auto absent = (*store)->PinnedFactMayExist(*pin, "cherry", "weight");
   ASSERT_TRUE(absent.ok());
   EXPECT_FALSE(*absent);
-  EXPECT_GT((*store)->Stats().bloom_point_skips, skips_before);
+  EXPECT_GT(metrics.CounterValue("ltm_store_bloom_point_skips_total"),
+            skips_before);
 
   // Memtable rows are visible to the probe before any flush.
   ASSERT_TRUE(

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "obs/metrics.h"
 #include "store/child_store_util.h"
 #include "store/truth_store.h"
 #include "test_util.h"
@@ -46,8 +47,10 @@ class LeveledCompactionTest : public ::testing::Test {
 };
 
 TEST_F(LeveledCompactionTest, L0TriggerGatesCompactOnce) {
+  obs::MetricsRegistry metrics;
   TruthStoreOptions options;
   options.l0_compaction_trigger = 4;
+  options.metrics = &metrics;
   auto st = TruthStore::Open(Dir("trigger"), options);
   ASSERT_TRUE(st.ok());
   const RawDatabase raw = testing::RandomRaw(41);
@@ -73,10 +76,12 @@ TEST_F(LeveledCompactionTest, L0TriggerGatesCompactOnce) {
   TruthStoreStats stats = (*st)->Stats();
   EXPECT_EQ(stats.l0_segments, 0u);
   EXPECT_EQ(stats.max_level, 1u);
-  EXPECT_EQ(stats.compaction.compactions, 1u);
-  EXPECT_EQ(stats.compaction.input_segments, 4u);
-  EXPECT_GT(stats.compaction.bytes_read, 0u);
-  EXPECT_GT(stats.compaction.bytes_written, 0u);
+  EXPECT_EQ(metrics.CounterValue("ltm_store_compactions_total"), 1u);
+  EXPECT_EQ(metrics.CounterValue("ltm_store_compaction_input_segments_total"),
+            4u);
+  EXPECT_GT(metrics.CounterValue("ltm_store_compaction_bytes_read_total"), 0u);
+  EXPECT_GT(metrics.CounterValue("ltm_store_compaction_bytes_written_total"),
+            0u);
 
   auto ds = MaterializeChild(**st);
   ASSERT_TRUE(ds.ok());
@@ -120,7 +125,12 @@ TEST_F(LeveledCompactionTest, LeveledStateRoundTripsReopenBitIdentical) {
 }
 
 TEST_F(LeveledCompactionTest, OverBudgetLevelSpillsByTrivialMoveWithoutIo) {
+  obs::MetricsRegistry metrics;
+  const auto count = [&metrics](const std::string& what) {
+    return metrics.CounterValue("ltm_store_compaction_" + what + "_total");
+  };
   TruthStoreOptions options;
+  options.metrics = &metrics;
   options.l0_compaction_trigger = 2;
   options.level_base_bytes = 1;  // every populated level is over budget
   auto st = TruthStore::Open(Dir("move"), options);
@@ -136,7 +146,9 @@ TEST_F(LeveledCompactionTest, OverBudgetLevelSpillsByTrivialMoveWithoutIo) {
   auto did = (*st)->CompactOnce();
   ASSERT_TRUE(did.ok());
   ASSERT_TRUE(*did);
-  const CompactionStats after_merge = (*st)->Stats().compaction;
+  const uint64_t trivial_moves_after_merge = count("trivial_moves");
+  const uint64_t bytes_written_after_merge = count("bytes_written");
+  const uint64_t bytes_read_after_merge = count("bytes_read");
   const std::vector<SegmentInfo> before = (*st)->segments();
   ASSERT_FALSE(before.empty());
 
@@ -145,10 +157,9 @@ TEST_F(LeveledCompactionTest, OverBudgetLevelSpillsByTrivialMoveWithoutIo) {
   did = (*st)->CompactOnce();
   ASSERT_TRUE(did.ok());
   ASSERT_TRUE(*did);
-  const TruthStoreStats stats = (*st)->Stats();
-  EXPECT_EQ(stats.compaction.trivial_moves, after_merge.trivial_moves + 1);
-  EXPECT_EQ(stats.compaction.bytes_written, after_merge.bytes_written);
-  EXPECT_EQ(stats.compaction.bytes_read, after_merge.bytes_read);
+  EXPECT_EQ(count("trivial_moves"), trivial_moves_after_merge + 1);
+  EXPECT_EQ(count("bytes_written"), bytes_written_after_merge);
+  EXPECT_EQ(count("bytes_read"), bytes_read_after_merge);
 
   // Same id, same file, deeper level.
   const std::vector<SegmentInfo> after = (*st)->segments();
@@ -172,7 +183,10 @@ TEST_F(LeveledCompactionTest, OverBudgetLevelSpillsByTrivialMoveWithoutIo) {
 }
 
 TEST_F(LeveledCompactionTest, DuplicateSourceRowsCollapseWithoutChangingData) {
-  auto st = TruthStore::Open(Dir("dedup"));
+  obs::MetricsRegistry metrics;
+  TruthStoreOptions options;
+  options.metrics = &metrics;
+  auto st = TruthStore::Open(Dir("dedup"), options);
   ASSERT_TRUE(st.ok());
   // The same (entity, attribute, source) triple lands in two segments —
   // re-asserted evidence, not new evidence.
@@ -191,7 +205,8 @@ TEST_F(LeveledCompactionTest, DuplicateSourceRowsCollapseWithoutChangingData) {
   ASSERT_TRUE(before.ok());
 
   ASSERT_TRUE((*st)->Compact().ok());
-  EXPECT_EQ((*st)->Stats().compaction.rows_dropped, 1u);
+  EXPECT_EQ(metrics.CounterValue("ltm_store_compaction_rows_dropped_total"),
+            1u);
   EXPECT_EQ((*st)->Stats().segment_rows, 3u);  // the duplicate is gone
 
   // Materialization already deduped (RawDatabase is a set), so the

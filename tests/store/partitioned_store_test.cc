@@ -15,6 +15,7 @@
 
 #include "common/failpoint.h"
 #include "data/tsv_io.h"
+#include "obs/metrics.h"
 #include "store/truth_store.h"
 #include "test_util.h"
 #include "truth/ltm.h"
@@ -231,6 +232,108 @@ TEST_F(PartitionedTruthStoreTest, RoutesAppendsByEntityRange) {
     EXPECT_LE(entity, "e5");
   }
   EXPECT_GT(slice->raw.NumRows(), 0u);
+}
+
+// Every partition's caches count into one registry, so the cache gauges
+// are kept by deltas: they read the sum over the live caches, and a
+// destroyed cache — a closed store, a reaped retired partition — takes
+// its entries, bytes and capacity back out.
+TEST_F(PartitionedTruthStoreTest, CacheGaugesSumOverPartitionsAndRebalance) {
+  obs::MetricsRegistry metrics;
+  const auto gauge = [&metrics](const std::string& family) {
+    return metrics.GaugeSum(family);
+  };
+  const std::vector<std::string> families = {
+      "ltm_cache_posterior_size", "ltm_cache_posterior_capacity",
+      "ltm_cache_block_size_bytes", "ltm_cache_block_capacity_bytes"};
+  constexpr int64_t kMiB = int64_t{1} << 20;
+  const RawDatabase raw = testing::RandomRaw(21);
+
+  // Three partitions share the capacities and each fill lands in the
+  // cache of the partition owning the entity.
+  {
+    PartitionedStoreOptions opts;
+    opts.partitions = 3;
+    opts.initial_boundaries = {"e3", "e6"};
+    opts.store.metrics = &metrics;
+    opts.store.posterior_cache_capacity = 300;
+    opts.store.block_cache_mb = 6;
+    auto st = PartitionedTruthStore::Open(Dir("three"), opts);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    ASSERT_TRUE(AppendRows(st->get(), raw, 0, raw.NumRows()).ok());
+    ASSERT_TRUE((*st)->Flush().ok());
+    EXPECT_EQ(gauge("ltm_cache_posterior_capacity"), 300);
+    EXPECT_EQ(gauge("ltm_cache_block_capacity_bytes"), 6 * kMiB);
+
+    std::set<const PosteriorCache*> filled;
+    for (int i = 0; i < 16; ++i) {
+      const std::string entity = "e" + std::to_string(i % 10);
+      PosteriorCache& cache = (*st)->posterior_cache_for(entity);
+      cache.Put(entity + "\ta" + std::to_string(i), 1, 0.5);
+      filled.insert(&cache);
+    }
+    EXPECT_EQ(filled.size(), 3u);
+    EXPECT_EQ(gauge("ltm_cache_posterior_size"), 16);
+
+    // A cold full read caches exactly the block bytes it read from disk.
+    const auto pin = (*st)->PinSnapshot();
+    RangeScanStats scan;
+    ASSERT_TRUE((*st)->ReadRowsAt(*pin, nullptr, nullptr, &scan).ok());
+    EXPECT_GT(scan.bytes_read, 0u);
+    EXPECT_EQ(gauge("ltm_cache_block_size_bytes"),
+              static_cast<int64_t>(scan.bytes_read));
+  }
+  for (const std::string& family : families) {
+    EXPECT_EQ(gauge(family), 0) << family << " after close";
+  }
+
+  // A 1 -> 2 split while a pin still holds the old partition, which is
+  // reaped when the pin drops.
+  {
+    PartitionedStoreOptions opts;
+    opts.partitions = 1;
+    opts.split_threshold_rows = raw.NumRows() / 2;
+    opts.store.metrics = &metrics;
+    opts.store.posterior_cache_capacity = 100;
+    opts.store.block_cache_mb = 8;
+    auto st = PartitionedTruthStore::Open(Dir("split"), opts);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    ASSERT_TRUE(AppendRows(st->get(), raw, 0, raw.NumRows()).ok());
+    ASSERT_TRUE((*st)->Flush().ok());
+    auto pin = (*st)->PinSnapshot();
+    ASSERT_TRUE((*st)->ReadRowsAt(*pin, nullptr, nullptr).ok());
+    EXPECT_GT(gauge("ltm_cache_block_size_bytes"), 0);
+
+    auto did = (*st)->CompactOnce();
+    ASSERT_TRUE(did.ok()) << did.status().ToString();
+    ASSERT_EQ((*st)->num_partitions(), 2u);
+    ASSERT_EQ((*st)->num_retired_partitions(), 1u);
+    // The retiree's 8 MiB cache lives on beside the children's 4 MiB.
+    EXPECT_EQ(gauge("ltm_cache_block_capacity_bytes"), 16 * kMiB);
+
+    pin.reset();
+    ASSERT_EQ((*st)->num_retired_partitions(), 0u);
+    EXPECT_EQ(gauge("ltm_cache_block_capacity_bytes"), 8 * kMiB);
+    // Only the retiree had read anything.
+    EXPECT_EQ(gauge("ltm_cache_block_size_bytes"), 0);
+    const auto fresh = (*st)->PinSnapshot();
+    RangeScanStats scan;
+    ASSERT_TRUE((*st)->ReadRowsAt(*fresh, nullptr, nullptr, &scan).ok());
+    EXPECT_EQ(gauge("ltm_cache_block_size_bytes"),
+              static_cast<int64_t>(scan.bytes_read));
+
+    // The posterior caches are per slot and outlive the split; the gauge
+    // is the sum of the slots' own capacities.
+    int64_t slot_capacity = 0;
+    for (const PartitionMapEntry& entry : (*st)->partition_map().entries) {
+      slot_capacity += static_cast<int64_t>(
+          (*st)->posterior_cache_for(entry.lower).capacity());
+    }
+    EXPECT_EQ(gauge("ltm_cache_posterior_capacity"), slot_capacity);
+  }
+  for (const std::string& family : families) {
+    EXPECT_EQ(gauge(family), 0) << family << " after close";
+  }
 }
 
 // The partitioning acceptance pin: the same rows ingested in the same

@@ -6,24 +6,28 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace ltm {
 namespace store {
 namespace {
 
 TEST(PosteriorCacheTest, HitAfterPut) {
-  PosteriorCache cache(4);
+  obs::MetricsRegistry metrics;
+  PosteriorCache cache(4, &metrics);
   cache.Put("hp\tradcliffe", 7, 0.9);
   auto hit = cache.Get("hp\tradcliffe", 7);
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(*hit, 0.9);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(metrics.CounterValue("ltm_cache_posterior_hits_total"), 1u);
+  EXPECT_EQ(metrics.CounterValue("ltm_cache_posterior_misses_total"), 0u);
 }
 
 TEST(PosteriorCacheTest, MissOnUnknownKey) {
-  PosteriorCache cache(4);
+  obs::MetricsRegistry metrics;
+  PosteriorCache cache(4, &metrics);
   EXPECT_FALSE(cache.Get("nope", 1).has_value());
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(metrics.CounterValue("ltm_cache_posterior_misses_total"), 1u);
 }
 
 TEST(PosteriorCacheTest, StaleEpochIsAMissAndEvicts) {
@@ -142,67 +146,74 @@ TEST(PosteriorCacheTest, ClearEmptiesTheCache) {
 }
 
 TEST(PosteriorCacheTest, StatsSnapshotCountsEverything) {
-  PosteriorCache cache(2);
+  obs::MetricsRegistry metrics;
+  PosteriorCache cache(2, &metrics);
+  const auto count = [&metrics](const std::string& what) {
+    return metrics.CounterValue("ltm_cache_posterior_" + what + "_total");
+  };
   cache.Put("a", 1, 0.1);
   cache.Put("b", 1, 0.2);
   (void)cache.Get("a", 1);   // hit
   (void)cache.Get("c", 1);   // miss
   cache.Put("c", 1, 0.3);    // LRU-evicts "b"
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.puts, 3u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(count("puts"), 3u);
+  EXPECT_EQ(count("hits"), 1u);
+  EXPECT_EQ(count("misses"), 1u);
+  EXPECT_EQ(count("evictions"), 1u);
   // Same-thread hits are not coalesced reads.
-  EXPECT_EQ(stats.coalesced, 0u);
-  EXPECT_EQ(stats.size, 2u);
-  EXPECT_EQ(stats.capacity, 2u);
+  EXPECT_EQ(count("coalesced"), 0u);
+  EXPECT_EQ(metrics.GaugeValue("ltm_cache_posterior_size"), 2);
+  EXPECT_EQ(metrics.GaugeValue("ltm_cache_posterior_capacity"), 2);
   // Stale-epoch eviction and Clear both count as evictions.
   (void)cache.Get("a", 9);
-  EXPECT_EQ(cache.Stats().evictions, 2u);
+  EXPECT_EQ(count("evictions"), 2u);
   cache.Clear();
-  EXPECT_EQ(cache.Stats().evictions, 3u);
-  EXPECT_EQ(cache.Stats().size, 0u);
+  EXPECT_EQ(count("evictions"), 3u);
+  EXPECT_EQ(metrics.GaugeValue("ltm_cache_posterior_size"), 0);
 }
 
 // A hit from any thread other than the entry's writer is a coalesced
 // read — the signal that one materialization served several clients.
 TEST(PosteriorCacheTest, CoalescedCountsOnlyCrossThreadHits) {
-  PosteriorCache cache(4);
+  obs::MetricsRegistry metrics;
+  PosteriorCache cache(4, &metrics);
   cache.Put("k", 1, 0.5);
   ASSERT_TRUE(cache.Get("k", 1).has_value());  // writer's own hit
-  EXPECT_EQ(cache.Stats().coalesced, 0u);
+  EXPECT_EQ(metrics.CounterValue("ltm_cache_posterior_coalesced_total"), 0u);
   std::thread other([&] { ASSERT_TRUE(cache.Get("k", 1).has_value()); });
   other.join();
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(metrics.CounterValue("ltm_cache_posterior_hits_total"), 2u);
+  EXPECT_EQ(metrics.CounterValue("ltm_cache_posterior_coalesced_total"), 1u);
 }
 
-// TSan-covered: concurrent Put/Get/Stats from several threads. The final
-// snapshot must be internally consistent — every Get resolved to exactly
-// one of hit or miss, and every Put was counted.
+// TSan-covered: concurrent Put/Get and registry reads from several
+// threads. Once the writers join, the counters must be consistent —
+// every Get resolved to exactly one of hit or miss.
 TEST(PosteriorCacheTest, ConcurrentStatsStayConsistent) {
-  PosteriorCache cache(64);
+  obs::MetricsRegistry metrics;
+  PosteriorCache cache(64, &metrics);
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 500;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&cache, &metrics, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::string key = "k" + std::to_string(i % 32);
         if (i % 3 == t % 3) cache.Put(key, 1, 0.5);
         (void)cache.Get(key, 1);
-        if (i % 50 == 0) (void)cache.Stats();
+        if (i % 50 == 0) (void)metrics.RenderText();
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits + stats.misses,
+  const uint64_t hits = metrics.CounterValue("ltm_cache_posterior_hits_total");
+  EXPECT_EQ(hits + metrics.CounterValue("ltm_cache_posterior_misses_total"),
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_LE(stats.coalesced, stats.hits);
-  EXPECT_LE(stats.size, stats.capacity);
+  EXPECT_LE(metrics.CounterValue("ltm_cache_posterior_coalesced_total"), hits);
+  EXPECT_LE(metrics.GaugeValue("ltm_cache_posterior_size"),
+            metrics.GaugeValue("ltm_cache_posterior_capacity"));
+  EXPECT_EQ(metrics.GaugeValue("ltm_cache_posterior_size"),
+            static_cast<int64_t>(cache.size()));
 }
 
 }  // namespace
