@@ -101,15 +101,15 @@ Status StreamingPipeline::BootstrapFromStore(
   if (store == nullptr) {
     return Status::InvalidArgument("BootstrapFromStore: store is null");
   }
-  uint64_t epoch = 0;
-  LTM_ASSIGN_OR_RETURN(const Dataset history, store->Materialize(&epoch));
-  if (history.raw.NumRows() > 0) {
-    LTM_RETURN_IF_ERROR(Bootstrap(history, ctx));
-  }
-  // Attach only after a successful fit so a failed bootstrap leaves the
-  // pipeline unchanged and retryable.
+  // The same fit as every later refit; detached again on failure, a
+  // failed bootstrap leaves the pipeline unchanged and retryable.
   store_ = store;
-  last_fit_epoch_ = epoch;
+  const Result<uint64_t> fit_epoch = RefitFromStore(ctx);
+  if (!fit_epoch.ok()) {
+    store_ = nullptr;
+    return fit_epoch.status();
+  }
+  last_fit_epoch_ = *fit_epoch;  // an empty store attaches unfit
   return Status::OK();
 }
 

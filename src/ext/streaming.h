@@ -96,13 +96,13 @@ class StreamingPipeline : public StreamingTruthMethod {
   Result<ChunkResult> IngestChunk(const Dataset& chunk,
                                   const RunContext& ctx = RunContext());
 
-  /// Attaches a durable store and bootstraps from it: materializes the
-  /// store's full dataset (segments + WAL-recovered memtables, in global
-  /// ingest order) and batch-fits on it. This is the restartable-service
-  /// entry point — a process that crashed mid-stream reopens the store
-  /// and resumes with the identical cumulative evidence. `store` must
-  /// outlive the pipeline. An empty store attaches without fitting; the
-  /// first ObserveToStore cold-starts as usual.
+  /// Attaches a durable store and bootstraps from it: a RefitFromStore,
+  /// fitting the store's full dataset in global ingest order. This is the
+  /// restartable-service entry point — a process that crashed mid-stream
+  /// reopens the store and resumes with the identical cumulative
+  /// evidence. `store` must outlive the pipeline. An empty store attaches
+  /// without fitting; the first ObserveToStore cold-starts as usual. A
+  /// failed bootstrap detaches the store again and may be retried.
   Status BootstrapFromStore(store::PartitionedTruthStore* store,
                             const RunContext& ctx = RunContext());
 

@@ -62,6 +62,40 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+/// One owner's term of a gauge several owners may share (the bare
+/// one-partition `ltm_store_*` names; a retired partition beside its
+/// successor): it moves the series by its own changes and takes itself
+/// back out when destroyed, so the series sums the live owners. value()
+/// is the term alone; a null gauge keeps just that exact count.
+class GaugeTerm {
+ public:
+  explicit GaugeTerm(Gauge* gauge = nullptr) : gauge_(gauge) {}
+  ~GaugeTerm() { Add(-value()); }
+  GaugeTerm(const GaugeTerm&) = delete;
+  GaugeTerm& operator=(const GaugeTerm&) = delete;
+
+  /// For a term with one writer at a time; Add() takes concurrent writers.
+  void Set(int64_t value) { Add(value - this->value()); }
+  void Add(int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+    if (gauge_ != nullptr) gauge_->Add(delta);
+  }
+  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+  /// Counts its holder on `term` for the holder's lifetime.
+  struct Hold {
+    explicit Hold(GaugeTerm* t) : term(t) { term->Add(1); }
+    ~Hold() { term->Add(-1); }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+    GaugeTerm* const term;
+  };
+
+ private:
+  Gauge* const gauge_;
+  std::atomic<int64_t> value_{0};
+};
+
 /// Process-wide registry of named counters, gauges, and histograms.
 ///
 /// Registration (counter()/gauge()/histogram()) takes one mutex and

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -115,26 +116,31 @@ void AccumulateScan(RangeScanStats* total, const RangeScanStats& part) {
   total->bytes_read += part.bytes_read;
 }
 
-/// Destroys a freshly built (never published) child and removes its
-/// directory — the abort path of an interrupted split/merge. Best-effort:
-/// anything left behind is an orphan the next Open reaps.
-void DiscardBuiltChild(std::shared_ptr<TruthStore>* child) {
-  if (*child == nullptr) return;
-  const std::string child_dir = (*child)->dir();
-  child->reset();
-  std::error_code ec;
-  fs::remove_all(child_dir, ec);
+/// The deleter of every child the router shares. Once a swap retires
+/// the child, whichever reference drops last — the routing table's or a
+/// StorePin's — destroys it and removes its directory.
+struct ChildDeleter {
+  /// Set by the retiring swap: the router's count of retired children,
+  /// which includes this one until it is freed.
+  obs::GaugeTerm* retired = nullptr;
+
+  void operator()(TruthStore* child) const {
+    const std::string child_dir = child->dir();
+    delete child;  // joins the child's background compactions
+    if (retired == nullptr) return;
+    std::error_code ec;
+    fs::remove_all(child_dir, ec);  // best-effort; Open() reaps leftovers
+    LTM_LOG(Info) << "partitioned store: reclaimed retired partition dir "
+                  << child_dir;
+    retired->Add(-1);
+  }
+};
+
+std::shared_ptr<TruthStore> ShareChild(std::unique_ptr<TruthStore> child) {
+  return std::shared_ptr<TruthStore>(child.release(), ChildDeleter());
 }
 
 }  // namespace
-
-StorePin::~StorePin() {
-  // Drop the per-child pins and child references BEFORE notifying the
-  // store, so the reap the notification triggers sees them released.
-  pins_.clear();
-  children_.clear();
-  store_->ReleasePin();
-}
 
 std::string PartitionedVerifyReport::Summary() const {
   if (legacy.has_value()) {
@@ -172,12 +178,6 @@ PartitionedTruthStore::PartitionedTruthStore(std::string dir,
       merges_(metrics_->counter("ltm_store_partition_merges_total")),
       rebalance_rows_moved_(metrics_->counter(
           "ltm_store_partition_rebalance_rows_moved_total")) {}
-
-PartitionedTruthStore::~PartitionedTruthStore() {
-  // Pins must already be gone (contract). Reap what can be reaped; a
-  // still-referenced retiree just loses its files to the next Open.
-  ReapRetired();
-}
 
 TruthStoreOptions PartitionedTruthStore::ChildOptions(uint64_t id,
                                                       size_t count) const {
@@ -256,7 +256,7 @@ Result<std::unique_ptr<PartitionedTruthStore>> PartitionedTruthStore::Open(
         std::unique_ptr<TruthStore> child,
         TruthStore::Open(dir + "/" + entry.dir,
                          st->ChildOptions(entry.id, n)));
-    st->children_.push_back(std::move(child));
+    st->children_.push_back(ShareChild(std::move(child)));
   }
   st->map_ = std::move(*loaded);
 
@@ -441,7 +441,7 @@ Result<std::shared_ptr<TruthStore>> PartitionedTruthStore::BuildChild(
       std::unique_ptr<TruthStore> child,
       TruthStore::Open(dir_ + "/" + entry.dir,
                        ChildOptions(entry.id, partition_count)));
-  std::shared_ptr<TruthStore> shared(std::move(child));
+  std::shared_ptr<TruthStore> shared = ShareChild(std::move(child));
   if (!rows.empty()) {
     LTM_RETURN_IF_ERROR(shared->AppendRecords(RowsToRecords(rows)));
     LTM_RETURN_IF_ERROR(shared->Flush());
@@ -458,22 +458,40 @@ uint64_t PartitionedTruthStore::CompositeEpochLocked() const {
 }
 
 Status PartitionedTruthStore::SwapTableLocked(
-    PartitionMap next_map, std::vector<std::shared_ptr<TruthStore>> next_children) {
-  const uint64_t composite_before = CompositeEpochLocked();
-  LTM_RETURN_IF_ERROR(CommitPartitionMap(dir_, next_map));
-  // Committed: swap the routing table and retire the replaced children
-  // (kept alive until their last StorePin drops).
-  {
-    MutexLock rlock(retired_mu_);
-    for (const std::shared_ptr<TruthStore>& child : children_) {
-      bool kept = false;
-      for (const std::shared_ptr<TruthStore>& next : next_children) {
-        if (next == child) kept = true;
-      }
-      if (!kept) retired_.push_back(child);
+    size_t first, size_t count, PartitionMap next_map,
+    const std::vector<std::vector<RowView>>& parts, const char* failpoint,
+    std::vector<std::shared_ptr<TruthStore>>* replaced) {
+  std::vector<std::shared_ptr<TruthStore>> built;
+  uint64_t composite_before = 0;
+  const Status committed = [&]() -> Status {
+    for (size_t i = 0; i < parts.size(); ++i) {
+      LTM_ASSIGN_OR_RETURN(
+          std::shared_ptr<TruthStore> child,
+          BuildChild(next_map.entries[first + i], parts[i],
+                     next_map.entries.size()));
+      built.push_back(std::move(child));
     }
+    LTM_RETURN_IF_ERROR(FailpointCheck(failpoint));
+    composite_before = CompositeEpochLocked();
+    return CommitPartitionMap(dir_, next_map);
+  }();
+  // A retired child takes its directory with it when its last reference
+  // drops: the built children, unpublished, when the commit failed
+  // (anything left behind is an orphan the next Open reaps), else the
+  // replaced ones.
+  const auto retire = [this](const std::shared_ptr<TruthStore>& child) {
+    std::get_deleter<ChildDeleter>(child)->retired = &retired_partitions_;
+    retired_partitions_.Add(1);
+  };
+  if (!committed.ok()) {
+    for (const std::shared_ptr<TruthStore>& child : built) retire(child);
+    return committed;
   }
-  children_ = std::move(next_children);
+  *replaced = children_;
+  for (size_t i = first; i < first + count; ++i) retire(children_[i]);
+  children_.erase(children_.begin() + first,
+                  children_.begin() + first + count);
+  children_.insert(children_.begin() + first, built.begin(), built.end());
   map_ = std::move(next_map);
   // The slot-cache vector only grows (see the member comment); a merge
   // leaves its tail slots idle rather than invalidating references.
@@ -509,6 +527,10 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
   }
   FlagReset reset{rebalancing_};
 
+  // Declared before the lock, so the table a swap replaces drops after
+  // the lock is released: a retiree freed here removes its directory
+  // without stalling appenders or readers.
+  std::vector<std::shared_ptr<TruthStore>> replaced;
   WriterMutexLock lock(table_mu_);
   std::vector<uint64_t> rows_per(children_.size());
   for (size_t i = 0; i < children_.size(); ++i) {
@@ -540,9 +562,9 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
       const std::string boundary(
           *std::next(distinct.begin(),
                      static_cast<std::ptrdiff_t>(distinct.size() / 2)));
-      std::vector<RowView> lower_rows, upper_rows;
+      std::vector<std::vector<RowView>> parts(2);
       for (const RowView& row : rows) {
-        (row.entity < boundary ? lower_rows : upper_rows).push_back(row);
+        parts[row.entity < boundary ? 0 : 1].push_back(row);
       }
       PartitionMap next = map_;
       PartitionMapEntry lo, hi;
@@ -559,25 +581,9 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
       ++next.generation;
       next.entries[split_idx] = lo;
       next.entries.insert(next.entries.begin() + split_idx + 1, hi);
-
-      const size_t new_count = children_.size() + 1;
-      std::shared_ptr<TruthStore> lo_child, hi_child;
-      Status built = [&]() -> Status {
-        LTM_ASSIGN_OR_RETURN(lo_child, BuildChild(lo, lower_rows, new_count));
-        LTM_ASSIGN_OR_RETURN(hi_child, BuildChild(hi, upper_rows, new_count));
-        return FailpointCheck("partition-split-children-written");
-      }();
-      if (built.ok()) {
-        std::vector<std::shared_ptr<TruthStore>> next_children = children_;
-        next_children[split_idx] = lo_child;
-        next_children.insert(next_children.begin() + split_idx + 1, hi_child);
-        built = SwapTableLocked(std::move(next), std::move(next_children));
-      }
-      if (!built.ok()) {
-        DiscardBuiltChild(&hi_child);
-        DiscardBuiltChild(&lo_child);
-        return built;
-      }
+      LTM_RETURN_IF_ERROR(SwapTableLocked(
+          split_idx, 1, std::move(next), parts,
+          "partition-split-children-written", &replaced));
       splits_->Increment();
       rebalance_rows_moved_->Increment(rows.size());
       LTM_LOG(Info) << "partitioned store: split " << old_entry.dir << " "
@@ -611,7 +617,8 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
                            children_[merge_idx]->CollectPinnedRows(*lpin));
       LTM_ASSIGN_OR_RETURN(const RowViews right_rows,
                            children_[merge_idx + 1]->CollectPinnedRows(*rpin));
-      std::vector<RowView> rows = left_rows.rows;
+      std::vector<std::vector<RowView>> parts = {left_rows.rows};
+      std::vector<RowView>& rows = parts[0];
       rows.insert(rows.end(), right_rows.rows.begin(), right_rows.rows.end());
       std::sort(rows.begin(), rows.end(),
                 [](const RowView& a, const RowView& b) {
@@ -627,23 +634,9 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
       ++next.generation;
       next.entries[merge_idx] = merged;
       next.entries.erase(next.entries.begin() + merge_idx + 1);
-
-      const size_t new_count = children_.size() - 1;
-      std::shared_ptr<TruthStore> merged_child;
-      Status built = [&]() -> Status {
-        LTM_ASSIGN_OR_RETURN(merged_child, BuildChild(merged, rows, new_count));
-        return FailpointCheck("partition-merge-children-written");
-      }();
-      if (built.ok()) {
-        std::vector<std::shared_ptr<TruthStore>> next_children = children_;
-        next_children[merge_idx] = merged_child;
-        next_children.erase(next_children.begin() + merge_idx + 1);
-        built = SwapTableLocked(std::move(next), std::move(next_children));
-      }
-      if (!built.ok()) {
-        DiscardBuiltChild(&merged_child);
-        return built;
-      }
+      LTM_RETURN_IF_ERROR(SwapTableLocked(
+          merge_idx, 2, std::move(next), parts,
+          "partition-merge-children-written", &replaced));
       merges_->Increment();
       rebalance_rows_moved_->Increment(rows.size());
       LTM_LOG(Info) << "partitioned store: merged " << left.dir << " + "
@@ -666,39 +659,9 @@ std::unique_ptr<StorePin> PartitionedTruthStore::PinSnapshot(
     pins.push_back(child->PinEpoch(min_entity, max_entity));
     epoch += static_cast<int64_t>(pins.back()->epoch());
   }
-  live_pins_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<StorePin>(new StorePin(
-      this, epoch < 0 ? 0 : static_cast<uint64_t>(epoch), map_.entries,
-      children_, std::move(pins)));
-}
-
-void PartitionedTruthStore::ReleasePin() const {
-  live_pins_.fetch_sub(1, std::memory_order_relaxed);
-  ReapRetired();
-}
-
-void PartitionedTruthStore::ReapRetired() const {
-  std::vector<std::shared_ptr<TruthStore>> doomed;
-  {
-    MutexLock lock(retired_mu_);
-    std::erase_if(retired_, [&](std::shared_ptr<TruthStore>& child) {
-      // use_count == 1 means only the registry holds it: no StorePin
-      // (each pin copies the shared_ptr) still references the retiree.
-      if (child.use_count() > 1 || child->num_pinned_epochs() > 0) {
-        return false;
-      }
-      doomed.push_back(std::move(child));
-      return true;
-    });
-  }
-  for (std::shared_ptr<TruthStore>& child : doomed) {
-    const std::string child_dir = child->dir();
-    child.reset();  // joins the child's background compactions
-    std::error_code ec;
-    fs::remove_all(child_dir, ec);  // best-effort; Open() reaps leftovers
-    LTM_LOG(Info) << "partitioned store: reclaimed retired partition dir "
-                  << child_dir;
-  }
+      this, &store_pins_, epoch < 0 ? 0 : static_cast<uint64_t>(epoch),
+      map_.entries, children_, std::move(pins)));
 }
 
 Result<RowViews> PartitionedTruthStore::ReadRowsAt(
@@ -800,8 +763,7 @@ TruthStoreStats PartitionedTruthStore::Stats() const {
   stats.epoch = CompositeEpochLocked();
   stats.generation = map_.generation;
   stats.next_row_seq = next_seq_.load(std::memory_order_relaxed);
-  stats.live_pins = static_cast<size_t>(
-      live_pins_.load(std::memory_order_relaxed));
+  stats.live_pins = num_pinned_epochs();
   for (const std::shared_ptr<TruthStore>& child : children_) {
     const TruthStoreStats c = child->Stats();
     stats.num_segments += c.num_segments;
@@ -873,12 +835,11 @@ void PartitionedTruthStore::ClearPosteriorCaches() {
 }
 
 size_t PartitionedTruthStore::num_pinned_epochs() const {
-  return static_cast<size_t>(live_pins_.load(std::memory_order_relaxed));
+  return static_cast<size_t>(store_pins_.value());
 }
 
 size_t PartitionedTruthStore::num_retired_partitions() const {
-  MutexLock lock(retired_mu_);
-  return retired_.size();
+  return static_cast<size_t>(retired_partitions_.value());
 }
 
 Result<PartitionedVerifyReport> PartitionedTruthStore::Verify(

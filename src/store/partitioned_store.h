@@ -58,17 +58,13 @@ struct PartitionedStoreOptions {
 /// partition, all acquired under the routing-table lock so no split/merge
 /// can interleave — a consistent vector epoch across the whole keyspace.
 /// Reads through it never race a compaction's file removals and are
-/// bit-reproducible at the captured epoch. Holds shared ownership of
-/// every pinned child, so a partition retired by a later rebalance stays
-/// readable until the pin drops. Must not outlive the issuing store and
-/// must only be passed back to it.
+/// bit-reproducible at the captured epoch. Holds a shared_ptr to every
+/// pinned child, so a partition retired by a later rebalance stays
+/// readable until the pin drops; dropping the retiree's last reference
+/// frees it and removes its directory. Must not outlive the issuing
+/// store and must only be passed back to it.
 class StorePin {
  public:
-  ~StorePin();
-
-  StorePin(const StorePin&) = delete;
-  StorePin& operator=(const StorePin&) = delete;
-
   /// The composite store epoch this pin captured, for posterior-cache
   /// keying: the rebalance offset plus the sum over the pinned
   /// per-partition epochs — one scalar that changes whenever any
@@ -77,20 +73,23 @@ class StorePin {
 
  private:
   friend class PartitionedTruthStore;
-  StorePin(const PartitionedTruthStore* store, uint64_t epoch,
-           std::vector<PartitionMapEntry> entries,
+  StorePin(const PartitionedTruthStore* store, obs::GaugeTerm* live_pins,
+           uint64_t epoch, std::vector<PartitionMapEntry> entries,
            std::vector<std::shared_ptr<TruthStore>> children,
            std::vector<std::unique_ptr<EpochPin>> pins)
       : store_(store),
+        live_(live_pins),
         epoch_(epoch),
         entries_(std::move(entries)),
         children_(std::move(children)),
         pins_(std::move(pins)) {}
 
   const PartitionedTruthStore* store_;
+  obs::GaugeTerm::Hold live_;  // one of the store's live pins
   uint64_t epoch_;
   /// The partition boundaries frozen at pin time (point-read routing).
   std::vector<PartitionMapEntry> entries_;
+  /// Declared before pins_, so each child outlives its EpochPin.
   std::vector<std::shared_ptr<TruthStore>> children_;
   std::vector<std::unique_ptr<EpochPin>> pins_;
 };
@@ -144,9 +143,11 @@ struct PartitionedVerifyReport {
 /// median entity, an adjacent pair under merge_threshold_rows merges.
 /// Rebalance copies the pinned rows (original seqs preserved) into fresh
 /// child directories, flushes them, commits the new PARTMAP, and swaps
-/// the routing table under the exclusive lock; the old children retire
-/// but stay alive (and on disk) until every StorePin referencing them
-/// drops. A crash on either side of the PARTMAP rename recovers to
+/// the routing table under the exclusive lock. The replaced children are
+/// marked retired; each is held by shared_ptr like any child, and its
+/// last reference — the routing table's, dropped after the lock is
+/// released, or a StorePin's — destroys it and removes its directory. A
+/// crash on either side of the PARTMAP rename recovers to
 /// exactly the old or exactly the new partitioning, never a mix — the
 /// loser's directories are reaped as orphans on the next Open.
 ///
@@ -173,8 +174,6 @@ class PartitionedTruthStore {
   static Result<std::unique_ptr<PartitionedTruthStore>> Open(
       const std::string& dir,
       PartitionedStoreOptions options = PartitionedStoreOptions());
-
-  ~PartitionedTruthStore();
 
   PartitionedTruthStore(const PartitionedTruthStore&) = delete;
   PartitionedTruthStore& operator=(const PartitionedTruthStore&) = delete;
@@ -273,9 +272,9 @@ class PartitionedTruthStore {
 
   /// Live StorePin handles outstanding (observability + tests).
   size_t num_pinned_epochs() const;
-  /// Retired (split/merged-away) partitions whose directories are kept
-  /// for live pins.
-  size_t num_retired_partitions() const LTM_EXCLUDES(retired_mu_);
+  /// Retired (split/merged-away) partitions not yet freed: those a live
+  /// StorePin still holds.
+  size_t num_retired_partitions() const;
 
   /// The registry this store, its children and the serving components
   /// layered on it publish into: the injected options.store.metrics, or
@@ -313,22 +312,22 @@ class PartitionedTruthStore {
   /// the table lock exclusively. True when the layout changed.
   Result<bool> MaybeRebalance() LTM_EXCLUDES(table_mu_);
   /// Builds a fresh child for `entry`, replays `rows` into it (seqs
-  /// preserved) and flushes. Used by split and merge.
+  /// preserved) and flushes. Used by rebalances and legacy conversion.
   Result<std::shared_ptr<TruthStore>> BuildChild(
       const PartitionMapEntry& entry, const std::vector<RowView>& rows,
       size_t partition_count) const;
-  /// Commits `next_map`, swaps `next_children` into the routing table
-  /// (epoch offset adjusted for monotonicity), and retires the replaced
-  /// children. Requires the exclusive table lock.
-  Status SwapTableLocked(PartitionMap next_map,
-                         std::vector<std::shared_ptr<TruthStore>> next_children)
+  /// Publishes a split or merge: builds one child per `parts` entry from
+  /// those rows, for next_map.entries[first + i], then (past `failpoint`)
+  /// commits next_map and swaps the children in for children
+  /// [first, first + count), which are marked retired. The composite
+  /// epoch stays strictly monotone. `*replaced` receives the previous
+  /// table, for the caller to drop once the lock is released. A failure
+  /// before the commit drops the built children and their directories.
+  Status SwapTableLocked(size_t first, size_t count, PartitionMap next_map,
+                         const std::vector<std::vector<RowView>>& parts,
+                         const char* failpoint,
+                         std::vector<std::shared_ptr<TruthStore>>* replaced)
       LTM_REQUIRES(table_mu_);
-
-  /// StorePin's destructor: unpins and reclaims retired partitions whose
-  /// last pin dropped.
-  void ReleasePin() const;
-  /// Deletes retired children with no remaining pins or references.
-  void ReapRetired() const LTM_EXCLUDES(retired_mu_);
 
   const std::string dir_;
   const PartitionedStoreOptions options_;
@@ -340,6 +339,11 @@ class PartitionedTruthStore {
   obs::Counter* splits_;
   obs::Counter* merges_;
   obs::Counter* rebalance_rows_moved_;
+  /// Live StorePins and not-yet-freed retired children, each counted by
+  /// the pin or the child's deleter. Declared before children_, whose
+  /// deleters they must outlive.
+  mutable obs::GaugeTerm store_pins_;
+  obs::GaugeTerm retired_partitions_;
 
   /// Routing table: map_ and children_ move in lockstep (children_[i]
   /// serves map_.entries[i]). Appends/reads take the lock shared; only a
@@ -362,16 +366,8 @@ class PartitionedTruthStore {
   /// Keeps the composite epoch strictly monotone across rebalance swaps
   /// (signed: a swap may need to pull the child-epoch sum down).
   std::atomic<int64_t> epoch_offset_{0};
-  /// Live StorePin handles.
-  mutable std::atomic<uint64_t> live_pins_{0};
   /// One rebalance at a time (CompactOnce may be called concurrently).
   std::atomic<bool> rebalancing_{false};
-
-  /// Children swapped out by a rebalance, kept alive (object + files)
-  /// until no StorePin references them.
-  mutable Mutex retired_mu_;
-  mutable std::vector<std::shared_ptr<TruthStore>> retired_
-      LTM_GUARDED_BY(retired_mu_);
 };
 
 /// The benchmark driver under perfbench/ names the store

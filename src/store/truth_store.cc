@@ -199,6 +199,55 @@ std::string StoreVerifyReport::Summary() const {
   return s;
 }
 
+/// A Version's handle on one segment: its file and, once opened, its
+/// reader, shared by every Version that lists the segment. A compaction
+/// whose commit landed cleanly marks its inputs' handles obsolete; an
+/// obsolete handle's destructor — run by whichever holder drops the last
+/// Version naming the segment — evicts the segment's cached blocks and
+/// deletes the file.
+class SegmentFile {
+ public:
+  SegmentFile(TruthStore* store, uint64_t id, std::string path)
+      : store_(store), id_(id), path_(std::move(path)) {}
+  ~SegmentFile() {
+    if (!obsolete_.has_value()) return;
+    store_->block_cache_.EraseSegment(id_);
+    std::error_code ec;
+    fs::remove(path_, ec);  // best-effort; Open() reaps leftovers
+  }
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
+
+  /// The segment's random-access reader, opened on first use.
+  Result<std::shared_ptr<BlockSegmentReader>> Reader() LTM_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (reader_ == nullptr) {
+      LTM_ASSIGN_OR_RETURN(reader_, BlockSegmentReader::Open(path_, id_));
+    }
+    return reader_;
+  }
+
+  /// Called by the superseding compaction while it still holds a
+  /// Version naming the segment, so before the destructor can run.
+  void MarkObsolete() { obsolete_.emplace(&store_->obsolete_segments_); }
+
+ private:
+  TruthStore* const store_;
+  const uint64_t id_;
+  const std::string path_;
+  Mutex mu_;
+  std::shared_ptr<BlockSegmentReader> reader_ LTM_GUARDED_BY(mu_);
+  /// Counts the segment in num_deferred_segments() until its file goes.
+  std::optional<obs::GaugeTerm::Hold> obsolete_;
+};
+
+std::shared_ptr<SegmentFile> Version::File(uint64_t id) const {
+  for (size_t i = 0; i < files.size(); ++i) {
+    if (manifest.segments[i].id == id) return files[i];
+  }
+  return nullptr;
+}
+
 TruthStore::TruthStore(std::string dir, TruthStoreOptions options)
     : dir_(std::move(dir)),
       options_(options),
@@ -245,11 +294,11 @@ TruthStore::TruthStore(std::string dir, TruthStoreOptions options)
           Labeled("ltm_store_compaction_micros", options.metrics_label))),
       bloom_point_skips_(metrics_->counter(
           Labeled("ltm_store_bloom_point_skips_total", options.metrics_label))),
-      epoch_gauge_(metrics_->gauge(
+      epoch_(metrics_->gauge(
           Labeled("ltm_store_epoch", options.metrics_label))),
       memtable_rows_gauge_(metrics_->gauge(
           Labeled("ltm_store_memtable_rows", options.metrics_label))),
-      live_pins_gauge_(metrics_->gauge(
+      live_pins_(metrics_->gauge(
           Labeled("ltm_store_live_pins", options.metrics_label))),
       block_cache_(static_cast<uint64_t>(options.block_cache_mb) << 20,
                    /*num_shards=*/8, metrics_) {}
@@ -260,6 +309,22 @@ std::string TruthStore::SegmentPath(const SegmentInfo& seg) const {
 
 std::string TruthStore::WalPath(const std::string& file) const {
   return dir_ + "/" + file;
+}
+
+std::shared_ptr<const Version> TruthStore::MakeVersion(Manifest manifest,
+                                                       const Version* prev) {
+  auto version = std::make_shared<Version>();
+  version->files.reserve(manifest.segments.size());
+  for (const SegmentInfo& seg : manifest.segments) {
+    std::shared_ptr<SegmentFile> file =
+        prev != nullptr ? prev->File(seg.id) : nullptr;
+    if (file == nullptr) {
+      file = std::make_shared<SegmentFile>(this, seg.id, SegmentPath(seg));
+    }
+    version->files.push_back(std::move(file));
+  }
+  version->manifest = std::move(manifest);
+  return version;
 }
 
 BlockSegmentWriterOptions TruthStore::WriterOptions() const {
@@ -279,7 +344,7 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
                            ec.message());
   }
   std::unique_ptr<TruthStore> st(new TruthStore(dir, options));
-  // Recovery below writes manifest_/wal_/memtable_ directly. No other
+  // Recovery below writes current_/wal_/memtable_ directly. No other
   // thread can see the store yet, but the guarded fields still demand the
   // capability, so hold the (uncontended) lock for the whole open.
   MutexLock lock(st->mu_);
@@ -308,10 +373,10 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
     LTM_ASSIGN_OR_RETURN(WalWriter wal,
                          WalWriter::Open(dir + "/" + fresh.wal_file));
     LTM_RETURN_IF_ERROR(CommitManifest(dir, fresh));
-    st->manifest_ = std::move(fresh);
+    st->epoch_.Set(static_cast<int64_t>(fresh.generation));
+    st->next_segment_id_ = fresh.next_segment_id;
+    st->current_ = st->MakeVersion(std::move(fresh), nullptr);
     st->wal_ = std::move(wal);
-    st->epoch_ = st->manifest_.generation;
-    st->epoch_gauge_->Set(static_cast<int64_t>(st->epoch_));
     return st;
   }
   LTM_RETURN_IF_ERROR(loaded.status());
@@ -327,20 +392,22 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
     LTM_LOG(Info) << "truthstore: truncated torn MANIFEST tail at byte "
                   << loaded->valid_bytes;
   }
-  st->manifest_ = std::move(loaded->manifest);
   st->edits_since_snapshot_ = loaded->edits;
+  st->next_segment_id_ = loaded->manifest.next_segment_id;
+  st->current_ = st->MakeVersion(std::move(loaded->manifest), nullptr);
+  const Manifest& manifest = st->current_->manifest;
 
   // Remove droppings of interrupted flushes/compactions: segment files
   // the manifest never committed, rotated-but-uncommitted WALs, temp
   // files. Everything the committed manifest references is kept.
-  for (const std::string& name : FindOrphanFiles(dir, st->manifest_)) {
+  for (const std::string& name : FindOrphanFiles(dir, manifest)) {
     LTM_LOG(Info) << "truthstore: removing orphan " << name;
     fs::remove(dir + "/" + name, ec);
   }
 
   // Replay the WAL tail over the committed segment set, truncating any
   // torn suffix so the appender resumes at the last intact record.
-  const std::string wal_path = st->WalPath(st->manifest_.wal_file);
+  const std::string wal_path = st->WalPath(manifest.wal_file);
   if (fs::exists(wal_path)) {
     LTM_ASSIGN_OR_RETURN(WalReplay replay, ReplayWal(wal_path));
     if (replay.torn_tail) {
@@ -363,9 +430,9 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
   }
   LTM_ASSIGN_OR_RETURN(WalWriter wal, WalWriter::Open(wal_path));
   st->wal_ = std::move(wal);
-  st->epoch_ = st->manifest_.generation + st->wal_records_replayed_;
-  st->epoch_gauge_->Set(static_cast<int64_t>(st->epoch_));
-  st->memtable_rows_gauge_->Set(static_cast<int64_t>(st->memtable_.NumRows()));
+  st->epoch_.Set(
+      static_cast<int64_t>(manifest.generation + st->wal_records_replayed_));
+  st->memtable_rows_gauge_.Set(static_cast<int64_t>(st->memtable_.NumRows()));
   return st;
 }
 
@@ -396,9 +463,8 @@ Status TruthStore::AppendLocked(const WalRecord& record) {
   if (memtable_.NumRows() > before) {
     memtable_seqs_.push_back(record.seq);
   }
-  ++epoch_;
-  epoch_gauge_->Set(static_cast<int64_t>(epoch_));
-  memtable_rows_gauge_->Set(static_cast<int64_t>(memtable_.NumRows()));
+  epoch_.Add(1);
+  memtable_rows_gauge_.Set(static_cast<int64_t>(memtable_.NumRows()));
   if (options_.memtable_flush_rows > 0 &&
       memtable_.NumRows() >= options_.memtable_flush_rows) {
     return FlushLocked();
@@ -431,8 +497,21 @@ Status TruthStore::Flush() {
   return FlushLocked();
 }
 
-Result<bool> TruthStore::CommitVersionLocked(const Manifest& next,
-                                             const VersionEdit& edit) {
+VersionEdit TruthStore::NextEditLocked() const {
+  const Manifest& m = current_->manifest;
+  VersionEdit edit;
+  edit.generation = m.generation + 1;
+  edit.next_segment_id = next_segment_id_;
+  edit.wal_seq = m.wal_seq;
+  edit.wal_file = m.wal_file;
+  edit.next_row_seq = m.next_row_seq;
+  return edit;
+}
+
+Result<bool> TruthStore::CommitVersionLocked(const VersionEdit& edit,
+                                             const std::string& what) {
+  Manifest next = current_->manifest;
+  LTM_RETURN_IF_ERROR(ApplyVersionEdit(&next, edit, what));
   // Fold the edit log into a fresh snapshot every
   // `manifest_snapshot_every` edits; otherwise append one O(delta) edit
   // record.
@@ -461,6 +540,8 @@ Result<bool> TruthStore::CommitVersionLocked(const Manifest& next,
     adopted = true;
   }
   edits_since_snapshot_ = fold ? 0 : edits_since_snapshot_ + 1;
+  current_ = MakeVersion(std::move(next), current_.get());
+  epoch_.Add(1);
   return adopted;
 }
 
@@ -469,7 +550,8 @@ Status TruthStore::FlushLocked() {
   obs::ObsSpan span("memtable_flush");
   WallTimer flush_timer;
 
-  const uint64_t seg_id = manifest_.next_segment_id;
+  const Manifest& manifest = current_->manifest;
+  const uint64_t seg_id = next_segment_id_;
   const std::string file = SegmentFileName(seg_id);
 
   // Persist every row's router-assigned global ingest seq; replay sorts
@@ -479,7 +561,7 @@ Status TruthStore::FlushLocked() {
   // the memtable is replaced below (mu_ is held throughout).
   std::vector<RowView> rows;
   rows.reserve(memtable_.NumRows());
-  uint64_t seq = manifest_.next_row_seq;
+  uint64_t seq = manifest.next_row_seq;
   for (size_t i = 0; i < memtable_.NumRows(); ++i) {
     const RawRow& row = memtable_.rows()[i];
     RowView r;
@@ -501,36 +583,32 @@ Status TruthStore::FlushLocked() {
   // Rotate the WAL before committing, so the committed manifest always
   // references an existing file. A crash in between leaves an orphan WAL
   // the next Open removes.
-  const uint64_t new_wal_seq = manifest_.wal_seq + 1;
+  const uint64_t new_wal_seq = manifest.wal_seq + 1;
   Result<WalWriter> new_wal = WalWriter::Open(WalPath(WalFileName(new_wal_seq)));
   LTM_RETURN_IF_ERROR(new_wal.status());
   LTM_RETURN_IF_ERROR(FailpointCheck("store-flush-wal-rotated"));
 
-  VersionEdit edit;
-  edit.generation = manifest_.generation + 1;
+  const std::string old_wal = WalPath(manifest.wal_file);
+  VersionEdit edit = NextEditLocked();
   edit.next_segment_id = seg_id + 1;
   edit.wal_seq = new_wal_seq;
   edit.wal_file = WalFileName(new_wal_seq);
   edit.next_row_seq = seq;
   edit.added.push_back(MakeSegmentInfo(seg_id, file, /*level=*/0, built));
-  Manifest next = manifest_;
-  LTM_RETURN_IF_ERROR(ApplyVersionEdit(&next, edit, "flush commit"));
-  LTM_ASSIGN_OR_RETURN(const bool adopted, CommitVersionLocked(next, edit));
+  LTM_ASSIGN_OR_RETURN(const bool adopted,
+                       CommitVersionLocked(edit, "flush commit"));
 
   // Committed: only now mutate in-memory state and drop the old WAL.
   // On an adopted (visible-but-unsynced) commit the old WAL is kept: if
   // power loss reverts the commit, the old manifest still finds it.
-  const std::string old_wal = WalPath(manifest_.wal_file);
-  manifest_ = std::move(next);
+  next_segment_id_ = seg_id + 1;
   wal_ = std::move(new_wal).value();
   memtable_ = RawDatabase();
   memtable_seqs_.clear();
-  ++epoch_;
   flushes_->Increment();
   flush_rows_->Increment(rows.size());
   flush_micros_->Record(ElapsedMicros(flush_timer));
-  epoch_gauge_->Set(static_cast<int64_t>(epoch_));
-  memtable_rows_gauge_->Set(0);
+  memtable_rows_gauge_.Set(0);
   if (!adopted) {
     std::error_code ec;
     fs::remove(old_wal, ec);  // best-effort; Open() reaps leftovers
@@ -542,25 +620,25 @@ Status TruthStore::Compact() {
   // One compaction at a time: a second caller (sync or async) would
   // capture the same segment set, race the first commit, and could
   // produce conflicting version edits.
-  std::vector<SegmentInfo> captured;
-  uint32_t out_level = 1;
+  std::shared_ptr<const Version> base;
   {
     MutexLock lock(mu_);
     if (compacting_) {
       return Status::FailedPrecondition("a compaction is already running");
     }
-    if (manifest_.segments.size() < 2) return Status::OK();
-    captured = manifest_.segments;
-    out_level = std::max(1u, manifest_.MaxLevel());
+    if (current_->manifest.segments.size() < 2) return Status::OK();
+    base = current_;
     compacting_ = true;
   }
-  Status st = CompactSegmentsInner(captured, out_level);
+  Status st = CompactSegmentsInner(base, base->manifest.segments,
+                                   std::max(1u, base->manifest.MaxLevel()));
   MutexLock lock(mu_);
   compacting_ = false;
   return st;
 }
 
 Result<bool> TruthStore::CompactOnce() {
+  std::shared_ptr<const Version> base;
   std::vector<SegmentInfo> inputs;
   uint32_t out_level = 1;
   {
@@ -568,19 +646,21 @@ Result<bool> TruthStore::CompactOnce() {
     if (compacting_) {
       return Status::FailedPrecondition("a compaction is already running");
     }
-    if (manifest_.NumSegmentsAtLevel(0) >= options_.l0_compaction_trigger) {
+    base = current_;
+    const Manifest& manifest = base->manifest;
+    if (manifest.NumSegmentsAtLevel(0) >= options_.l0_compaction_trigger) {
       // L0 segments may overlap each other, so all of them merge together
       // with every L1 segment their combined range touches.
       std::string min_e, max_e;
       bool first = true;
-      for (const SegmentInfo& seg : manifest_.segments) {
+      for (const SegmentInfo& seg : manifest.segments) {
         if (seg.level != 0) continue;
         inputs.push_back(seg);
         if (first || seg.min_entity < min_e) min_e = seg.min_entity;
         if (first || seg.max_entity > max_e) max_e = seg.max_entity;
         first = false;
       }
-      for (const SegmentInfo& seg : manifest_.segments) {
+      for (const SegmentInfo& seg : manifest.segments) {
         if (seg.level == 1 &&
             !(seg.max_entity < min_e || seg.min_entity > max_e)) {
           inputs.push_back(seg);
@@ -588,9 +668,9 @@ Result<bool> TruthStore::CompactOnce() {
       }
       out_level = 1;
     } else {
-      for (uint32_t level = 1; level <= manifest_.MaxLevel(); ++level) {
+      for (uint32_t level = 1; level <= manifest.MaxLevel(); ++level) {
         uint64_t level_bytes = 0;
-        for (const SegmentInfo& seg : manifest_.segments) {
+        for (const SegmentInfo& seg : manifest.segments) {
           if (seg.level == level) level_bytes += seg.file_bytes;
         }
         if (level_bytes <= LevelTargetBytes(options_.level_base_bytes, level)) {
@@ -599,14 +679,14 @@ Result<bool> TruthStore::CompactOnce() {
         // Spill the range-smallest segment of the over-budget level into
         // the next, together with the next level's overlapping segments.
         const SegmentInfo* pick = nullptr;
-        for (const SegmentInfo& seg : manifest_.segments) {
+        for (const SegmentInfo& seg : manifest.segments) {
           if (seg.level != level) continue;
           if (pick == nullptr || seg.min_entity < pick->min_entity) {
             pick = &seg;
           }
         }
         inputs.push_back(*pick);
-        for (const SegmentInfo& seg : manifest_.segments) {
+        for (const SegmentInfo& seg : manifest.segments) {
           if (seg.level == level + 1 &&
               !(seg.max_entity < pick->min_entity ||
                 seg.min_entity > pick->max_entity)) {
@@ -620,8 +700,9 @@ Result<bool> TruthStore::CompactOnce() {
     if (inputs.empty()) return false;
     compacting_ = true;
   }
-  Status st = inputs.size() == 1 ? TrivialMoveInner(inputs[0], out_level)
-                                 : CompactSegmentsInner(inputs, out_level);
+  Status st = inputs.size() == 1
+                  ? TrivialMoveInner(inputs[0], out_level)
+                  : CompactSegmentsInner(base, inputs, out_level);
   {
     MutexLock lock(mu_);
     compacting_ = false;
@@ -633,31 +714,23 @@ Result<bool> TruthStore::CompactOnce() {
 Status TruthStore::TrivialMoveInner(const SegmentInfo& seg,
                                     uint32_t output_level) {
   MutexLock lock(mu_);
-  VersionEdit edit;
-  edit.generation = manifest_.generation + 1;
-  edit.next_segment_id = manifest_.next_segment_id;
-  edit.wal_seq = manifest_.wal_seq;
-  edit.wal_file = manifest_.wal_file;
-  edit.next_row_seq = manifest_.next_row_seq;
+  VersionEdit edit = NextEditLocked();
   SegmentInfo moved = seg;
   moved.level = output_level;
   edit.deleted.push_back(seg.id);
   edit.added.push_back(std::move(moved));
-  Manifest next = manifest_;
-  LTM_RETURN_IF_ERROR(ApplyVersionEdit(&next, edit, "trivial move"));
-  // Adopted or clean makes no difference here: no file was superseded.
-  LTM_RETURN_IF_ERROR(CommitVersionLocked(next, edit).status());
-  manifest_ = std::move(next);
-  ++epoch_;
-  epoch_gauge_->Set(static_cast<int64_t>(epoch_));
+  // Adopted or clean makes no difference here: no file was superseded,
+  // and the moved segment keeps its handle.
+  LTM_RETURN_IF_ERROR(CommitVersionLocked(edit, "trivial move").status());
   compaction_trivial_moves_->Increment();
   LTM_LOG(Info) << "truthstore: moved " << seg.file << " to level "
                 << output_level << " without rewriting";
   return Status::OK();
 }
 
-Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
-                                        uint32_t output_level) {
+Status TruthStore::CompactSegmentsInner(
+    const std::shared_ptr<const Version>& base,
+    const std::vector<SegmentInfo>& inputs, uint32_t output_level) {
   obs::ObsSpan span("compaction");
   WallTimer compaction_timer;
   // Merge outside the lock: segment files are immutable, so appends and
@@ -669,7 +742,7 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   uint64_t bytes_read = 0;
   for (const SegmentInfo& seg : inputs) {
     LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
-                         GetReader(seg));
+                         base->File(seg.id)->Reader());
     BlockSegmentReader::ReadStats rs;
     LTM_RETURN_IF_ERROR(reader->ScanRowsInRange(nullptr, nullptr,
                                                 /*cache=*/nullptr, &rs,
@@ -732,8 +805,8 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   uint64_t first_id = 0;
   {
     MutexLock lock(mu_);
-    first_id = manifest_.next_segment_id;
-    manifest_.next_segment_id += group_ends.size();
+    first_id = next_segment_id_;
+    next_segment_id_ += group_ends.size();
   }
 
   std::vector<SegmentInfo> outputs;
@@ -754,23 +827,21 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   }
   LTM_RETURN_IF_ERROR(FailpointCheck("store-compact-segment-written"));
 
-  bool adopted = false;
   {
     MutexLock lock(mu_);
-    VersionEdit edit;
-    edit.generation = manifest_.generation + 1;
-    edit.next_segment_id = manifest_.next_segment_id;
-    edit.wal_seq = manifest_.wal_seq;
-    edit.wal_file = manifest_.wal_file;
-    edit.next_row_seq = manifest_.next_row_seq;
+    VersionEdit edit = NextEditLocked();
     edit.added = outputs;
     for (const SegmentInfo& seg : inputs) edit.deleted.push_back(seg.id);
-    Manifest next = manifest_;
-    LTM_RETURN_IF_ERROR(ApplyVersionEdit(&next, edit, "compaction commit"));
-    LTM_ASSIGN_OR_RETURN(adopted, CommitVersionLocked(next, edit));
-    manifest_ = std::move(next);
-    ++epoch_;
-    epoch_gauge_->Set(static_cast<int64_t>(epoch_));
+    LTM_ASSIGN_OR_RETURN(const bool adopted,
+                         CommitVersionLocked(edit, "compaction commit"));
+    // Keep the merged-away segments when the commit's durability
+    // degraded: if power loss reverts the un-synced commit, the old
+    // manifest still finds its segment files on the next open. Else
+    // they go with the last Version naming them — `base`, released by
+    // the caller after mu_, unless a pin holds an older one.
+    for (const SegmentInfo& seg : inputs) {
+      if (!adopted) base->File(seg.id)->MarkObsolete();
+    }
     compactions_->Increment();
     compaction_input_segments_->Increment(inputs.size());
     compaction_output_segments_->Increment(outputs.size());
@@ -793,29 +864,6 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   metrics_->counter("ltm_store_level_bytes_written_total" + level_label)
       ->Increment(bytes_written);
 
-  if (!adopted) {
-    // Keep the merged-away segments when the commit's durability
-    // degraded: if power loss reverts the un-synced commit, the old
-    // manifest still finds its segment files on the next open.
-    std::vector<SegmentInfo> doomed;
-    {
-      MutexLock lock(mu_);
-      for (const SegmentInfo& seg : inputs) {
-        if (pin_refs_.count(seg.id) != 0) {
-          // A live EpochPin still reads this segment: defer the delete
-          // until the last referencing pin drops (see ReleasePin).
-          deferred_segments_.push_back(seg);
-        } else {
-          doomed.push_back(seg);
-        }
-      }
-    }
-    std::error_code ec;
-    for (const SegmentInfo& seg : doomed) {
-      DropSegmentCaches(seg.id);
-      fs::remove(SegmentPath(seg), ec);  // best-effort
-    }
-  }
   LTM_LOG(Info) << "truthstore: compacted " << inputs.size()
                 << " segment(s) into " << outputs.size() << " at level "
                 << output_level << " (" << dropped << " duplicate row(s) "
@@ -850,17 +898,15 @@ TruthStore::~TruthStore() {
   }
 }
 
-EpochPin::~EpochPin() { store_->ReleasePin(*this); }
-
 std::unique_ptr<EpochPin> TruthStore::PinEpoch(
     const std::string* min_entity, const std::string* max_entity) const {
-  std::vector<SegmentInfo> segments;
+  std::shared_ptr<const Version> version;
   std::vector<WalRecord> memtable_rows;
   uint64_t epoch = 0;
   {
     MutexLock lock(mu_);
-    segments = manifest_.segments;
-    epoch = epoch_;
+    version = current_;
+    epoch = static_cast<uint64_t>(epoch_.value());
     // Copy out only the rows the query needs — a point read must not
     // stall concurrent appends for a full-memtable copy. Each copied row
     // carries its global ingest seq, so every pinned row is totally
@@ -879,62 +925,9 @@ std::unique_ptr<EpochPin> TruthStore::PinEpoch(
       record.seq = memtable_seqs_[i];
       memtable_rows.push_back(std::move(record));
     }
-    // Reference every captured segment so a compaction that supersedes
-    // one defers deleting its file until this pin drops.
-    for (const SegmentInfo& seg : segments) ++pin_refs_[seg.id];
-    ++live_pins_;
-    live_pins_gauge_->Set(static_cast<int64_t>(live_pins_));
   }
   return std::unique_ptr<EpochPin>(new EpochPin(
-      this, epoch, std::move(segments), std::move(memtable_rows)));
-}
-
-void TruthStore::ReleasePin(const EpochPin& pin) const {
-  std::vector<SegmentInfo> reclaim;
-  {
-    MutexLock lock(mu_);
-    --live_pins_;
-    live_pins_gauge_->Set(static_cast<int64_t>(live_pins_));
-    for (const SegmentInfo& seg : pin.segments()) {
-      auto it = pin_refs_.find(seg.id);
-      if (it != pin_refs_.end() && --it->second == 0) pin_refs_.erase(it);
-    }
-    // A deferred segment with no remaining references can be reclaimed.
-    std::erase_if(deferred_segments_, [&](const SegmentInfo& seg) {
-      if (pin_refs_.count(seg.id) != 0) return false;
-      reclaim.push_back(seg);
-      return true;
-    });
-  }
-  std::error_code ec;
-  for (const SegmentInfo& seg : reclaim) {
-    DropSegmentCaches(seg.id);
-    fs::remove(SegmentPath(seg), ec);  // best-effort; Open() reaps leftovers
-  }
-}
-
-Result<std::shared_ptr<BlockSegmentReader>> TruthStore::GetReader(
-    const SegmentInfo& seg) const {
-  {
-    MutexLock lock(readers_mu_);
-    const auto it = readers_.find(seg.id);
-    if (it != readers_.end()) return it->second;
-  }
-  // Open outside the lock (footer + index + bloom reads); a racing open
-  // of the same segment just loses and adopts the winner's reader.
-  LTM_ASSIGN_OR_RETURN(std::shared_ptr<BlockSegmentReader> reader,
-                       BlockSegmentReader::Open(SegmentPath(seg), seg.id));
-  MutexLock lock(readers_mu_);
-  const auto [it, inserted] = readers_.emplace(seg.id, std::move(reader));
-  return it->second;
-}
-
-void TruthStore::DropSegmentCaches(uint64_t id) const {
-  {
-    MutexLock lock(readers_mu_);
-    readers_.erase(id);
-  }
-  block_cache_.EraseSegment(id);
+      &live_pins_, epoch, std::move(version), std::move(memtable_rows)));
 }
 
 Result<RowViews> TruthStore::CollectPinnedRows(
@@ -953,17 +946,19 @@ Result<RowViews> TruthStore::CollectPinnedRows(
     for (const SegmentInfo& seg : pin.segments()) rows += seg.num_rows;
     out.rows.reserve(rows);
   }
-  for (const SegmentInfo& seg : pin.segments()) {
+  const Version& version = *pin.version_;
+  for (size_t i = 0; i < version.files.size(); ++i) {
+    const SegmentInfo& seg = version.manifest.segments[i];
     if ((min_entity != nullptr && seg.max_entity < *min_entity) ||
         (max_entity != nullptr && seg.min_entity > *max_entity)) {
       ++scan.segments_skipped;
       continue;  // zone stats prove the segment is outside the range
     }
-    // No retry loop anywhere below: the pin's refcounts keep every
-    // referenced segment file on disk, so a read failure here is true
+    // No retry loop anywhere below: the pin's Version keeps every
+    // segment file it names on disk, so a read failure here is true
     // corruption.
     LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
-                         GetReader(seg));
+                         version.files[i]->Reader());
     if (point_read && !reader->MayContainEntity(*min_entity)) {
       ++scan.segments_skipped_bloom;
       continue;
@@ -1008,10 +1003,12 @@ Result<bool> TruthStore::PinnedFactMayExist(const EpochPin& pin,
   for (const WalRecord& record : pin.memtable_rows()) {
     if (record.entity == entity && record.attribute == attribute) return true;
   }
-  for (const SegmentInfo& seg : pin.segments()) {
+  const Version& version = *pin.version_;
+  for (size_t i = 0; i < version.files.size(); ++i) {
+    const SegmentInfo& seg = version.manifest.segments[i];
     if (seg.max_entity < entity || seg.min_entity > entity) continue;
     LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
-                         GetReader(seg));
+                         version.files[i]->Reader());
     if (reader->MayContainFact(entity, attribute)) return true;
   }
   bloom_point_skips_->Increment();
@@ -1020,48 +1017,47 @@ Result<bool> TruthStore::PinnedFactMayExist(const EpochPin& pin,
 
 uint64_t TruthStore::epoch() const {
   MutexLock lock(mu_);
-  return epoch_;
+  return static_cast<uint64_t>(epoch_.value());
 }
 
 TruthStoreStats TruthStore::Stats() const {
   TruthStoreStats stats;
   {
     MutexLock lock(mu_);
-    stats.epoch = epoch_;
-    stats.generation = manifest_.generation;
-    stats.num_segments = manifest_.segments.size();
-    stats.segment_rows = manifest_.TotalSegmentRows();
+    const Manifest& manifest = current_->manifest;
+    stats.epoch = static_cast<uint64_t>(epoch_.value());
+    stats.generation = manifest.generation;
+    stats.num_segments = manifest.segments.size();
+    stats.segment_rows = manifest.TotalSegmentRows();
     stats.memtable_rows = memtable_.NumRows();
     stats.wal_records_replayed = wal_records_replayed_;
     stats.recovered_torn_tail = recovered_torn_tail_;
-    stats.live_pins = live_pins_;
-    stats.deferred_segments = deferred_segments_.size();
-    stats.max_level = manifest_.MaxLevel();
-    stats.l0_segments = manifest_.NumSegmentsAtLevel(0);
-    stats.next_row_seq = manifest_.next_row_seq;
+    stats.max_level = manifest.MaxLevel();
+    stats.l0_segments = manifest.NumSegmentsAtLevel(0);
+    stats.next_row_seq = manifest.next_row_seq;
     stats.manifest_edits_since_snapshot = edits_since_snapshot_;
   }
+  stats.live_pins = num_pinned_epochs();
+  stats.deferred_segments = num_deferred_segments();
   return stats;
 }
 
 std::vector<SegmentInfo> TruthStore::segments() const {
   MutexLock lock(mu_);
-  return manifest_.segments;
+  return current_->manifest.segments;
 }
 
 size_t TruthStore::num_pinned_epochs() const {
-  MutexLock lock(mu_);
-  return live_pins_;
+  return static_cast<size_t>(live_pins_.value());
 }
 
 size_t TruthStore::num_deferred_segments() const {
-  MutexLock lock(mu_);
-  return deferred_segments_.size();
+  return static_cast<size_t>(obsolete_segments_.value());
 }
 
 uint64_t TruthStore::NextRowSeq() const {
   MutexLock lock(mu_);
-  uint64_t next = manifest_.next_row_seq;
+  uint64_t next = current_->manifest.next_row_seq;
   for (const uint64_t seq : memtable_seqs_) {
     next = std::max(next, seq + 1);
   }

@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -121,14 +120,26 @@ struct TruthStoreOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-class TruthStore;
+class SegmentFile;  // truth_store.cc: one segment's file and reader
 
-/// A ref-counted MVCC read snapshot of one TruthStore at one epoch: the
-/// committed segment list plus a copy of the memtable rows at pin time.
-/// While a pin is alive, compaction defers deleting any segment file the
-/// pin references, so reads against the pin never race file removal and
-/// never block appends, flushes, or compaction. Dropping the last pin on
-/// a superseded segment reclaims its file.
+/// One committed state of a TruthStore, immutable once published: the
+/// MANIFEST of one commit plus a shared handle per listed segment
+/// (files[i] backs manifest.segments[i]), which a later Version listing
+/// the segment shares. Held by shared_ptr — by the store as its current
+/// state, by each EpochPin, by a running compaction — so a superseded
+/// segment's file goes when the last Version naming it drops.
+struct Version {
+  Manifest manifest;
+  std::vector<std::shared_ptr<SegmentFile>> files;
+
+  /// The handle of segment `id`; null when this Version does not list it.
+  std::shared_ptr<SegmentFile> File(uint64_t id) const;
+};
+
+/// An MVCC read snapshot of one TruthStore at one epoch: the Version
+/// current at pin time plus a copy of the memtable rows. The Version
+/// keeps every segment file it names, so reads through the pin never
+/// race a file removal and never block appends, flushes, or compaction.
 ///
 /// Obtained from TruthStore::PinEpoch(); read via
 /// TruthStore::CollectPinnedRows(). A pin created with entity bounds only
@@ -140,33 +151,28 @@ class TruthStore;
 /// on one thread. Must not outlive the TruthStore that issued it.
 class EpochPin {
  public:
-  ~EpochPin();
-
-  /// Holds a back-reference into the issuing store's refcount table;
-  /// duplicating it would double-release.
-  EpochPin(EpochPin&&) = delete;
-  EpochPin& operator=(EpochPin&&) = delete;
-
   /// The store epoch this pin captured.
   uint64_t epoch() const { return epoch_; }
-  const std::vector<SegmentInfo>& segments() const { return segments_; }
+  const std::vector<SegmentInfo>& segments() const {
+    return version_->manifest.segments;
+  }
   const std::vector<WalRecord>& memtable_rows() const {
     return memtable_rows_;
   }
 
  private:
   friend class TruthStore;
-  EpochPin(const TruthStore* store, uint64_t epoch,
-           std::vector<SegmentInfo> segments,
+  EpochPin(obs::GaugeTerm* live_pins, uint64_t epoch,
+           std::shared_ptr<const Version> version,
            std::vector<WalRecord> memtable_rows)
-      : store_(store),
+      : live_(live_pins),
         epoch_(epoch),
-        segments_(std::move(segments)),
+        version_(std::move(version)),
         memtable_rows_(std::move(memtable_rows)) {}
 
-  const TruthStore* store_;
+  obs::GaugeTerm::Hold live_;  // one of the store's live pins
   uint64_t epoch_;
-  std::vector<SegmentInfo> segments_;
+  std::shared_ptr<const Version> version_;
   std::vector<WalRecord> memtable_rows_;
 };
 
@@ -222,6 +228,12 @@ struct StoreVerifyReport {
 /// filter → block index binary search → ONE data block (through the
 /// shared block cache); range reads additionally skip whole segments via
 /// manifest zone stats.
+///
+/// Read state has one ownership rule, shared_ptr: each MANIFEST commit
+/// publishes a Version (above) under `mu_`, and a pin copies the pointer.
+/// A compaction whose commit landed cleanly marks its inputs obsolete, so
+/// each input's reader, cached blocks and file go with the last Version
+/// naming it — at once, or when the last pin on an older Version drops.
 ///
 /// Thread-safe: appends, flushes, reads, and one background compaction
 /// may run concurrently. Not multi-process-safe — one TruthStore instance
@@ -286,12 +298,11 @@ class TruthStore {
   std::shared_future<Status> CompactAsync(ThreadPool& pool)
       LTM_EXCLUDES(mu_);
 
-  /// Acquires an MVCC read snapshot at the current epoch: copies the
-  /// committed segment list (bumping each segment's pin refcount so
-  /// compaction defers deleting its file) and the memtable rows
-  /// (restricted to [*min_entity, *max_entity] when non-null). Cheap for
-  /// point reads — only the matching memtable rows are copied. The pin
-  /// must not outlive this store.
+  /// Acquires an MVCC read snapshot at the current epoch: references the
+  /// current Version (which keeps its segment files) and copies the
+  /// memtable rows (restricted to [*min_entity, *max_entity] when
+  /// non-null). Cheap for point reads — only the matching memtable rows
+  /// are copied. The pin must not outlive this store.
   std::unique_ptr<EpochPin> PinEpoch(
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const LTM_EXCLUDES(mu_);
@@ -300,9 +311,8 @@ class TruthStore {
   /// PartitionedTruthStore::ReadRowsAt): every in-range segment row —
   /// read through the block cache, seeking inside one block on a point
   /// read — plus the pin's memtable rows. Never retries: the pin's
-  /// refcounts guarantee every referenced segment file still exists. The
-  /// rows are NOT deduplicated; callers replay them through a RawDatabase
-  /// in order.
+  /// Version keeps every segment file it names on disk. The rows are NOT
+  /// deduplicated; callers replay them through a RawDatabase in order.
   Result<RowViews> CollectPinnedRows(const EpochPin& pin,
                                      const std::string* min_entity = nullptr,
                                      const std::string* max_entity = nullptr,
@@ -330,9 +340,10 @@ class TruthStore {
   std::vector<SegmentInfo> segments() const LTM_EXCLUDES(mu_);
 
   /// Live EpochPin handles outstanding (observability + tests).
-  size_t num_pinned_epochs() const LTM_EXCLUDES(mu_);
-  /// Superseded segments whose files are retained for live pins.
-  size_t num_deferred_segments() const LTM_EXCLUDES(mu_);
+  size_t num_pinned_epochs() const;
+  /// Segments a committed compaction superseded whose files an older
+  /// Version (a live pin's) still keeps.
+  size_t num_deferred_segments() const;
 
   /// One past the largest ingest sequence number this store holds:
   /// manifest next_row_seq, or one past the largest memtable row's seq.
@@ -350,37 +361,36 @@ class TruthStore {
   static Result<StoreVerifyReport> Verify(const std::string& dir);
 
  private:
-  friend class EpochPin;
+  friend class SegmentFile;
 
   TruthStore(std::string dir, TruthStoreOptions options);
 
-  /// EpochPin's destructor: drops the pin's segment references and
-  /// deletes any deferred segment file whose last reference this was.
-  void ReleasePin(const EpochPin& pin) const LTM_EXCLUDES(mu_);
-
   Status FlushLocked() LTM_REQUIRES(mu_);
   Status AppendLocked(const WalRecord& record) LTM_REQUIRES(mu_);
-  /// Merges `inputs` into `output_level`, commits, and defers or deletes
-  /// the superseded files. Runs with the compacting_ flag held; takes and
-  /// releases mu_ around its capture and commit phases.
-  Status CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
+  /// Merges `inputs`, which `base` lists, into `output_level`, commits,
+  /// and marks the inputs obsolete. Runs with the compacting_ flag held;
+  /// takes mu_ to reserve output ids and to commit.
+  Status CompactSegmentsInner(const std::shared_ptr<const Version>& base,
+                              const std::vector<SegmentInfo>& inputs,
                               uint32_t output_level) LTM_EXCLUDES(mu_);
   /// Relinks `seg` to `output_level` without rewriting its file.
   Status TrivialMoveInner(const SegmentInfo& seg, uint32_t output_level)
       LTM_EXCLUDES(mu_);
-  /// Commits `next` (already validated), appending `edit` or folding the
-  /// log into a snapshot per `manifest_snapshot_every`. Returns false for
-  /// a clean commit, true when the new state is visible on disk but its
+  /// An edit carrying the current manifest one generation forward.
+  VersionEdit NextEditLocked() const LTM_REQUIRES(mu_);
+  /// Applies `edit` (`what` names it in errors), commits it — appending
+  /// it, or folding the log into a snapshot per manifest_snapshot_every —
+  /// and publishes the new Version and epoch. Returns false for a clean
+  /// commit, true when the new state is visible on disk but its
   /// durability degraded (the caller must then keep superseded files so a
-  /// power-loss rollback still finds them). Other failures propagate.
-  Result<bool> CommitVersionLocked(const Manifest& next,
-                                   const VersionEdit& edit) LTM_REQUIRES(mu_);
-  /// Cached random-access reader for `seg`, opened on first use.
-  Result<std::shared_ptr<BlockSegmentReader>> GetReader(
-      const SegmentInfo& seg) const LTM_EXCLUDES(readers_mu_);
-  /// Drops the cached reader and every cached block of segment `id`
-  /// (called just before its file is deleted).
-  void DropSegmentCaches(uint64_t id) const LTM_EXCLUDES(readers_mu_);
+  /// power-loss rollback still finds them). Other failures propagate and
+  /// publish nothing.
+  Result<bool> CommitVersionLocked(const VersionEdit& edit,
+                                   const std::string& what) LTM_REQUIRES(mu_);
+  /// The Version of `manifest`, sharing the handles `prev` (may be null)
+  /// has for the segments both list.
+  std::shared_ptr<const Version> MakeVersion(Manifest manifest,
+                                             const Version* prev);
   BlockSegmentWriterOptions WriterOptions() const;
   std::string SegmentPath(const SegmentInfo& seg) const;
   std::string WalPath(const std::string& file) const;
@@ -389,14 +399,15 @@ class TruthStore {
   const TruthStoreOptions options_;
 
   mutable Mutex mu_;
-  Manifest manifest_ LTM_GUARDED_BY(mu_);
+  /// The id the next flush takes: the committed manifest's, plus the ids
+  /// a running compaction reserved for its outputs.
+  uint64_t next_segment_id_ LTM_GUARDED_BY(mu_) = 1;
   RawDatabase memtable_ LTM_GUARDED_BY(mu_);
   /// The caller-assigned seq of memtable row i (the memtable dedups, so a
   /// seq is recorded only when its Add grew the row count — keeping the
   /// FIRST occurrence's seq, the same rule compaction applies).
   std::vector<uint64_t> memtable_seqs_ LTM_GUARDED_BY(mu_);
   std::optional<WalWriter> wal_ LTM_GUARDED_BY(mu_);
-  uint64_t epoch_ LTM_GUARDED_BY(mu_) = 0;
   uint64_t wal_records_replayed_ LTM_GUARDED_BY(mu_) = 0;
   bool recovered_torn_tail_ LTM_GUARDED_BY(mu_) = false;
   bool compacting_ LTM_GUARDED_BY(mu_) = false;
@@ -405,20 +416,6 @@ class TruthStore {
   /// resolve and joined by the destructor.
   std::vector<std::shared_future<Status>> pending_compactions_
       LTM_GUARDED_BY(mu_);
-
-  /// MVCC pin state (mutable: pinning is a const read-side operation).
-  /// pin_refs_ maps segment id -> number of live pins referencing it;
-  /// deferred_segments_ holds segments compacted out of the manifest
-  /// whose files must survive until their refcount drops to zero.
-  mutable std::unordered_map<uint64_t, uint32_t> pin_refs_
-      LTM_GUARDED_BY(mu_);
-  mutable size_t live_pins_ LTM_GUARDED_BY(mu_) = 0;
-  mutable std::vector<SegmentInfo> deferred_segments_ LTM_GUARDED_BY(mu_);
-
-  /// Open segment readers, keyed by segment id (ids are never reused).
-  mutable Mutex readers_mu_;
-  mutable std::unordered_map<uint64_t, std::shared_ptr<BlockSegmentReader>>
-      readers_ LTM_GUARDED_BY(readers_mu_);
 
   /// Registry plumbing. owned_metrics_ backs metrics_ when no registry
   /// was injected; both are declared before the block cache so the
@@ -444,11 +441,20 @@ class TruthStore {
   obs::Histogram* compaction_micros_;
   /// All-negative PinnedFactMayExist probes (zero blocks read).
   obs::Counter* bloom_point_skips_;
-  obs::Gauge* epoch_gauge_;
-  obs::Gauge* memtable_rows_gauge_;
-  obs::Gauge* live_pins_gauge_;
+  /// This store's terms of `ltm_store_{epoch,memtable_rows,live_pins}`,
+  /// taken back out when the store closes; the first two change only
+  /// under mu_. Each EpochPin counts itself on live_pins_, each obsolete
+  /// segment handle on obsolete_segments_.
+  obs::GaugeTerm epoch_;
+  obs::GaugeTerm memtable_rows_gauge_;
+  mutable obs::GaugeTerm live_pins_;
+  obs::GaugeTerm obsolete_segments_;
 
   mutable BlockCache block_cache_;
+
+  /// The current Version. Declared last so it is destroyed first, while
+  /// the block cache its handles evict from still exists.
+  std::shared_ptr<const Version> current_ LTM_GUARDED_BY(mu_);
 };
 
 /// Formats a segment filename ("seg-000042.blk") / WAL filename

@@ -273,6 +273,33 @@ TEST_F(StreamingStoreTest, RestartResumesFromDurableState) {
   EXPECT_EQ(resumed.quality().specificity, ref->quality->specificity);
 }
 
+// The bootstrap fit is a refit of the attached store: with
+// align_shards_to_partitions it runs the same partition-shaped chain as
+// a RefitFromStore at the same epoch, bit for bit.
+TEST_F(StreamingStoreTest, BootstrapFitsLikeRefitFromStore) {
+  store::PartitionedStoreOptions store_options;
+  store_options.partitions = 3;
+  store_options.initial_boundaries = {"e3", "e6"};
+  auto store = store::PartitionedTruthStore::Open(dir_, store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+
+  StreamingOptions options = Options();
+  options.align_shards_to_partitions = true;
+  StreamingPipeline pipeline(options);
+  ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
+  const SourceQuality bootstrapped = pipeline.quality();
+  const uint64_t epoch = (*store)->epoch();
+  EXPECT_EQ(pipeline.last_fit_epoch(), epoch);
+
+  auto refit = pipeline.RefitFromStore();
+  ASSERT_TRUE(refit.ok()) << refit.status().ToString();
+  EXPECT_EQ(*refit, epoch);
+  EXPECT_EQ(pipeline.quality().sensitivity, bootstrapped.sensitivity);
+  EXPECT_EQ(pipeline.quality().specificity, bootstrapped.specificity);
+}
+
 }  // namespace
 }  // namespace ext
 }  // namespace ltm

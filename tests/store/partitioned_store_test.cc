@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -11,6 +13,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -314,6 +318,12 @@ TEST_F(PartitionedTruthStoreTest, CacheGaugesSumOverPartitionsAndRebalance) {
     pin.reset();
     ASSERT_EQ((*st)->num_retired_partitions(), 0u);
     EXPECT_EQ(gauge("ltm_cache_block_capacity_bytes"), 8 * kMiB);
+    // The retiree's store series went with it: the bare one-partition
+    // epoch reads 0, and the family sums the live partitions only.
+    EXPECT_EQ(metrics.GaugeValue("ltm_store_epoch"), 0);
+    uint64_t epochs = 0;
+    for (const uint64_t epoch : (*st)->PartitionEpochs()) epochs += epoch;
+    EXPECT_EQ(gauge("ltm_store_epoch"), static_cast<int64_t>(epochs));
     // Only the retiree had read anything.
     EXPECT_EQ(gauge("ltm_cache_block_size_bytes"), 0);
     const auto fresh = (*st)->PinSnapshot();
@@ -334,6 +344,36 @@ TEST_F(PartitionedTruthStoreTest, CacheGaugesSumOverPartitionsAndRebalance) {
   for (const std::string& family : families) {
     EXPECT_EQ(gauge(family), 0) << family << " after close";
   }
+}
+
+// A retiree is freed by its last reference. With no StorePin live that
+// is the rebalance's own, so the split's CompactOnce leaves neither the
+// old partition's directory nor its block-cache budget behind.
+TEST_F(PartitionedTruthStoreTest, RebalanceWithoutPinsReclaimsTheRetiree) {
+  obs::MetricsRegistry metrics;
+  constexpr int64_t kMiB = int64_t{1} << 20;
+  const RawDatabase raw = testing::RandomRaw(21);
+  PartitionedStoreOptions opts;
+  opts.partitions = 1;
+  opts.split_threshold_rows = raw.NumRows() / 2;
+  opts.store.metrics = &metrics;
+  opts.store.block_cache_mb = 8;
+  const std::string dir = Dir("split");
+  auto st = PartitionedTruthStore::Open(dir, opts);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  ASSERT_TRUE(AppendRows(st->get(), raw, 0, raw.NumRows()).ok());
+  ASSERT_TRUE((*st)->Flush().ok());
+  const std::string old_dir =
+      dir + "/" + (*st)->partition_map().entries[0].dir;
+  ASSERT_TRUE(fs::exists(old_dir));
+
+  auto did = (*st)->CompactOnce();
+  ASSERT_TRUE(did.ok()) << did.status().ToString();
+  ASSERT_EQ((*st)->num_partitions(), 2u);
+  EXPECT_FALSE(fs::exists(old_dir));
+  EXPECT_EQ((*st)->num_retired_partitions(), 0u);
+  // Two live children at 4 MiB each; the retiree's 8 MiB is gone.
+  EXPECT_EQ(metrics.GaugeSum("ltm_cache_block_capacity_bytes"), 8 * kMiB);
 }
 
 // The partitioning acceptance pin: the same rows ingested in the same
@@ -816,6 +856,109 @@ TEST_F(PartitionedTruthStoreTest, ConcurrentIngestCompactServeStorm) {
   auto report = PartitionedTruthStore::Verify(dir);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// TSan storm for the ownership rule: readers take and drop StorePins
+// while one writer appends, flushes, compacts, splits and merges, so
+// obsolete segment files and retired partitions are freed on whichever
+// reader thread drops their last reference. Every read through a pin
+// equals the read taken right after pinning, and holds exactly the
+// appended rows its seqs name.
+TEST_F(PartitionedTruthStoreTest,
+       PinsDroppedOnReaderThreadsDuringRebalanceStorm) {
+  const std::string dir = Dir("pin_storm");
+  obs::MetricsRegistry metrics;
+  PartitionedStoreOptions opts = FourWay();
+  // A split's halves fall under the merge threshold, so the layout keeps
+  // splitting and merging while the data grows.
+  opts.split_threshold_rows = 40;
+  opts.merge_threshold_rows = 45;
+  opts.store.l0_compaction_trigger = 2;
+  opts.store.metrics = &metrics;
+  auto st = PartitionedTruthStore::Open(dir, opts);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  const RawDatabase raw = testing::RandomRaw(33);
+  const size_t n = raw.NumRows();
+
+  using Row = std::tuple<std::string, std::string, std::string, uint64_t>;
+  const auto rows_of = [](const RowViews& views) {
+    std::vector<Row> rows;
+    for (const RowView& v : views.rows) {
+      rows.emplace_back(std::string(v.entity), std::string(v.attribute),
+                        std::string(v.source), v.seq);
+    }
+    return rows;
+  };
+  // The writer appends raw's rows in order, one per seq.
+  const auto appended = [&raw, n](const RowView& v) {
+    if (v.seq >= n) return false;
+    const RawRow& row = raw.rows()[v.seq];
+    return v.entity == raw.entities().Get(row.entity) &&
+           v.attribute == raw.attributes().Get(row.attribute) &&
+           v.source == raw.sources().Get(row.source);
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      // Each reader keeps its last few pins, so a pin taken before a
+      // rebalance is dropped after it, holding the retiree's last
+      // reference.
+      std::deque<std::pair<std::unique_ptr<StorePin>, std::vector<Row>>> held;
+      while (!stop.load(std::memory_order_relaxed) || !held.empty()) {
+        if (!stop.load(std::memory_order_relaxed)) {
+          auto pin = (*st)->PinSnapshot();
+          auto capture = (*st)->ReadRowsAt(*pin, nullptr, nullptr);
+          if (!capture.ok() || !std::all_of(capture->rows.begin(),
+                                            capture->rows.end(), appended)) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          held.emplace_back(std::move(pin), rows_of(*capture));
+          if (held.size() < 4) continue;
+        }
+        auto reread = (*st)->ReadRowsAt(*held.front().first, nullptr, nullptr);
+        if (!reread.ok() || rows_of(*reread) != held.front().second) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        held.pop_front();  // may free an obsolete segment or a retiree
+      }
+    });
+  }
+  bool wrote = true;
+  for (size_t i = 0; i < n && wrote; ++i) {
+    wrote = AppendRows(st->get(), raw, i, i + 1).ok() &&
+            (i % 8 != 7 ||
+             ((*st)->Flush().ok() && (*st)->CompactOnce().ok()));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  ASSERT_TRUE(wrote);
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_GT(metrics.CounterValue("ltm_store_partition_splits_total"), 0u);
+  EXPECT_GT(metrics.CounterValue("ltm_store_partition_merges_total"), 0u);
+  EXPECT_EQ((*st)->num_pinned_epochs(), 0u);
+  EXPECT_EQ((*st)->num_retired_partitions(), 0u);
+  EXPECT_EQ((*st)->Stats().deferred_segments, 0u);
+  // The freed partitions took their series with them: the store gauges
+  // sum over the live partitions only.
+  uint64_t epochs = 0;
+  for (const uint64_t epoch : (*st)->PartitionEpochs()) epochs += epoch;
+  EXPECT_EQ(metrics.GaugeSum("ltm_store_epoch"), static_cast<int64_t>(epochs));
+  EXPECT_EQ(metrics.GaugeSum("ltm_store_memtable_rows"),
+            static_cast<int64_t>((*st)->Stats().memtable_rows));
+  EXPECT_EQ(metrics.GaugeSum("ltm_store_live_pins"), 0);
+
+  auto ds = (*st)->Materialize();
+  ASSERT_TRUE(ds.ok());
+  ExpectSameClaimData(Dataset::FromRaw("batch", testing::RandomRaw(33)), *ds);
+  st->reset();
+  auto report = PartitionedTruthStore::Verify(dir);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  EXPECT_TRUE(report->orphan_dirs.empty());
 }
 
 }  // namespace
