@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -524,6 +525,57 @@ void BM_StoreSliceMaterialize(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(queries));
 }
 BENCHMARK(BM_StoreSliceMaterialize);
+
+// The refit's graph build over one pinned paper-scale store (the movie
+// world, ~81k rows, as perfbench loads it). Arg 0 times
+// store::ClaimGraphFromRows, the build RefitFromStore runs; arg 1 the
+// DatasetFromRows oracle (RawDatabase interning, FactTable, ClaimGraph
+// build and teardown) on the same rows. Compare with BM_ClaimGraphBuild.
+void BM_RefitGraphFromStore(benchmark::State& state) {
+  using Owned = std::unique_ptr<store::PartitionedTruthStore>;
+  static auto* cached = []() -> Owned* {
+    const std::string dir = BenchFilePath("ltm_bench_micro_refit_store");
+    std::filesystem::remove_all(dir);
+    auto opened = store::PartitionedTruthStore::Open(dir);
+    if (!opened.ok() ||
+        !(*opened)->AppendRaw(SharedMovieDataset(15073).raw).ok() ||
+        !(*opened)->Flush().ok()) {
+      return new Owned();
+    }
+    return new Owned(std::move(*opened));
+  }();
+  if (*cached == nullptr) {
+    state.SkipWithError("refit-store fixture build failed");
+    return;
+  }
+  const std::unique_ptr<store::StorePin> pin = (*cached)->PinSnapshot();
+  const auto rows = (*cached)->ReadRowsAt(*pin, nullptr, nullptr);
+  if (!rows.ok()) {
+    state.SkipWithError(rows.status().ToString().c_str());
+    return;
+  }
+  const bool oracle = state.range(0) == 1;
+  state.SetLabel(oracle ? "DatasetFromRows" : "ClaimGraphFromRows");
+  for (auto _ : state) {
+    if (oracle) {
+      const Dataset ds = store::DatasetFromRows("refit", *rows);
+      benchmark::DoNotOptimize(ds.graph.NumClaims());
+    } else {
+      const auto built = store::ClaimGraphFromRows(*rows);
+      if (!built.ok()) {
+        state.SkipWithError(built.status().ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(built->graph.NumClaims());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows->rows.size()));
+}
+BENCHMARK(BM_RefitGraphFromStore)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LtmIncPredict(benchmark::State& state) {
   const auto& data = SharedProcessData(state.range(0));

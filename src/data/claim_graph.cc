@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -78,46 +79,136 @@ void ClaimGraph::BuildSourceSideAndStats() {
   }
 }
 
+namespace {
+
+/// Distinct sources per key, ascending: key k's set is
+/// sources[begin[k], end[k]).
+struct SourceSets {
+  std::vector<uint32_t> begin;  // size num_keys + 1 (group starts)
+  std::vector<uint32_t> end;    // size num_keys (ends after dedup)
+  std::vector<SourceId> sources;
+};
+
+/// Groups row i's source under key_of(i) (< num_keys) by counting sort,
+/// then sorts and deduplicates each group in place.
+template <typename KeyOf>
+SourceSets GroupSources(std::span<const SourceId> row_sources,
+                        size_t num_keys, KeyOf key_of) {
+  SourceSets sets;
+  sets.begin.assign(num_keys + 1, 0);
+  for (size_t i = 0; i < row_sources.size(); ++i) ++sets.begin[key_of(i) + 1];
+  std::partial_sum(sets.begin.begin(), sets.begin.end(), sets.begin.begin());
+  sets.sources.resize(row_sources.size());
+  std::vector<uint32_t> cursor(sets.begin.begin(), sets.begin.end() - 1);
+  for (size_t i = 0; i < row_sources.size(); ++i) {
+    sets.sources[cursor[key_of(i)]++] = row_sources[i];
+  }
+  sets.end.resize(num_keys);
+  for (size_t k = 0; k < num_keys; ++k) {
+    const auto first = sets.sources.begin() + sets.begin[k];
+    const auto last = sets.sources.begin() + sets.begin[k + 1];
+    std::sort(first, last);
+    sets.end[k] =
+        static_cast<uint32_t>(std::unique(first, last) - sets.sources.begin());
+  }
+  return sets;
+}
+
+}  // namespace
+
 ClaimGraph ClaimGraph::Build(const RawDatabase& raw, const FactTable& facts) {
   const size_t num_facts = facts.NumFacts();
-  AbortOnIdOverflow("Build", num_facts, raw.NumSources());
-  // Sources asserting each fact (its positives), and sources asserting
-  // anything about each entity, as sorted sets.
-  std::vector<std::vector<SourceId>> fact_sources(num_facts);
-  std::vector<std::vector<SourceId>> entity_sources(raw.NumEntities());
+  std::vector<FactId> row_facts;
+  std::vector<SourceId> row_sources;
+  row_facts.reserve(raw.NumRows());
+  row_sources.reserve(raw.NumRows());
   for (const RawRow& row : raw.rows()) {
     const std::optional<FactId> fid = facts.Find(row.entity, row.attribute);
     if (!fid.has_value()) continue;  // Fact table built from different raw.
-    fact_sources[*fid].push_back(row.source);
-    entity_sources[row.entity].push_back(row.source);
+    row_facts.push_back(*fid);
+    row_sources.push_back(row.source);
   }
-  for (auto* sets : {&fact_sources, &entity_sources}) {
-    for (std::vector<SourceId>& v : *sets) {
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-    }
-  }
-
-  ClaimGraph g;
-  g.num_sources_ = raw.NumSources();
-  g.fact_offsets_.assign(num_facts + 1, 0);
+  std::vector<EntityId> fact_entities(num_facts);
+  size_t num_entities = raw.NumEntities();
   for (FactId f = 0; f < num_facts; ++f) {
-    const std::vector<SourceId>& pos = fact_sources[f];
-    for (SourceId s : pos) g.fact_claims_.push_back((s << 1) | 1u);
-    const EntityId e = facts.fact(f).entity;
-    if (e < entity_sources.size()) {
-      // Negatives: the entity's sources minus the fact's (both sorted).
-      auto p = pos.begin();
-      for (SourceId s : entity_sources[e]) {
-        while (p != pos.end() && *p < s) ++p;
-        if (p != pos.end() && *p == s) continue;
-        g.fact_claims_.push_back(s << 1);
-      }
-    }
-    g.fact_offsets_[f + 1] = static_cast<uint32_t>(g.fact_claims_.size());
+    fact_entities[f] = facts.fact(f).entity;
+    num_entities = std::max<size_t>(num_entities, fact_entities[f] + size_t{1});
   }
-  g.BuildSourceSideAndStats();
-  return g;
+  Result<ClaimGraph> g = FromRows(row_facts, row_sources, fact_entities,
+                                  num_entities, raw.NumSources());
+  if (!g.ok()) {
+    LTM_LOG(Error) << "ClaimGraph::Build: " << g.status().ToString();
+    std::abort();
+  }
+  return *std::move(g);
+}
+
+Result<ClaimGraph> ClaimGraph::FromRows(std::span<const FactId> row_facts,
+                                        std::span<const SourceId> row_sources,
+                                        std::span<const EntityId> fact_entities,
+                                        size_t num_entities,
+                                        size_t num_sources) {
+  const size_t num_facts = fact_entities.size();
+  LTM_RETURN_IF_ERROR(ValidateIdBounds(num_facts, num_sources));
+  if (row_facts.size() != row_sources.size() ||
+      row_facts.size() > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "ClaimGraph rows: " + std::to_string(row_facts.size()) +
+        " fact ids against " + std::to_string(row_sources.size()) +
+        " source ids (equal counts below 2^32 required)");
+  }
+  for (size_t i = 0; i < row_facts.size(); ++i) {
+    if (row_facts[i] >= num_facts || row_sources[i] >= num_sources) {
+      return Status::InvalidArgument(
+          "ClaimGraph rows: row " + std::to_string(i) + " names fact " +
+          std::to_string(row_facts[i]) + " / source " +
+          std::to_string(row_sources[i]) + " beyond " +
+          std::to_string(num_facts) + " / " + std::to_string(num_sources));
+    }
+  }
+  for (FactId f = 0; f < num_facts; ++f) {
+    if (fact_entities[f] >= num_entities) {
+      return Status::InvalidArgument(
+          "ClaimGraph rows: fact " + std::to_string(f) + " names entity " +
+          std::to_string(fact_entities[f]) + " >= " +
+          std::to_string(num_entities));
+    }
+  }
+  // Sources asserting each fact (its positives), and sources asserting
+  // anything about each entity.
+  const SourceSets positives = GroupSources(
+      row_sources, num_facts, [&](size_t i) { return row_facts[i]; });
+  const SourceSets entity_sources =
+      GroupSources(row_sources, num_entities,
+                   [&](size_t i) { return fact_entities[row_facts[i]]; });
+
+  // A fact's claims are exactly its entity's sources, split by assertion.
+  size_t num_claims = 0;
+  for (FactId f = 0; f < num_facts; ++f) {
+    const EntityId e = fact_entities[f];
+    num_claims += entity_sources.end[e] - entity_sources.begin[e];
+  }
+  std::vector<uint32_t> fact_offsets(num_facts + 1, 0);
+  std::vector<uint32_t> fact_claims;
+  fact_claims.reserve(num_claims);
+  for (FactId f = 0; f < num_facts; ++f) {
+    const SourceId* pos = positives.sources.data() + positives.begin[f];
+    const SourceId* pos_end = positives.sources.data() + positives.end[f];
+    for (const SourceId* s = pos; s != pos_end; ++s) {
+      fact_claims.push_back((*s << 1) | 1u);
+    }
+    // Negatives: the entity's sources minus the fact's (both sorted).
+    const EntityId e = fact_entities[f];
+    for (uint32_t i = entity_sources.begin[e]; i < entity_sources.end[e];
+         ++i) {
+      const SourceId s = entity_sources.sources[i];
+      while (pos != pos_end && *pos < s) ++pos;
+      if (pos != pos_end && *pos == s) continue;
+      fact_claims.push_back(s << 1);
+    }
+    fact_offsets[f + 1] = static_cast<uint32_t>(fact_claims.size());
+  }
+  return FromCsr(std::move(fact_offsets), std::move(fact_claims), num_sources);
 }
 
 ClaimGraph ClaimGraph::FromClaims(std::vector<Claim> claims, size_t num_facts,

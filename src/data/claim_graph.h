@@ -68,6 +68,20 @@ class ClaimGraph {
   /// Aborts with a clear message when ValidateIdBounds fails.
   static ClaimGraph Build(const RawDatabase& raw, const FactTable& facts);
 
+  /// The Definition 3 rule over plain ids — the one builder behind Build
+  /// and the store's direct refit build (store::ClaimGraphFromRows): row
+  /// i says source `row_sources[i]` asserted fact `row_facts[i]`, and
+  /// fact f belongs to entity `fact_entities[f]` (< `num_entities`).
+  /// Repeated (fact, source) rows collapse to one claim. Per-fact and
+  /// per-entity source sets are grouped by counting sort, then sorted and
+  /// deduplicated; the result passes FromCsr's validation. Returns
+  /// ValidateIdBounds' Status on id overflow and InvalidArgument on an
+  /// out-of-range id.
+  static Result<ClaimGraph> FromRows(std::span<const FactId> row_facts,
+                                     std::span<const SourceId> row_sources,
+                                     std::span<const EntityId> fact_entities,
+                                     size_t num_entities, size_t num_sources);
+
   /// Builds a graph directly from an explicit claim list (synthetic
   /// generators that draw claims without a raw database, filtered
   /// re-builds). Claims are sorted into the canonical order; duplicate

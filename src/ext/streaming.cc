@@ -6,6 +6,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "obs/trace.h"
 #include "store/partitioned_store.h"
 #include "truth/registry.h"
 
@@ -23,6 +24,11 @@ Result<TruthResult> StreamingPipeline::Run(const RunContext& ctx,
 
 Status StreamingPipeline::Bootstrap(const Dataset& history,
                                     const RunContext& ctx) {
+  if (store_ != nullptr) {
+    return Status::FailedPrecondition(
+        "Bootstrap: a store is attached; append the history to it and "
+        "RefitFromStore");
+  }
   // Keep the shared source id space: intern history's sources first.
   // Re-merging on a retried bootstrap is harmless: RawDatabase dedups.
   for (const std::string& s : history.raw.sources().strings()) {
@@ -42,11 +48,21 @@ Status StreamingPipeline::Observe(const Dataset& chunk, const RunContext& ctx) {
   if (!bootstrapped_) {
     // No quality yet: bootstrap from this very chunk (cold start). The
     // refit absorbs the chunk's evidence, so score it statelessly rather
-    // than accumulating it into serving_ a second time.
-    LTM_RETURN_IF_ERROR(Bootstrap(chunk, obs.NestedContext()));
+    // than accumulating it into serving_ a second time. In store mode the
+    // chunk is durable already, so the cold start fits the store, whose
+    // source order the chunk is then re-keyed to.
+    Dataset keyed;
+    const Dataset* scored = &chunk;
+    if (store_ != nullptr) {
+      LTM_RETURN_IF_ERROR(RefitFromStore(obs.NestedContext()).status());
+      keyed = KeyedToFittedSources(chunk);
+      scored = &keyed;
+    } else {
+      LTM_RETURN_IF_ERROR(Bootstrap(chunk, obs.NestedContext()));
+    }
     LTM_ASSIGN_OR_RETURN(
         last_result_,
-        serving_.Run(obs.NestedContext(), chunk.facts, chunk.graph));
+        serving_.Run(obs.NestedContext(), scored->facts, scored->graph));
     has_estimate_ = true;
     chunks_.push_back(chunk.graph.NumClaims());
     last_refit_ = true;
@@ -57,15 +73,24 @@ Status StreamingPipeline::Observe(const Dataset& chunk, const RunContext& ctx) {
   LTM_RETURN_IF_ERROR(serving_.Observe(chunk, obs.NestedContext()));
   LTM_ASSIGN_OR_RETURN(last_result_, serving_.Estimate());
   has_estimate_ = true;
-  cumulative_.MergeRowsFrom(chunk.raw);
+  if (store_ != nullptr) {
+    for (const RawRow& row : chunk.raw.rows()) {
+      sources_.Intern(chunk.raw.sources().Get(row.source));
+    }
+  } else {
+    cumulative_.MergeRowsFrom(chunk.raw);
+  }
   chunks_.push_back(chunk.graph.NumClaims());
   if (options_.refit_every_chunks > 0 &&
       chunks_.size() % options_.refit_every_chunks == 0) {
-    Status refit = RefitCumulative(obs.NestedContext());
+    const Status refit = store_ != nullptr
+                             ? RefitFromStore(obs.NestedContext()).status()
+                             : RefitCumulative(obs.NestedContext());
     if (!refit.ok()) {
       // Roll the chunk count back so a retried Observe does not double
-      // count it (the raw merge is deduped; serving_'s transient double
-      // accumulation is discarded by the next successful refit).
+      // count it (the raw merge is deduped and source interning is
+      // idempotent; serving_'s transient double accumulation is
+      // discarded by the next successful refit).
       chunks_.pop_back();
       return refit;
     }
@@ -102,14 +127,18 @@ Status StreamingPipeline::BootstrapFromStore(
     return Status::InvalidArgument("BootstrapFromStore: store is null");
   }
   // The same fit as every later refit; detached again on failure, a
-  // failed bootstrap leaves the pipeline unchanged and retryable.
+  // failed bootstrap leaves the pipeline unchanged and retryable. The
+  // store-mode table starts as the in-memory one, which the installed
+  // quality (if any) is indexed by, in case the store is empty.
   store_ = store;
+  sources_ = cumulative_.sources();
   const Result<uint64_t> fit_epoch = RefitFromStore(ctx);
   if (!fit_epoch.ok()) {
     store_ = nullptr;
     return fit_epoch.status();
   }
   last_fit_epoch_ = *fit_epoch;  // an empty store attaches unfit
+  cumulative_ = RawDatabase();   // the store is the evidence from here on
   return Status::OK();
 }
 
@@ -147,26 +176,17 @@ Status StreamingPipeline::ObserveToStore(const Dataset& chunk,
     pending_append_hash_ = chunk_hash;
     pending_store_append_ = true;
   }
-  // Rebuild the chunk with the pipeline's cumulative source-id space.
   // Observe's contract requires chunks to share the fitted SourceId
-  // space, but a store-materialized bootstrap interns sources in ingest
-  // order — generally different from the caller's chunk vocabulary — so
-  // the durable path re-keys by source *name* instead of trusting ids.
-  // Entities and attributes stay chunk-local (row order is preserved, so
-  // the rebuilt FactTable matches the caller's fact indices).
-  RawDatabase rekeyed;
-  for (const std::string& s : cumulative_.sources().strings()) {
-    rekeyed.mutable_sources().Intern(s);
-  }
-  rekeyed.MergeRowsFrom(chunk.raw);
-  const Dataset canonical = Dataset::FromRaw(chunk.name, std::move(rekeyed));
-  LTM_RETURN_IF_ERROR(Observe(canonical, obs.NestedContext()));
-  // The epoch trigger runs even when a chunk-count refit just fired:
-  // that refit only covered cumulative_, while the epoch counts *all*
-  // durable evidence — including appends that never went through this
-  // pipeline (a foreign writer, or a chunk whose scoring failed after
-  // its WAL append). Conversely, last_fit_epoch_ advances ONLY here,
-  // where the fit provably covered the store's contents.
+  // space, but a store refit interns sources in ingest order — generally
+  // different from the caller's chunk vocabulary — so the durable path
+  // re-keys by source *name* instead of trusting ids.
+  LTM_RETURN_IF_ERROR(
+      Observe(KeyedToFittedSources(chunk), obs.NestedContext()));
+  // Every refit is a RefitFromStore, which re-arms this trigger; it
+  // fires here when no chunk-count refit just covered the store — for
+  // instance after appends that never went through this pipeline (a
+  // foreign writer, or a chunk whose scoring failed after its WAL
+  // append).
   if (options_.ltm.refit_epoch_delta > 0 &&
       store_->epoch() - last_fit_epoch_ >= options_.ltm.refit_epoch_delta) {
     // NestedContext carries the budget remaining after the observe, so
@@ -196,23 +216,26 @@ Result<uint64_t> StreamingPipeline::RefitFromStore(const RunContext& ctx) {
     return Status::FailedPrecondition(
         "RefitFromStore: no store attached; call BootstrapFromStore first");
   }
-  // Resync the in-memory cumulative mirror from the store so the refit
-  // covers exactly the durable evidence — including appends that never
-  // went through this pipeline (a foreign writer, or a chunk whose
-  // scoring failed after its WAL append) — transactionally: the mirror
-  // swap is rolled back if the refit fails, so quality_ and cumulative_
-  // can never be left with mismatched source-interning orders.
+  // The fit covers exactly the durable evidence at one epoch, including
+  // appends that never went through this pipeline. The pin (and the
+  // buffers the views alias) is released before the sweeps start.
   uint64_t fit_epoch = 0;
-  LTM_ASSIGN_OR_RETURN(Dataset durable, store_->Materialize(&fit_epoch));
-  if (durable.raw.NumRows() == 0) return fit_epoch;  // nothing to fit
-  std::swap(cumulative_, durable.raw);  // durable.raw now holds the old
-  // Materialize already built the facts and graph of exactly these rows;
-  // both builds are deterministic, so fitting them is fitting a rebuild.
-  Status refit = Refit(ctx, durable.facts, durable.graph);
-  if (!refit.ok()) {
-    std::swap(cumulative_, durable.raw);  // Refit left quality_ as-is
-    return refit;
+  store::RowGraph built;
+  {
+    const std::unique_ptr<store::StorePin> pin = store_->PinSnapshot();
+    fit_epoch = pin->epoch();
+    store::RowViews rows;
+    {
+      obs::ObsSpan span("refit.read_rows");
+      LTM_ASSIGN_OR_RETURN(rows, store_->ReadRowsAt(*pin, nullptr, nullptr));
+    }
+    if (rows.rows.empty()) return fit_epoch;  // nothing to fit
+    obs::ObsSpan span("refit.graph_build");
+    LTM_ASSIGN_OR_RETURN(built, store::ClaimGraphFromRows(rows));
   }
+  // Refit installs quality_ only on success; the table follows it.
+  LTM_RETURN_IF_ERROR(Refit(ctx, built.graph));
+  sources_ = std::move(built.sources);
   bootstrapped_ = true;
   last_fit_epoch_ = fit_epoch;
   return fit_epoch;
@@ -220,10 +243,19 @@ Result<uint64_t> StreamingPipeline::RefitFromStore(const RunContext& ctx) {
 
 Status StreamingPipeline::RefitCumulative(const RunContext& ctx) {
   const FactTable facts = FactTable::Build(cumulative_);
-  return Refit(ctx, facts, ClaimGraph::Build(cumulative_, facts));
+  return Refit(ctx, ClaimGraph::Build(cumulative_, facts));
 }
 
-Status StreamingPipeline::Refit(const RunContext& ctx, const FactTable& facts,
+Dataset StreamingPipeline::KeyedToFittedSources(const Dataset& chunk) const {
+  RawDatabase keyed;
+  for (const std::string& s : cumulative_sources().strings()) {
+    keyed.mutable_sources().Intern(s);
+  }
+  keyed.MergeRowsFrom(chunk.raw);
+  return Dataset::FromRaw(chunk.name, std::move(keyed));
+}
+
+Status StreamingPipeline::Refit(const RunContext& ctx,
                                 const ClaimGraph& graph) {
   LtmOptions fit_options = options_.ltm;
   if (options_.align_shards_to_partitions && store_ != nullptr) {
@@ -240,7 +272,9 @@ Status StreamingPipeline::Refit(const RunContext& ctx, const FactTable& facts,
   refit_ctx.with_quality = true;
   refit_ctx.on_progress = ctx.on_progress;
   refit_ctx.metrics = ctx.metrics;
-  LTM_ASSIGN_OR_RETURN(TruthResult result, model.Run(refit_ctx, facts, graph));
+  // LTM reads only the claim graph; the fact table is not consulted.
+  LTM_ASSIGN_OR_RETURN(TruthResult result,
+                       model.Run(refit_ctx, FactTable(), graph));
   quality_ = std::move(*result.quality);
   // The refit absorbed everything serving_ had accumulated; restart it
   // from the fresh read-off.

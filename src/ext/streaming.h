@@ -69,7 +69,9 @@ class StreamingPipeline : public StreamingTruthMethod {
 
   /// Fits batch LTM on `history` and installs the learned source quality.
   /// The context's cancel/deadline interrupt the fit; on error the
-  /// pipeline stays un-bootstrapped and Bootstrap may be retried.
+  /// pipeline stays un-bootstrapped and Bootstrap may be retried. With a
+  /// store attached the store is the evidence, so this fails with
+  /// FailedPrecondition (append `history` and RefitFromStore instead).
   Status Bootstrap(const Dataset& history,
                    const RunContext& ctx = RunContext());
 
@@ -80,6 +82,12 @@ class StreamingPipeline : public StreamingTruthMethod {
   /// interrupted Observe may be retried with the same chunk (the raw
   /// merge is idempotent — RawDatabase dedups — and the chunk is only
   /// counted once).
+  ///
+  /// With a store attached (store mode) no rows are kept: the chunk only
+  /// interns its new source names into the fitted source table, and
+  /// every refit — the chunk-count trigger and a cold start alike — is a
+  /// RefitFromStore. Chunks therefore arrive through ObserveToStore,
+  /// which makes them durable first.
   Status Observe(const Dataset& chunk,
                  const RunContext& ctx = RunContext()) override;
 
@@ -97,43 +105,50 @@ class StreamingPipeline : public StreamingTruthMethod {
                                   const RunContext& ctx = RunContext());
 
   /// Attaches a durable store and bootstraps from it: a RefitFromStore,
-  /// fitting the store's full dataset in global ingest order. This is the
-  /// restartable-service entry point — a process that crashed mid-stream
-  /// reopens the store and resumes with the identical cumulative
-  /// evidence. `store` must outlive the pipeline. An empty store attaches
-  /// without fitting; the first ObserveToStore cold-starts as usual. A
-  /// failed bootstrap detaches the store again and may be retried.
+  /// fitting the store's full contents in global ingest order. This is
+  /// the restartable-service entry point — a process that crashed
+  /// mid-stream reopens the store and resumes with the identical
+  /// cumulative evidence. `store` must outlive the pipeline. From here on
+  /// the pipeline is in store mode: it keeps no copy of the rows, only
+  /// the fitted source table. An empty store attaches without fitting;
+  /// the first ObserveToStore cold-starts with a RefitFromStore. A failed
+  /// bootstrap detaches the store again and may be retried.
   Status BootstrapFromStore(store::PartitionedTruthStore* store,
                             const RunContext& ctx = RunContext());
 
   /// Durable Observe: appends `chunk` to the attached store (one WAL
-  /// group commit) *before* scoring it with LTMinc. Refits batch-style
-  /// when either trigger fires: the chunk-count rule
+  /// group commit) *before* scoring it with LTMinc. Refits with
+  /// RefitFromStore when either trigger fires: the chunk-count rule
   /// (StreamingOptions::refit_every_chunks) or the epoch rule
   /// (LtmOptions::refit_epoch_delta — the store advanced that many
-  /// epochs since the last fit; this refit resyncs the cumulative mirror
-  /// from the store, so durable appends that bypassed this pipeline are
-  /// covered too).
+  /// epochs since the last fit). Either refit fits the whole store, so
+  /// durable appends that bypassed this pipeline are covered too.
   Status ObserveToStore(const Dataset& chunk,
                         const RunContext& ctx = RunContext());
 
-  /// Materializes the attached store at its current epoch, resyncs the
-  /// cumulative mirror from it, and batch-refits — transactionally: on
-  /// failure the mirror swap is rolled back and the previous quality
-  /// stays installed. Returns the epoch the fit covered (which re-arms
-  /// the refit_epoch_delta trigger). This is the refit entry point the
-  /// serving layer's background scheduler drives; ObserveToStore's epoch
-  /// trigger goes through it too. A store with no rows is a no-op
+  /// Batch-refits on the attached store at its current epoch: pins a
+  /// snapshot, reads its rows as views (span "refit.read_rows"), builds
+  /// the claim graph straight from them with store::ClaimGraphFromRows
+  /// (span "refit.graph_build"; no RawDatabase, FactTable or Dataset),
+  /// releases the pin and fits. Only a successful fit installs its
+  /// quality and its source table, so a failed refit leaves both exactly
+  /// as they were. Returns the epoch the fit covered (which re-arms the
+  /// refit_epoch_delta trigger). This is the refit entry point the
+  /// serving layer's background scheduler drives; both ObserveToStore
+  /// triggers go through it too. A store with no rows is a no-op
   /// (returns the current epoch without fitting).
   Result<uint64_t> RefitFromStore(const RunContext& ctx = RunContext());
 
   store::PartitionedTruthStore* attached_store() const { return store_; }
 
-  /// Interner of the cumulative mirror: source name -> the id space the
-  /// installed quality() is indexed by. The serving layer uses this to
-  /// build its name-keyed quality lookup.
+  /// The fitted source table: source name -> the id space the installed
+  /// quality() is indexed by, followed by sources first seen in chunks
+  /// observed since that fit. In store mode it is the last
+  /// RefitFromStore's table plus those names; otherwise it is the
+  /// in-memory cumulative data's. The serving layer uses it to build its
+  /// name-keyed quality lookup.
   const StringInterner& cumulative_sources() const {
-    return cumulative_.sources();
+    return store_ != nullptr ? sources_ : cumulative_.sources();
   }
 
   const StreamingOptions& options() const { return options_; }
@@ -150,14 +165,18 @@ class StreamingPipeline : public StreamingTruthMethod {
   bool last_refit() const { return last_refit_; }
 
  private:
-  /// Batch-fits `facts`/`graph` (built from cumulative_), installs the
-  /// quality, and resets serving_ (whose accumulated chunk evidence the
-  /// refit just absorbed).
-  Status Refit(const RunContext& ctx, const FactTable& facts,
-               const ClaimGraph& graph);
+  /// Batch-fits `graph`, installs the quality, and resets serving_
+  /// (whose accumulated chunk evidence the refit just absorbed). Leaves
+  /// everything as it was on failure.
+  Status Refit(const RunContext& ctx, const ClaimGraph& graph);
 
-  /// Refit over a fresh build of cumulative_.
+  /// Refit over a fresh build of cumulative_ (no store attached).
   Status RefitCumulative(const RunContext& ctx);
+
+  /// `chunk` rebuilt with cumulative_sources()' id space, sources new to
+  /// it appended in first-appearance order. Entities and attributes stay
+  /// chunk-local (row order is kept, so fact indices match the caller's).
+  Dataset KeyedToFittedSources(const Dataset& chunk) const;
 
   StreamingOptions options_;
   SourceQuality quality_;
@@ -171,8 +190,12 @@ class StreamingPipeline : public StreamingTruthMethod {
   /// hash) skips the re-append so the log and epoch do not inflate.
   bool pending_store_append_ = false;
   uint64_t pending_append_hash_ = 0;
-  // Cumulative raw data (history + chunks) for periodic batch refits.
+  /// Cumulative raw data (history + chunks) for periodic batch refits
+  /// when no store is attached; empty in store mode, where the store is
+  /// the evidence and refits read it directly.
   RawDatabase cumulative_;
+  /// Store mode's fitted source table (see cumulative_sources()).
+  StringInterner sources_;
   std::vector<size_t> chunks_;  // claim counts per ingested chunk (stats)
 
   /// Persistent Eq. 3 server: scores chunks under the current quality and

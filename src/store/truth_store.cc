@@ -8,6 +8,7 @@
 #include <iterator>
 #include <set>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -181,6 +182,45 @@ Dataset DatasetFromRows(std::string name, const RowViews& rows) {
     raw.Add(row.entity, row.attribute, row.source);
   }
   return Dataset::FromRaw(std::move(name), std::move(raw));
+}
+
+Result<RowGraph> ClaimGraphFromRows(const RowViews& rows) {
+  // A fact is keyed by its two views; only a fact's first row looks its
+  // entity up. Attribute ids are never needed.
+  struct FactKey {
+    std::string_view entity;
+    std::string_view attribute;
+    bool operator==(const FactKey&) const = default;
+  };
+  struct FactKeyHash {
+    size_t operator()(const FactKey& k) const {
+      const std::hash<std::string_view> hash;
+      return hash(k.entity) * 0x9e3779b97f4a7c15ULL ^ hash(k.attribute);
+    }
+  };
+  std::unordered_map<FactKey, FactId, FactKeyHash> fact_ids;
+  std::unordered_map<std::string_view, EntityId> entity_ids;
+  std::vector<FactId> row_facts(rows.rows.size());
+  std::vector<SourceId> row_sources(rows.rows.size());
+  std::vector<EntityId> fact_entities;
+  RowGraph out;
+  for (size_t i = 0; i < rows.rows.size(); ++i) {
+    const RowView& row = rows.rows[i];
+    const auto [fact, new_fact] = fact_ids.try_emplace(
+        FactKey{row.entity, row.attribute},
+        static_cast<FactId>(fact_entities.size()));
+    if (new_fact) {
+      const auto entity = entity_ids.try_emplace(
+          row.entity, static_cast<EntityId>(entity_ids.size()));
+      fact_entities.push_back(entity.first->second);
+    }
+    row_facts[i] = fact->second;
+    row_sources[i] = out.sources.Intern(row.source);
+  }
+  LTM_ASSIGN_OR_RETURN(
+      out.graph, ClaimGraph::FromRows(row_facts, row_sources, fact_entities,
+                                      entity_ids.size(), out.sources.size()));
+  return out;
 }
 
 std::string StoreVerifyReport::Summary() const {

@@ -41,8 +41,25 @@ struct RangeScanStats {
 };
 
 /// Interns `rows` in order into a Dataset (RawDatabase dedup keeps each
-/// (entity, attribute, source) triple's first row).
+/// (entity, attribute, source) triple's first row). The slow-path oracle
+/// of ClaimGraphFromRows.
 Dataset DatasetFromRows(std::string name, const RowViews& rows);
+
+/// What a batch refit needs of the store's rows: the claim graph and the
+/// source names its ids index.
+struct RowGraph {
+  ClaimGraph graph;
+  StringInterner sources;
+};
+
+/// Builds the claim graph of `rows` in one pass over the views, without
+/// a RawDatabase, FactTable or Dataset: equal to
+/// DatasetFromRows(rows).graph, with `sources` equal to its
+/// raw.sources() — fact and source ids in first-appearance order,
+/// repeated triples (an uncompacted store can hold some) collapsed.
+/// Returns ClaimGraph::ValidateIdBounds' Status when the ids overflow.
+/// The views must stay valid for the call only.
+Result<RowGraph> ClaimGraphFromRows(const RowViews& rows);
 
 /// Point-in-time store layout. PartitionedTruthStore::Stats() reports
 /// the aggregate over every partition (counts summed, max_level taken as

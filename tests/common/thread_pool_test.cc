@@ -182,10 +182,12 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsTasks) {
-  ThreadPool pool(2);
+  // Declared before the pool, so the pool joins its workers first: the
+  // last task may still lock `m` and notify after the wait below returns.
   std::atomic<int> done{0};
   std::mutex m;
   std::condition_variable cv;
+  ThreadPool pool(2);
   for (int i = 0; i < 16; ++i) {
     pool.Submit([&] {
       if (done.fetch_add(1) + 1 == 16) {

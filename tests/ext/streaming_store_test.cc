@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -209,9 +210,9 @@ TEST_F(StreamingStoreTest, EpochDeltaTriggersRefit) {
   EXPECT_FALSE(lazy.last_refit());
 }
 
-// The epoch trigger covers durable evidence that bypassed this pipeline
-// (a foreign writer appending straight to the store) — even when the
-// chunk-count trigger also fires, which only refits the in-memory mirror.
+// A refit covers durable evidence that bypassed this pipeline (a foreign
+// writer appending straight to the store) whichever trigger fires: the
+// chunk-count and the epoch trigger both refit from the store.
 TEST_F(StreamingStoreTest, EpochRefitCoversForeignDurableAppends) {
   auto store = store::PartitionedTruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -239,6 +240,126 @@ TEST_F(StreamingStoreTest, EpochRefitCoversForeignDurableAppends) {
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(pipeline.quality().sensitivity, ref->quality->sensitivity);
   EXPECT_EQ(pipeline.quality().specificity, ref->quality->specificity);
+}
+
+// The chunk-count trigger refits from the store: after every
+// ObserveToStore the installed fit is the batch fit of Materialize(), bit
+// for bit, and the source table is its source order — also when a foreign
+// writer brought a source no chunk named.
+TEST_F(StreamingStoreTest, ChunkCountRefitFitsTheStore) {
+  auto store = store::PartitionedTruthStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+
+  StreamingOptions options = Options();
+  options.refit_every_chunks = 1;  // no epoch trigger
+  StreamingPipeline pipeline(options);
+  ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
+
+  RawDatabase foreign;
+  foreign.Add("e0", "foreign-attribute", "foreign-source");
+  const std::vector<const RawDatabase*> foreign_before = {nullptr, &foreign};
+  const std::vector<const Dataset*> chunks = {&chunk_a_, &chunk_b_};
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    SCOPED_TRACE("chunk " + std::to_string(i));
+    if (foreign_before[i] != nullptr) {
+      ASSERT_TRUE((*store)->AppendRaw(*foreign_before[i]).ok());
+    }
+    ASSERT_TRUE(pipeline.ObserveToStore(*chunks[i]).ok());
+    EXPECT_TRUE(pipeline.last_refit());
+    EXPECT_EQ(pipeline.last_fit_epoch(), (*store)->epoch());
+
+    auto full = (*store)->Materialize();
+    ASSERT_TRUE(full.ok());
+    LatentTruthModel reference(options.ltm);
+    RunContext ctx;
+    ctx.with_quality = true;
+    auto ref = reference.Run(ctx, full->facts, full->graph);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(pipeline.quality().sensitivity, ref->quality->sensitivity);
+    EXPECT_EQ(pipeline.quality().specificity, ref->quality->specificity);
+    EXPECT_EQ(pipeline.cumulative_sources().strings(),
+              full->raw.sources().strings());
+  }
+  EXPECT_TRUE(pipeline.cumulative_sources().Find("foreign-source"));
+  // The store is the evidence: a bare-Dataset bootstrap is refused.
+  EXPECT_EQ(pipeline.Bootstrap(history_).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// A pipeline attached to an empty store cold-starts on its first
+// ObserveToStore by fitting the whole store (here also a foreign
+// writer's rows), and scores the chunk under that fit's source order.
+TEST_F(StreamingStoreTest, ColdStartOnAnEmptyStoreFitsTheStore) {
+  auto store = store::PartitionedTruthStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  StreamingPipeline pipeline(Options());
+  ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
+  EXPECT_TRUE(pipeline.cumulative_sources().empty());
+
+  ASSERT_TRUE((*store)->AppendRaw(chunk_b_.raw).ok());  // foreign writer
+  ASSERT_TRUE(pipeline.ObserveToStore(chunk_a_).ok());
+  EXPECT_TRUE(pipeline.last_refit());
+
+  auto full = (*store)->Materialize();
+  ASSERT_TRUE(full.ok());
+  LatentTruthModel reference(Options().ltm);
+  RunContext ctx;
+  ctx.with_quality = true;
+  auto ref = reference.Run(ctx, full->facts, full->graph);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(pipeline.quality().sensitivity, ref->quality->sensitivity);
+  EXPECT_EQ(pipeline.cumulative_sources().strings(),
+            full->raw.sources().strings());
+
+  // chunk_a's entities are its own, so the served full-evidence
+  // posterior of each of its facts is the chunk estimate.
+  auto session = serve::ServeSession::Create(&pipeline, serve::ServeOptions());
+  ASSERT_TRUE(session.ok());
+  auto estimate = pipeline.Estimate();
+  ASSERT_TRUE(estimate.ok());
+  for (FactId f = 0; f < chunk_a_.facts.NumFacts(); ++f) {
+    std::string entity, attribute;
+    FactKey(chunk_a_, f, &entity, &attribute);
+    auto served = (*session)->Query({entity, attribute});
+    ASSERT_TRUE(served.ok());
+    EXPECT_NEAR(*served, estimate->estimate.probability[f], 1e-9) << f;
+  }
+}
+
+// A refit cancelled through RunContext::cancel installs nothing: the
+// quality and the source table stay exactly as they were, although the
+// store holds a source the table lacks.
+TEST_F(StreamingStoreTest, CancelledRefitLeavesQualityAndSources) {
+  auto store = store::PartitionedTruthStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
+
+  StreamingPipeline pipeline(Options());
+  ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
+  const SourceQuality quality = pipeline.quality();
+  const std::vector<std::string> sources =
+      pipeline.cumulative_sources().strings();
+  const uint64_t fit_epoch = pipeline.last_fit_epoch();
+
+  RawDatabase foreign;
+  foreign.Add("e0", "foreign-attribute", "foreign-source");
+  ASSERT_TRUE((*store)->AppendRaw(foreign).ok());
+  const std::atomic<bool> cancel{true};
+  RunContext ctx;
+  ctx.cancel = &cancel;
+  auto refit = pipeline.RefitFromStore(ctx);
+  ASSERT_FALSE(refit.ok());
+  EXPECT_EQ(refit.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(pipeline.quality().sensitivity, quality.sensitivity);
+  EXPECT_EQ(pipeline.quality().specificity, quality.specificity);
+  EXPECT_EQ(pipeline.cumulative_sources().strings(), sources);
+  EXPECT_EQ(pipeline.last_fit_epoch(), fit_epoch);
+
+  // The same refit uncancelled picks the new source up.
+  ASSERT_TRUE(pipeline.RefitFromStore().ok());
+  EXPECT_TRUE(pipeline.cumulative_sources().Find("foreign-source"));
 }
 
 // The restartable-service pin: a fresh process that reopens the store and
