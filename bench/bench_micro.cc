@@ -526,21 +526,37 @@ void BM_StoreSliceMaterialize(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreSliceMaterialize);
 
-// The refit's graph build over one pinned paper-scale store (the movie
-// world, ~81k rows, as perfbench loads it). Arg 0 times
-// store::ClaimGraphFromRows, the build RefitFromStore runs; arg 1 the
-// DatasetFromRows oracle (RawDatabase interning, FactTable, ClaimGraph
-// build and teardown) on the same rows. Compare with BM_ClaimGraphBuild.
+// The refit's read plus graph build over one paper-scale store (the
+// movie world, ~81k rows), timed as StreamingPipeline::RefitFromStore
+// runs them: pin, read, build. The rows go in round-robin over five
+// appends, four of them flushed, so every L0 segment spans every entity
+// and the fifth stays in the memtable: the key-order read merges five
+// overlapping runs. Arg 0 reads in key order and builds with
+// store::ClaimGraphFromRows, the refit path; arg 1 reads in seq order
+// and builds the DatasetFromRows oracle (RawDatabase interning,
+// FactTable, ClaimGraph build and teardown). Compare with
+// BM_ClaimGraphBuild.
 void BM_RefitGraphFromStore(benchmark::State& state) {
   using Owned = std::unique_ptr<store::PartitionedTruthStore>;
   static auto* cached = []() -> Owned* {
+    constexpr size_t kAppends = 5;
     const std::string dir = BenchFilePath("ltm_bench_micro_refit_store");
     std::filesystem::remove_all(dir);
     auto opened = store::PartitionedTruthStore::Open(dir);
-    if (!opened.ok() ||
-        !(*opened)->AppendRaw(SharedMovieDataset(15073).raw).ok() ||
-        !(*opened)->Flush().ok()) {
-      return new Owned();
+    if (!opened.ok()) return new Owned();
+    const RawDatabase& raw = SharedMovieDataset(15073).raw;
+    std::vector<RawDatabase> chunks(kAppends);
+    for (size_t i = 0; i < raw.NumRows(); ++i) {
+      const RawRow& row = raw.rows()[i];
+      chunks[i % kAppends].Add(raw.entities().Get(row.entity),
+                               raw.attributes().Get(row.attribute),
+                               raw.sources().Get(row.source));
+    }
+    for (size_t c = 0; c < kAppends; ++c) {
+      if (!(*opened)->AppendRaw(chunks[c]).ok() ||
+          (c + 1 < kAppends && !(*opened)->Flush().ok())) {
+        return new Owned();
+      }
     }
     return new Owned(std::move(*opened));
   }();
@@ -548,15 +564,21 @@ void BM_RefitGraphFromStore(benchmark::State& state) {
     state.SkipWithError("refit-store fixture build failed");
     return;
   }
-  const std::unique_ptr<store::StorePin> pin = (*cached)->PinSnapshot();
-  const auto rows = (*cached)->ReadRowsAt(*pin, nullptr, nullptr);
-  if (!rows.ok()) {
-    state.SkipWithError(rows.status().ToString().c_str());
-    return;
-  }
+  const store::PartitionedTruthStore& ts = **cached;
   const bool oracle = state.range(0) == 1;
-  state.SetLabel(oracle ? "DatasetFromRows" : "ClaimGraphFromRows");
+  state.SetLabel(oracle ? "seq read + DatasetFromRows"
+                        : "key read + ClaimGraphFromRows");
+  size_t rows_read = 0;
   for (auto _ : state) {
+    const std::unique_ptr<store::StorePin> pin = ts.PinSnapshot();
+    const auto rows =
+        ts.ReadRowsAt(*pin, nullptr, nullptr, nullptr,
+                      oracle ? store::RowOrder::kSeq : store::RowOrder::kKey);
+    if (!rows.ok()) {
+      state.SkipWithError(rows.status().ToString().c_str());
+      return;
+    }
+    rows_read = rows->rows.size();
     if (oracle) {
       const Dataset ds = store::DatasetFromRows("refit", *rows);
       benchmark::DoNotOptimize(ds.graph.NumClaims());
@@ -570,7 +592,7 @@ void BM_RefitGraphFromStore(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rows->rows.size()));
+                          static_cast<int64_t>(rows_read));
 }
 BENCHMARK(BM_RefitGraphFromStore)
     ->Arg(0)

@@ -191,24 +191,29 @@ Result<ClaimGraph> ClaimGraph::FromRows(std::span<const FactId> row_facts,
   std::vector<uint32_t> fact_offsets(num_facts + 1, 0);
   std::vector<uint32_t> fact_claims;
   fact_claims.reserve(num_claims);
+  const auto set_of = [](const SourceSets& sets, size_t k) {
+    return std::span<const SourceId>(sets.sources.data() + sets.begin[k],
+                                     sets.end[k] - sets.begin[k]);
+  };
   for (FactId f = 0; f < num_facts; ++f) {
-    const SourceId* pos = positives.sources.data() + positives.begin[f];
-    const SourceId* pos_end = positives.sources.data() + positives.end[f];
-    for (const SourceId* s = pos; s != pos_end; ++s) {
-      fact_claims.push_back((*s << 1) | 1u);
-    }
-    // Negatives: the entity's sources minus the fact's (both sorted).
-    const EntityId e = fact_entities[f];
-    for (uint32_t i = entity_sources.begin[e]; i < entity_sources.end[e];
-         ++i) {
-      const SourceId s = entity_sources.sources[i];
-      while (pos != pos_end && *pos < s) ++pos;
-      if (pos != pos_end && *pos == s) continue;
-      fact_claims.push_back(s << 1);
-    }
+    AppendFactClaims(set_of(positives, f),
+                     set_of(entity_sources, fact_entities[f]), &fact_claims);
     fact_offsets[f + 1] = static_cast<uint32_t>(fact_claims.size());
   }
   return FromCsr(std::move(fact_offsets), std::move(fact_claims), num_sources);
+}
+
+void ClaimGraph::AppendFactClaims(std::span<const SourceId> positives,
+                                  std::span<const SourceId> entity_sources,
+                                  std::vector<uint32_t>* fact_claims) {
+  for (const SourceId s : positives) fact_claims->push_back((s << 1) | 1u);
+  // Negatives: the entity's sources minus the fact's (both sorted).
+  auto pos = positives.begin();
+  for (const SourceId s : entity_sources) {
+    while (pos != positives.end() && *pos < s) ++pos;
+    if (pos != positives.end() && *pos == s) continue;
+    fact_claims->push_back(s << 1);
+  }
 }
 
 ClaimGraph ClaimGraph::FromClaims(std::vector<Claim> claims, size_t num_facts,

@@ -68,10 +68,9 @@ class ClaimGraph {
   /// Aborts with a clear message when ValidateIdBounds fails.
   static ClaimGraph Build(const RawDatabase& raw, const FactTable& facts);
 
-  /// The Definition 3 rule over plain ids — the one builder behind Build
-  /// and the store's direct refit build (store::ClaimGraphFromRows): row
-  /// i says source `row_sources[i]` asserted fact `row_facts[i]`, and
-  /// fact f belongs to entity `fact_entities[f]` (< `num_entities`).
+  /// The Definition 3 rule over plain ids, behind Build: row i says
+  /// source `row_sources[i]` asserted fact `row_facts[i]`, and fact f
+  /// belongs to entity `fact_entities[f]` (< `num_entities`).
   /// Repeated (fact, source) rows collapse to one claim. Per-fact and
   /// per-entity source sets are grouped by counting sort, then sorted and
   /// deduplicated; the result passes FromCsr's validation. Returns
@@ -81,6 +80,16 @@ class ClaimGraph {
                                      std::span<const SourceId> row_sources,
                                      std::span<const EntityId> fact_entities,
                                      size_t num_entities, size_t num_sources);
+
+  /// Appends one fact's canonical adjacency to `fact_claims`: a positive
+  /// claim per source of `positives`, then a negative claim per source of
+  /// `entity_sources` (the sources naming the fact's entity) not in
+  /// `positives`. Both must be strictly ascending, and `positives` a
+  /// subset of `entity_sources`. FromRows and the store's refit build
+  /// (store::ClaimGraphFromRows) emit every fact through it.
+  static void AppendFactClaims(std::span<const SourceId> positives,
+                               std::span<const SourceId> entity_sources,
+                               std::vector<uint32_t>* fact_claims);
 
   /// Builds a graph directly from an explicit claim list (synthetic
   /// generators that draw claims without a raw database, filtered

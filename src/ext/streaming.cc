@@ -227,7 +227,9 @@ Result<uint64_t> StreamingPipeline::RefitFromStore(const RunContext& ctx) {
     store::RowViews rows;
     {
       obs::ObsSpan span("refit.read_rows");
-      LTM_ASSIGN_OR_RETURN(rows, store_->ReadRowsAt(*pin, nullptr, nullptr));
+      LTM_ASSIGN_OR_RETURN(rows,
+                           store_->ReadRowsAt(*pin, nullptr, nullptr, nullptr,
+                                              store::RowOrder::kKey));
     }
     if (rows.rows.empty()) return fit_epoch;  // nothing to fit
     obs::ObsSpan span("refit.graph_build");

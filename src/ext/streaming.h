@@ -127,9 +127,11 @@ class StreamingPipeline : public StreamingTruthMethod {
                         const RunContext& ctx = RunContext());
 
   /// Batch-refits on the attached store at its current epoch: pins a
-  /// snapshot, reads its rows as views (span "refit.read_rows"), builds
-  /// the claim graph straight from them with store::ClaimGraphFromRows
-  /// (span "refit.graph_build"; no RawDatabase, FactTable or Dataset),
+  /// snapshot, reads its rows as views in the store's key order
+  /// (store::RowOrder::kKey, span "refit.read_rows"), builds the claim
+  /// graph by walking that order with store::ClaimGraphFromRows (span
+  /// "refit.graph_build"; no RawDatabase, FactTable or Dataset, and ids
+  /// in the same first-appearance order a Dataset would give),
   /// releases the pin and fits. Only a successful fit installs its
   /// quality and its source table, so a failed refit leaves both exactly
   /// as they were. Returns the epoch the fit covered (which re-arms the

@@ -666,7 +666,8 @@ std::unique_ptr<StorePin> PartitionedTruthStore::PinSnapshot(
 
 Result<RowViews> PartitionedTruthStore::ReadRowsAt(
     const StorePin& pin, const std::string* min_entity,
-    const std::string* max_entity, RangeScanStats* stats) const {
+    const std::string* max_entity, RangeScanStats* stats,
+    RowOrder order) const {
   if (pin.store_ != this) {
     return Status::InvalidArgument("pin was not issued by this store");
   }
@@ -676,19 +677,23 @@ Result<RowViews> PartitionedTruthStore::ReadRowsAt(
     // partition that can hold the entity.
     for (size_t i = 0; i < pin.entries_.size(); ++i) {
       if (pin.entries_[i].Contains(*min_entity)) {
-        return pin.children_[i]->CollectPinnedRows(*pin.pins_[i], min_entity,
-                                                   max_entity, stats);
+        return pin.children_[i]->CollectPinnedRows(
+            *pin.pins_[i], min_entity, max_entity, stats, order);
       }
     }
   }
   RangeScanStats total;
   RowViews out;
+  std::vector<size_t> run_starts;
+  run_starts.reserve(pin.pins_.size());
   for (size_t i = 0; i < pin.pins_.size(); ++i) {
     RangeScanStats part;
-    LTM_ASSIGN_OR_RETURN(RowViews child_rows,
-                         pin.children_[i]->CollectPinnedRows(
-                             *pin.pins_[i], min_entity, max_entity, &part));
+    LTM_ASSIGN_OR_RETURN(
+        RowViews child_rows,
+        pin.children_[i]->CollectPinnedRows(*pin.pins_[i], min_entity,
+                                            max_entity, &part, order));
     AccumulateScan(&total, part);
+    run_starts.push_back(out.rows.size());
     if (out.rows.empty() && out.buffers.empty()) {
       out = std::move(child_rows);
       continue;
@@ -699,11 +704,14 @@ Result<RowViews> PartitionedTruthStore::ReadRowsAt(
                        std::make_move_iterator(child_rows.buffers.begin()),
                        std::make_move_iterator(child_rows.buffers.end()));
   }
-  // Each partition's rows are already seq-sorted; merging on the
-  // router-assigned global sequence gives the exact ingest order a single
-  // store would replay.
-  std::sort(out.rows.begin(), out.rows.end(),
-            [](const RowView& a, const RowView& b) { return a.seq < b.seq; });
+  // Each partition's rows arrive sorted by `order`. Partitions own
+  // disjoint, ascending entity ranges in map order, so in key order the
+  // concatenation is already sorted; in seq order, merging the runs on
+  // the router-assigned global sequence gives the exact ingest order a
+  // single store would replay.
+  if (order == RowOrder::kSeq) {
+    MergeSortedRuns(RowOrder::kSeq, run_starts, &out.rows);
+  }
   if (stats != nullptr) *stats = total;
   return out;
 }

@@ -206,19 +206,29 @@ class PartitionedTruthStore {
 
   /// The one store read: every row with entity in
   /// [*min_entity, *max_entity] (null = unbounded) visible at `pin`, as
-  /// views sorted by global ingest sequence — the replay order of a batch
-  /// load, regardless of partitioning. Segments are skipped by zone
-  /// stats; when *min_entity == *max_entity (a point read) also by the
-  /// entity bloom, and the read is served by the one partition owning the
-  /// entity, seeking inside one block through its restart array instead
-  /// of decoding it whole. The views alias buffers the result holds, the
+  /// views in `order`, regardless of partitioning:
+  ///   - RowOrder::kSeq (the default): by global ingest sequence, the
+  ///     replay order of a batch load. Each partition sorts its rows by
+  ///     seq; the router merges the partitions' runs.
+  ///   - RowOrder::kKey: by (entity, attribute, seq), the order segments
+  ///     store. Each partition merges its segments' runs with its sorted
+  ///     memtable rows, sorting nothing by seq; partitions own disjoint,
+  ///     ascending entity ranges, so the router concatenates them in map
+  ///     order. A fact's rows are contiguous and its first row carries its
+  ///     first seq (see ClaimGraphFromRows).
+  /// Segments are skipped by zone stats; when *min_entity == *max_entity
+  /// (a point read) also by the entity bloom, and the read is served by
+  /// the one partition owning the entity, seeking inside one block
+  /// through its restart array instead of decoding it whole. The views
+  /// alias buffers the result holds, the
   /// pin's memtable records and — on a point read — `*min_entity` itself,
   /// so the result must outlive neither `pin` nor the bounds. `pin` must
   /// have been issued by this store (else InvalidArgument).
   Result<RowViews> ReadRowsAt(const StorePin& pin,
                               const std::string* min_entity,
                               const std::string* max_entity,
-                              RangeScanStats* stats = nullptr) const;
+                              RangeScanStats* stats = nullptr,
+                              RowOrder order = RowOrder::kSeq) const;
 
   /// ReadRowsAt interned into a Dataset.
   Result<Dataset> MaterializeSnapshot(const StorePin& pin,

@@ -6,9 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <set>
+#include <span>
 #include <string_view>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -184,42 +186,230 @@ Dataset DatasetFromRows(std::string name, const RowViews& rows) {
   return Dataset::FromRaw(std::move(name), std::move(raw));
 }
 
+namespace {
+
+template <typename Less>
+void MergeRuns(std::span<const size_t> run_starts, std::vector<RowView>* rows,
+               Less less) {
+  // bounds[k] is where run k starts; the last entry is the end.
+  std::vector<size_t> bounds = {0};
+  for (const size_t start : run_starts) {
+    if (start > bounds.back() && start < rows->size() &&
+        less((*rows)[start], (*rows)[start - 1])) {
+      bounds.push_back(start);
+    }
+  }
+  bounds.push_back(rows->size());
+  // Merge the adjacent pair with the fewest rows first, so the large
+  // deep-level runs move as few times as possible.
+  while (bounds.size() > 2) {
+    size_t best = 0;
+    for (size_t k = 1; k + 2 < bounds.size(); ++k) {
+      if (bounds[k + 2] - bounds[k] < bounds[best + 2] - bounds[best]) {
+        best = k;
+      }
+    }
+    std::inplace_merge(rows->begin() + bounds[best],
+                       rows->begin() + bounds[best + 1],
+                       rows->begin() + bounds[best + 2], less);
+    bounds.erase(bounds.begin() + best + 1);
+  }
+}
+
+// Closures rather than function pointers, so the sorts and merges
+// inline their comparisons.
+constexpr auto kSeqLess = [](const RowView& a, const RowView& b) {
+  return a.seq < b.seq;
+};
+constexpr auto kKeyLess = [](const RowView& a, const RowView& b) {
+  return RowViewOrder(a, b);
+};
+
+/// Source name → dense id in order of first sight, plus the smallest seq
+/// each source was seen at. Open addressing with linear probing over a
+/// power-of-two slot array kept at most half full; a store names few
+/// sources, so the table stays in cache.
+class SourceTable {
+ public:
+  uint32_t Intern(std::string_view name, uint64_t seq) {
+    if (2 * (names_.size() + 1) > slots_.size()) Grow();
+    size_t i = Slot(name);
+    for (; slots_[i] != kEmpty; i = (i + 1) & (slots_.size() - 1)) {
+      const uint32_t id = slots_[i];
+      if (names_[id] == name) {
+        min_seq_[id] = std::min(min_seq_[id], seq);
+        return id;
+      }
+    }
+    slots_[i] = static_cast<uint32_t>(names_.size());
+    names_.push_back(name);
+    min_seq_.push_back(seq);
+    return slots_[i];
+  }
+
+  size_t size() const { return names_.size(); }
+  std::string_view name(uint32_t id) const { return names_[id]; }
+  uint64_t min_seq(uint32_t id) const { return min_seq_[id]; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  size_t Slot(std::string_view name) const {
+    return std::hash<std::string_view>()(name) & (slots_.size() - 1);
+  }
+
+  void Grow() {
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), kEmpty);
+    for (uint32_t id = 0; id < names_.size(); ++id) {
+      size_t i = Slot(names_[id]);
+      while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = id;
+    }
+  }
+
+  std::vector<uint32_t> slots_;
+  std::vector<std::string_view> names_;
+  std::vector<uint64_t> min_seq_;
+};
+
+}  // namespace
+
+void MergeSortedRuns(RowOrder order, std::span<const size_t> run_starts,
+                     std::vector<RowView>* rows) {
+  if (order == RowOrder::kKey) {
+    MergeRuns(run_starts, rows, kKeyLess);
+  } else {
+    MergeRuns(run_starts, rows, kSeqLess);
+  }
+}
+
 Result<RowGraph> ClaimGraphFromRows(const RowViews& rows) {
-  // A fact is keyed by its two views; only a fact's first row looks its
-  // entity up. Attribute ids are never needed.
-  struct FactKey {
-    std::string_view entity;
-    std::string_view attribute;
-    bool operator==(const FactKey&) const = default;
-  };
-  struct FactKeyHash {
-    size_t operator()(const FactKey& k) const {
-      const std::hash<std::string_view> hash;
-      return hash(k.entity) * 0x9e3779b97f4a7c15ULL ^ hash(k.attribute);
+  const std::vector<RowView>& in = rows.rows;
+  if (in.size() > UINT32_MAX) {
+    return Status::InvalidArgument("ClaimGraphFromRows: " +
+                                   std::to_string(in.size()) +
+                                   " rows exceed the 2^32 row limit");
+  }
+  // One walk of the key order. Key-order fact k covers rows
+  // [fact_row[k], fact_row[k + 1]); entity e covers key-order facts
+  // [entity_fact[e], entity_fact[e + 1]).
+  SourceTable table;
+  std::vector<SourceId> row_source(in.size());
+  std::vector<uint32_t> fact_row;
+  std::vector<uint32_t> fact_entity;
+  std::vector<uint32_t> entity_fact;
+  for (uint32_t i = 0; i < in.size(); ++i) {
+    const RowView& row = in[i];
+    int by_entity = 1;
+    int by_key = 1;
+    if (i > 0) {
+      const RowView& prev = in[i - 1];
+      // A segment scan hands consecutive rows of an entity one key copy.
+      const bool same_bytes = row.entity.data() == prev.entity.data() &&
+                              row.entity.size() == prev.entity.size();
+      by_entity = same_bytes ? 0 : row.entity.compare(prev.entity);
+      by_key =
+          by_entity != 0 ? by_entity : row.attribute.compare(prev.attribute);
+      if (by_key < 0 || (by_key == 0 && row.seq < prev.seq)) {
+        return Status::InvalidArgument(
+            "ClaimGraphFromRows: rows are not in (entity, attribute, seq) "
+            "key order at row " +
+            std::to_string(i));
+      }
     }
-  };
-  std::unordered_map<FactKey, FactId, FactKeyHash> fact_ids;
-  std::unordered_map<std::string_view, EntityId> entity_ids;
-  std::vector<FactId> row_facts(rows.rows.size());
-  std::vector<SourceId> row_sources(rows.rows.size());
-  std::vector<EntityId> fact_entities;
+    if (by_entity > 0) {
+      entity_fact.push_back(static_cast<uint32_t>(fact_row.size()));
+    }
+    if (by_key > 0) {
+      fact_row.push_back(i);
+      fact_entity.push_back(static_cast<uint32_t>(entity_fact.size() - 1));
+    }
+    row_source[i] = table.Intern(row.source, row.seq);
+  }
+  const size_t num_facts = fact_row.size();
+  const size_t num_entities = entity_fact.size();
+  const size_t num_sources = table.size();
+  fact_row.push_back(static_cast<uint32_t>(in.size()));
+  entity_fact.push_back(static_cast<uint32_t>(num_facts));
+
+  // Source ids in first-appearance order by seq, as RawDatabase interns
+  // a seq-order read.
+  std::vector<uint32_t> by_first_seq(num_sources);
+  std::iota(by_first_seq.begin(), by_first_seq.end(), 0u);
+  std::sort(by_first_seq.begin(), by_first_seq.end(),
+            [&](uint32_t a, uint32_t b) {
+              return std::pair(table.min_seq(a), a) <
+                     std::pair(table.min_seq(b), b);
+            });
   RowGraph out;
-  for (size_t i = 0; i < rows.rows.size(); ++i) {
-    const RowView& row = rows.rows[i];
-    const auto [fact, new_fact] = fact_ids.try_emplace(
-        FactKey{row.entity, row.attribute},
-        static_cast<FactId>(fact_entities.size()));
-    if (new_fact) {
-      const auto entity = entity_ids.try_emplace(
-          row.entity, static_cast<EntityId>(entity_ids.size()));
-      fact_entities.push_back(entity.first->second);
+  std::vector<SourceId> canonical(num_sources);
+  for (uint32_t id = 0; id < num_sources; ++id) {
+    canonical[by_first_seq[id]] = id;
+    out.sources.Intern(table.name(by_first_seq[id]));
+  }
+  for (SourceId& s : row_source) s = canonical[s];
+
+  // An entity's sources — the negatives' universe — are the distinct
+  // sources of its rows, ascending: entity_sources[entity_begin[e],
+  // entity_begin[e + 1]). `listed_by[s]` is the last entity listing s.
+  std::vector<SourceId> entity_sources;
+  std::vector<uint32_t> entity_begin(num_entities + 1, 0);
+  std::vector<uint32_t> listed_by(num_sources, UINT32_MAX);
+  uint64_t num_claims = 0;
+  for (uint32_t e = 0; e < num_entities; ++e) {
+    const size_t begin = entity_sources.size();
+    for (uint32_t i = fact_row[entity_fact[e]];
+         i < fact_row[entity_fact[e + 1]]; ++i) {
+      if (listed_by[row_source[i]] != e) {
+        listed_by[row_source[i]] = e;
+        entity_sources.push_back(row_source[i]);
+      }
     }
-    row_facts[i] = fact->second;
-    row_sources[i] = out.sources.Intern(row.source);
+    std::sort(entity_sources.begin() + begin, entity_sources.end());
+    entity_begin[e + 1] = static_cast<uint32_t>(entity_sources.size());
+    num_claims += uint64_t{entity_fact[e + 1] - entity_fact[e]} *
+                  (entity_sources.size() - begin);
+  }
+  if (num_claims > UINT32_MAX) {
+    return Status::InvalidArgument("ClaimGraphFromRows: " +
+                                   std::to_string(num_claims) +
+                                   " claims exceed the 2^32 claim limit");
+  }
+  // Fact k's positives: its run's sources, sort-uniqued in place into
+  // row_source[fact_row[k], fact_end[k]).
+  std::vector<uint32_t> fact_end(num_facts);
+  for (size_t k = 0; k < num_facts; ++k) {
+    const auto first = row_source.begin() + fact_row[k];
+    const auto last = row_source.begin() + fact_row[k + 1];
+    std::sort(first, last);
+    fact_end[k] =
+        static_cast<uint32_t>(std::unique(first, last) - row_source.begin());
+  }
+
+  // Fact ids in first-appearance order by seq: a fact's first seq is its
+  // run's first row.
+  std::vector<std::pair<uint64_t, uint32_t>> fact_order(num_facts);
+  for (uint32_t k = 0; k < num_facts; ++k) {
+    fact_order[k] = {in[fact_row[k]].seq, k};
+  }
+  std::sort(fact_order.begin(), fact_order.end());
+  std::vector<uint32_t> fact_offsets(num_facts + 1, 0);
+  std::vector<uint32_t> fact_claims;
+  fact_claims.reserve(num_claims);
+  for (size_t f = 0; f < num_facts; ++f) {
+    const uint32_t k = fact_order[f].second;
+    const uint32_t e = fact_entity[k];
+    ClaimGraph::AppendFactClaims(
+        std::span<const SourceId>(row_source.data() + fact_row[k],
+                                  fact_end[k] - fact_row[k]),
+        std::span<const SourceId>(entity_sources.data() + entity_begin[e],
+                                  entity_begin[e + 1] - entity_begin[e]),
+        &fact_claims);
+    fact_offsets[f + 1] = static_cast<uint32_t>(fact_claims.size());
   }
   LTM_ASSIGN_OR_RETURN(
-      out.graph, ClaimGraph::FromRows(row_facts, row_sources, fact_entities,
-                                      entity_ids.size(), out.sources.size()));
+      out.graph, ClaimGraph::FromCsr(std::move(fact_offsets),
+                                     std::move(fact_claims), num_sources));
   return out;
 }
 
@@ -972,7 +1162,8 @@ std::unique_ptr<EpochPin> TruthStore::PinEpoch(
 
 Result<RowViews> TruthStore::CollectPinnedRows(
     const EpochPin& pin, const std::string* min_entity,
-    const std::string* max_entity, RangeScanStats* stats) const {
+    const std::string* max_entity, RangeScanStats* stats,
+    RowOrder order) const {
   RangeScanStats scan;
   const bool point_read = min_entity != nullptr && max_entity != nullptr &&
                           *min_entity == *max_entity;
@@ -987,8 +1178,26 @@ Result<RowViews> TruthStore::CollectPinnedRows(
     out.rows.reserve(rows);
   }
   const Version& version = *pin.version_;
-  for (size_t i = 0; i < version.files.size(); ++i) {
-    const SegmentInfo& seg = version.manifest.segments[i];
+  const std::vector<SegmentInfo>& segs = version.manifest.segments;
+  // Key order only: each segment's rows are one sorted run, and visiting
+  // the segments by (level, min_entity) makes each level >= 1 a single
+  // run. `run_starts` records where each run, then the memtable rows,
+  // begin. Seq order visits the manifest order and allocates neither.
+  std::vector<size_t> visit;
+  std::vector<size_t> run_starts;
+  if (order == RowOrder::kKey) {
+    visit.resize(segs.size());
+    std::iota(visit.begin(), visit.end(), size_t{0});
+    std::sort(visit.begin(), visit.end(), [&](size_t a, size_t b) {
+      return std::tie(segs[a].level, segs[a].min_entity, segs[a].id) <
+             std::tie(segs[b].level, segs[b].min_entity, segs[b].id);
+    });
+    run_starts.reserve(segs.size() + 1);
+  }
+  for (size_t v = 0; v < segs.size(); ++v) {
+    const size_t i = order == RowOrder::kKey ? visit[v] : v;
+    if (order == RowOrder::kKey) run_starts.push_back(out.rows.size());
+    const SegmentInfo& seg = segs[i];
     if ((min_entity != nullptr && seg.max_entity < *min_entity) ||
         (max_entity != nullptr && seg.min_entity > *max_entity)) {
       ++scan.segments_skipped;
@@ -1018,8 +1227,8 @@ Result<RowViews> TruthStore::CollectPinnedRows(
     scan.bytes_read += rs.bytes_read;
   }
   // The pin's memtable rows carry their global seqs (see PinEpoch), so
-  // one uniform sort recovers ingest order across segments AND the
-  // memtable.
+  // every pinned row is ordered by seq across segments AND the memtable.
+  const size_t memtable_start = out.rows.size();
   for (const WalRecord& record : pin.memtable_rows()) {
     if ((min_entity != nullptr && record.entity < *min_entity) ||
         (max_entity != nullptr && record.entity > *max_entity)) {
@@ -1028,11 +1237,16 @@ Result<RowViews> TruthStore::CollectPinnedRows(
     out.rows.push_back(RowView{record.entity, record.attribute, record.source,
                                record.seq, record.observation});
   }
-  // Rows arrived in per-segment key order; global ingest-sequence order
-  // is the replay order that keeps posteriors bit-identical to a batch
-  // load (sequence numbers are unique, so this sort has one answer).
-  std::sort(out.rows.begin(), out.rows.end(),
-            [](const RowView& a, const RowView& b) { return a.seq < b.seq; });
+  if (order == RowOrder::kKey) {
+    std::sort(out.rows.begin() + memtable_start, out.rows.end(), kKeyLess);
+    run_starts.push_back(memtable_start);
+    MergeSortedRuns(RowOrder::kKey, run_starts, &out.rows);
+  } else {
+    // Global ingest-sequence order is the replay order that keeps
+    // posteriors bit-identical to a batch load (sequence numbers are
+    // unique, so this sort has one answer).
+    std::sort(out.rows.begin(), out.rows.end(), kSeqLess);
+  }
   if (stats != nullptr) *stats = scan;
   return out;
 }

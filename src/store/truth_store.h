@@ -6,6 +6,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,9 +41,29 @@ struct RangeScanStats {
   uint64_t bytes_read = 0;
 };
 
+/// The order a store read returns its rows in.
+enum class RowOrder {
+  /// Global ingest sequence: the replay order of a batch load, which
+  /// serving and DatasetFromRows consume.
+  kSeq,
+  /// RowViewOrder — (entity, attribute, seq), the order segments hold
+  /// rows in — so each fact's rows form one run starting at its first
+  /// seq. ClaimGraphFromRows consumes it.
+  kKey,
+};
+
+/// Sorts `*rows` by `order`, given that each run
+/// [run_starts[k], run_starts[k + 1]) (the last one ending at
+/// rows->size()) is already sorted by it. Runs already in order across
+/// their boundary are joined without a merge; the rest merge pairwise,
+/// the adjacent pair with the fewest rows first, O(rows * log runs).
+/// `run_starts` ascends and may repeat (empty runs).
+void MergeSortedRuns(RowOrder order, std::span<const size_t> run_starts,
+                     std::vector<RowView>* rows);
+
 /// Interns `rows` in order into a Dataset (RawDatabase dedup keeps each
-/// (entity, attribute, source) triple's first row). The slow-path oracle
-/// of ClaimGraphFromRows.
+/// (entity, attribute, source) triple's first row). Given a RowOrder::kSeq
+/// read, the slow-path oracle of ClaimGraphFromRows.
 Dataset DatasetFromRows(std::string name, const RowViews& rows);
 
 /// What a batch refit needs of the store's rows: the claim graph and the
@@ -52,12 +73,24 @@ struct RowGraph {
   StringInterner sources;
 };
 
-/// Builds the claim graph of `rows` in one pass over the views, without
-/// a RawDatabase, FactTable or Dataset: equal to
-/// DatasetFromRows(rows).graph, with `sources` equal to its
-/// raw.sources() — fact and source ids in first-appearance order,
-/// repeated triples (an uncompacted store can hold some) collapsed.
-/// Returns ClaimGraph::ValidateIdBounds' Status when the ids overflow.
+/// Builds the claim graph of `rows`, which must be in RowOrder::kKey
+/// (else InvalidArgument), by one walk of that order — no RawDatabase,
+/// FactTable or Dataset, and no per-row fact lookup: a fact starts where
+/// the (entity, attribute) key changes, and sources go through a small
+/// flat table. Per-fact and per-entity source sets are sort-uniqued over
+/// their contiguous runs, which also collapses repeated triples (an
+/// uncompacted store can hold some).
+///
+/// Fact and source ids are then renumbered into first-appearance order
+/// by ingest seq (a fact's first seq is its run's first row), the order
+/// a seq-order read interns them in. So the result equals
+/// DatasetFromRows(seq-order read).graph bit for bit, with `sources`
+/// equal to its raw.sources(), and every golden pinned on the Dataset
+/// path holds for the store refit. Key-order ids would save the
+/// renumbering but move every such golden. New facts carry later seqs
+/// and sort last, so a fact keeps its id from one fit to the next.
+/// Returns ClaimGraph::ValidateIdBounds' Status when the ids overflow,
+/// and InvalidArgument when the rows or claims reach 2^32.
 /// The views must stay valid for the call only.
 Result<RowGraph> ClaimGraphFromRows(const RowViews& rows);
 
@@ -239,12 +272,13 @@ struct StoreVerifyReport {
 /// Replay order is carried by the rows themselves: every row holds the
 /// global ingest sequence number the router assigned, persisted through
 /// the WAL and every segment. CollectPinnedRows() returns rows sorted by
-/// it — the exact row order batch ingestion would have seen, regardless
-/// of which level compaction moved a row to — so downstream posteriors
-/// are bit-identical to a one-shot batch load. Point reads go bloom
-/// filter → block index binary search → ONE data block (through the
-/// shared block cache); range reads additionally skip whole segments via
-/// manifest zone stats.
+/// it by default — the exact row order batch ingestion would have seen,
+/// regardless of which level compaction moved a row to — so downstream
+/// posteriors are bit-identical to a one-shot batch load; in key order,
+/// every fact's first row still carries its first seq. Point reads go
+/// bloom filter → block index binary search → ONE data block (through
+/// the shared block cache); range reads additionally skip whole segments
+/// via manifest zone stats.
 ///
 /// Read state has one ownership rule, shared_ptr: each MANIFEST commit
 /// publishes a Version (above) under `mu_`, and a pin copies the pointer.
@@ -324,16 +358,21 @@ class TruthStore {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const LTM_EXCLUDES(mu_);
 
-  /// The rows behind a pin as seq-sorted views (see
+  /// The rows behind a pin as views in `order` (see
   /// PartitionedTruthStore::ReadRowsAt): every in-range segment row —
   /// read through the block cache, seeking inside one block on a point
-  /// read — plus the pin's memtable rows. Never retries: the pin's
-  /// Version keeps every segment file it names on disk. The rows are NOT
-  /// deduplicated; callers replay them through a RawDatabase in order.
+  /// read — plus the pin's memtable rows. Each segment yields one run in
+  /// key order; RowOrder::kSeq sorts everything by seq, RowOrder::kKey
+  /// sorts only the pinned memtable rows and merges the runs (visiting
+  /// segments by level and first entity, so each level >= 1 is one). Never
+  /// retries: the pin's Version keeps every segment file it names on
+  /// disk. The rows are NOT deduplicated; callers replay them through a
+  /// RawDatabase in seq order, or collapse them per key.
   Result<RowViews> CollectPinnedRows(const EpochPin& pin,
                                      const std::string* min_entity = nullptr,
                                      const std::string* max_entity = nullptr,
-                                     RangeScanStats* stats = nullptr) const;
+                                     RangeScanStats* stats = nullptr,
+                                     RowOrder order = RowOrder::kSeq) const;
 
   /// Bloom-only point probe: can fact (entity, attribute) possibly exist
   /// at the pin's epoch? Checks the pin's memtable rows exactly, then
