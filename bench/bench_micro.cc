@@ -124,7 +124,7 @@ void BM_GibbsSweep(benchmark::State& state) {
 BENCHMARK(BM_GibbsSweep)->Arg(1000)->Arg(10000);
 
 // The fused log-odds kernel: one adjacency pass per fact over per-source
-// Eq. 2 terms cached per shard and refreshed when a flip moves a count.
+// Eq. 2 terms cached per chain and refreshed when a flip moves a count.
 void BM_GibbsSweepFused(benchmark::State& state) {
   const auto& data = SharedProcessData(state.range(0));
   LtmOptions opts = LtmOptions::ScaledDefaults(data.graph.NumFacts());
@@ -137,24 +137,6 @@ void BM_GibbsSweepFused(benchmark::State& state) {
                           static_cast<int64_t>(data.graph.NumClaims()));
 }
 BENCHMARK(BM_GibbsSweepFused)->Arg(1000)->Arg(10000);
-
-// Sharded sweep on the production default kernel (kAuto: reference at
-// one shard, fused beyond), so the curve shows the compounded
-// kernel-times-sharding throughput a `threads=N` spec actually gets.
-// Real time, not the calling thread's CPU time: the shards run on pool
-// workers, so CPU time would inflate items/s by about the shard count.
-void BM_ShardedGibbsSweep(benchmark::State& state) {
-  const auto& data = SharedProcessData(10000);
-  LtmOptions opts = LtmOptions::ScaledDefaults(data.graph.NumFacts());
-  opts.threads = static_cast<int>(state.range(0));
-  LtmGibbs sampler(data.graph, opts);
-  for (auto _ : state) {
-    sampler.RunSweep();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.graph.NumClaims()));
-}
-BENCHMARK(BM_ShardedGibbsSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // Definition 3 claim materialization straight into the packed CSR graph.
 void BM_ClaimGraphBuild(benchmark::State& state) {

@@ -3,25 +3,16 @@
 // runs. Iterative methods run a fixed 100 iterations for fairness, as in
 // the paper; LTMinc reuses pre-learned source quality.
 //
-// Additionally runs a thread-scaling sweep of the sharded LTM sampler
-// (threads = 1/2/4/8) on the full-scale movie world — the same dataset
-// bench_fig6_scalability's largest point uses — and writes the result to
-// BENCH_scaling.json for the CI benchmark artifact.
-//
-// Flags (for the CI smoke job):
-//   --scaling-only        skip Table 9, run only the scaling sweep
+// Flags:
 //   --movies N            shrink the movie world (default 15073)
-//   --iterations N        Gibbs sweeps per run (default 100)
-//   --repeats N           timed repeats per configuration (default 3)
-//   --out FILE            JSON output path (default BENCH_scaling.json)
 
-#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
-#include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "eval/table_printer.h"
 #include "truth/ltm.h"
@@ -45,97 +36,10 @@ double TimeMethod(TruthMethod* method, const Dataset& data) {
   return total / kRepeats;
 }
 
-struct ScalingConfig {
-  bool scaling_only = false;
-  size_t movies = 15073;
-  int iterations = 100;
-  int repeats = kRepeats;
-  std::string out = "BENCH_scaling.json";
-};
-
-/// Times `LTM(threads=N)` for each N on the full dataset and writes the
-/// sweep as JSON. Returns false when the output file cannot be written.
-bool RunScalingSweep(const BenchDataset& full, const ScalingConfig& cfg) {
-  PrintHeader("Thread scaling: sharded LTM on the full movie world");
-  std::printf("facts=%zu claims=%zu sources=%zu hardware_threads=%d\n\n",
-              full.data.facts.NumFacts(), full.data.graph.NumClaims(),
-              full.data.graph.NumSources(),
-              ThreadPool::HardwareConcurrency());
-
-  LtmOptions opts = full.ltm_options;
-  opts.iterations = cfg.iterations;
-  opts.burnin = std::min(opts.burnin, cfg.iterations / 2);
-  opts.sample_gap = 1;
-  // Pin one kernel across every row: under kAuto the threads=1 baseline
-  // would run the reference kernel while threads>1 run fused, and the
-  // speedup column (which CI gates >= 2x at threads=4) would measure the
-  // kernel switch instead of sharding. The reference kernel is the right
-  // subject here — it is compute-bound, so its sharding curve is the
-  // near-linear PR-2 contract the gate was built for (the fused kernel
-  // is fast enough to run into memory bandwidth well before 8 shards).
-  // BENCH_kernel.json owns the kernel comparison; bench_micro's
-  // BM_ShardedGibbsSweep shows the compounded production (kAuto) curve.
-  opts.kernel = LtmKernel::kReference;
-
-  const int thread_counts[] = {1, 2, 4, 8};
-  std::vector<double> seconds;
-  TablePrinter table({"Threads", "Runtime (s)", "Speedup vs 1"});
-  for (int threads : thread_counts) {
-    opts.threads = threads;
-    LatentTruthModel model(opts);
-    model.Score(full.data.facts, full.data.graph);  // warm-up
-    double total = 0.0;
-    for (int rep = 0; rep < cfg.repeats; ++rep) {
-      WallTimer timer;
-      model.Score(full.data.facts, full.data.graph);
-      total += timer.ElapsedSeconds();
-    }
-    seconds.push_back(total / cfg.repeats);
-    table.AddRow({std::to_string(threads), FormatDouble(seconds.back(), 4),
-                  FormatDouble(seconds.front() / seconds.back(), 2)});
-  }
-  table.Print();
-  std::printf(
-      "\nExpected shape: near-linear up to the physical core count; the\n"
-      "acceptance bar is >= 2x at threads=4 on a 4-core runner.\n");
-
-  std::FILE* f = std::fopen(cfg.out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", cfg.out.c_str());
-    return false;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"ltm_thread_scaling\",\n"
-               "  \"dataset\": {\"movies\": %zu, \"facts\": %zu, "
-               "\"claims\": %zu, \"sources\": %zu},\n"
-               "  \"iterations\": %d,\n"
-               "  \"repeats\": %d,\n"
-               "  \"hardware_threads\": %d,\n"
-               "  \"results\": [",
-               cfg.movies, full.data.facts.NumFacts(),
-               full.data.graph.NumClaims(), full.data.graph.NumSources(),
-               cfg.iterations, cfg.repeats,
-               ThreadPool::HardwareConcurrency());
-  for (size_t i = 0; i < seconds.size(); ++i) {
-    std::fprintf(f, "%s\n    {\"threads\": %d, \"seconds\": %.6f, "
-                    "\"speedup\": %.4f}",
-                 i == 0 ? "" : ",", thread_counts[i], seconds[i],
-                 seconds[0] / seconds[i]);
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", cfg.out.c_str());
-  return true;
-}
-
-bool Run(const ScalingConfig& cfg) {
+void Run(size_t movies) {
   // Subsets are carved from one full-scale world so claim distributions
   // match across sizes.
-  BenchDataset full = MakeMovieBench(cfg.movies);
-  if (cfg.scaling_only) {
-    return RunScalingSweep(full, cfg);
-  }
+  BenchDataset full = MakeMovieBench(movies);
   const std::vector<size_t> sizes{3000, 6000, 9000, 12000, 15073};
 
   std::vector<Dataset> subsets;
@@ -189,8 +93,6 @@ bool Run(const ScalingConfig& cfg) {
       "\nExpected shape (paper): all methods scale linearly; Voting and\n"
       "LTMinc are the cheapest; LTM costs a small constant factor (3-5x)\n"
       "over the simpler iterative baselines.\n");
-
-  return RunScalingSweep(full, cfg);
 }
 
 }  // namespace
@@ -198,39 +100,21 @@ bool Run(const ScalingConfig& cfg) {
 }  // namespace ltm
 
 int main(int argc, char** argv) {
-  ltm::bench::ScalingConfig cfg;
+  size_t movies = 15073;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (std::strcmp(arg, "--scaling-only") == 0) {
-      cfg.scaling_only = true;
-    } else if (std::strcmp(arg, "--movies") == 0) {
-      const long movies = std::atol(next());
-      if (movies <= 0) {
+    if (std::strcmp(argv[i], "--movies") == 0 && i + 1 < argc) {
+      const long n = std::atol(argv[++i]);
+      if (n <= 0) {
         std::fprintf(stderr, "--movies must be > 0\n");
         return 2;
       }
-      cfg.movies = static_cast<size_t>(movies);
-    } else if (std::strcmp(arg, "--iterations") == 0) {
-      cfg.iterations = std::atoi(next());
-    } else if (std::strcmp(arg, "--repeats") == 0) {
-      cfg.repeats = std::atoi(next());
-    } else if (std::strcmp(arg, "--out") == 0) {
-      cfg.out = next();
+      movies = static_cast<size_t>(n);
     } else {
-      std::fprintf(stderr,
-                   "unknown flag %s (expected --scaling-only, --movies N, "
-                   "--iterations N, --repeats N, --out FILE)\n",
-                   arg);
+      std::fprintf(stderr, "unknown flag %s (expected --movies N)\n",
+                   argv[i]);
       return 2;
     }
   }
-  if (cfg.iterations <= 0 || cfg.repeats <= 0 || cfg.out.empty()) {
-    std::fprintf(stderr,
-                 "iterations and repeats must be > 0; --out needs a path\n");
-    return 2;
-  }
-  return ltm::bench::Run(cfg) ? 0 : 1;
+  ltm::bench::Run(movies);
+  return 0;
 }

@@ -26,13 +26,10 @@ uint32_t Pcg32::Next() {
   return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
 }
 
-Rng::Rng(uint64_t seed) : seed_(seed), gen_(SplitMix64(seed).Next(), SplitMix64(seed ^ 0xabcdef12345ULL).Next()), seeder_(seed ^ 0x5851f42d4c957f2dULL) {}
-
-Rng::Rng(uint64_t seed, uint64_t stream_id)
-    : seed_(seed),
-      gen_(SplitMix64(seed).Next(),
-           SplitMix64(seed ^ (0xd6e8feb86659fd93ULL * (stream_id + 1))).Next()),
-      seeder_(seed ^ 0x5851f42d4c957f2dULL ^ stream_id) {}
+Rng::Rng(uint64_t seed)
+    : gen_(SplitMix64(seed).Next(),
+           SplitMix64(seed ^ 0xabcdef12345ULL).Next()),
+      seeder_(seed ^ 0x5851f42d4c957f2dULL) {}
 
 double Rng::Uniform() {
   // 53-bit mantissa from two 32-bit draws.
@@ -148,16 +145,6 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
 Rng Rng::Fork(uint64_t salt) {
   uint64_t child = seeder_.Next() ^ (salt * 0x9e3779b97f4a7c15ULL);
   return Rng(child);
-}
-
-Rng Rng::SplitStream(uint64_t stream_id) const {
-  // Two SplitMix64 rounds over (seed, stream_id) give a well-mixed child
-  // seed; the private constructor additionally derives a per-stream PCG
-  // increment so the streams differ in sequence, not just in phase.
-  SplitMix64 mix(seed_ ^ (0x9e3779b97f4a7c15ULL * (stream_id + 1)));
-  uint64_t child_seed = mix.Next();
-  child_seed = SplitMix64(child_seed + stream_id).Next();
-  return Rng(child_seed, stream_id);
 }
 
 }  // namespace ltm

@@ -99,20 +99,7 @@ class Rng {
   /// calls yield different children.
   Rng Fork(uint64_t salt);
 
-  /// Derives the `stream_id`-th member of a deterministic family of
-  /// independent streams rooted at this engine's construction seed.
-  /// Unlike Fork, SplitStream is const and depends only on (seed,
-  /// stream_id) — not on how much the parent has been consumed — so a
-  /// sharded Gibbs chain can hand shard `k` the stream `SplitStream(k)` and
-  /// get the same sequence no matter what ran before. Each stream also
-  /// gets its own PCG increment, so streams from nearby ids cannot be
-  /// lag-correlated copies of one another.
-  Rng SplitStream(uint64_t stream_id) const;
-
  private:
-  Rng(uint64_t seed, uint64_t stream_id);  // SplitStream internals
-
-  uint64_t seed_;  ///< construction seed, the SplitStream family root
   Pcg32 gen_;
   SplitMix64 seeder_;
   bool have_cached_normal_ = false;

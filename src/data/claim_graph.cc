@@ -330,29 +330,4 @@ ClaimGraph ClaimGraph::PositiveOnly() const {
   return out;
 }
 
-std::vector<uint32_t> ClaimGraph::PartitionFacts(int num_shards) const {
-  const int shards = std::max(1, num_shards);
-  const size_t num_facts = NumFacts();
-  std::vector<uint32_t> bounds(static_cast<size_t>(shards) + 1, 0);
-  bounds.back() = static_cast<uint32_t>(num_facts);
-
-  // Cut where the cumulative claim count crosses each shard's pro-rata
-  // share. fact_offsets_ already is the cumulative claim count, so each
-  // boundary is a lower_bound over it: O(shards * log facts).
-  const uint64_t total = NumClaims();
-  for (int k = 1; k < shards; ++k) {
-    const uint64_t target = total * static_cast<uint64_t>(k) /
-                            static_cast<uint64_t>(shards);
-    const auto it =
-        std::lower_bound(fact_offsets_.begin(), fact_offsets_.end(),
-                         static_cast<uint32_t>(target));
-    uint32_t cut = static_cast<uint32_t>(it - fact_offsets_.begin());
-    cut = std::min<uint32_t>(cut, static_cast<uint32_t>(num_facts));
-    // Keep boundaries monotone even on degenerate inputs (e.g. all
-    // claims on one fact, or more shards than facts).
-    bounds[k] = std::max(bounds[k - 1], cut);
-  }
-  return bounds;
-}
-
 }  // namespace ltm

@@ -158,14 +158,6 @@ class ClaimGraph {
   /// and positive-only baselines.
   ClaimGraph PositiveOnly() const;
 
-  /// Partitions facts into `num_shards` contiguous ranges balanced by
-  /// claim count (the sweep's unit of work, since Eq. 2 is O(|C_f|)).
-  /// Returns `num_shards + 1` non-decreasing boundaries with front() == 0
-  /// and back() == NumFacts(); shard k owns [b[k], b[k+1]). Deterministic
-  /// for a given graph and shard count — the sharded chain's
-  /// reproducibility rests on this.
-  std::vector<uint32_t> PartitionFacts(int num_shards) const;
-
   /// Raw fact-side CSR arrays, the snapshot serialization payload.
   const std::vector<uint32_t>& fact_offsets() const { return fact_offsets_; }
   const std::vector<uint32_t>& fact_claims() const { return fact_claims_; }

@@ -259,13 +259,7 @@ Dataset StreamingPipeline::KeyedToFittedSources(const Dataset& chunk) const {
 
 Status StreamingPipeline::Refit(const RunContext& ctx,
                                 const ClaimGraph& graph) {
-  LtmOptions fit_options = options_.ltm;
-  if (options_.align_shards_to_partitions && store_ != nullptr) {
-    // Pin the refit chain's shard layout to the store's partition count
-    // so the fit is reproducible across machines serving the same store.
-    fit_options.shards = static_cast<int>(store_->num_partitions());
-  }
-  LatentTruthModel model(fit_options);
+  LatentTruthModel model(options_.ltm);
   // `ctx` already carries the caller's remaining budget (Observe derives
   // it via NestedContext), so it is copied through as-is.
   RunContext refit_ctx;
@@ -301,9 +295,6 @@ LTM_REGISTER_TRUTH_METHOD(
             std::to_string(refit_every));
       }
       options.refit_every_chunks = static_cast<size_t>(refit_every);
-      LTM_ASSIGN_OR_RETURN(options.align_shards_to_partitions,
-                           opts.GetBool("align_shards_to_partitions",
-                                        options.align_shards_to_partitions));
       LTM_ASSIGN_OR_RETURN(options.ltm, LtmOptionsFromSpec(opts, base));
       return std::unique_ptr<TruthMethod>(new StreamingPipeline(options));
     });

@@ -25,12 +25,6 @@ struct StreamingOptions {
   LtmOptions ltm;
   /// Refit batch LTM after this many incremental chunks (0 = never).
   size_t refit_every_chunks = 4;
-  /// When a store is attached, pin the refit's Gibbs shard count to the
-  /// store's partition count (overriding LtmOptions::shards for refits
-  /// only) — the chain shape then tracks the data layout instead of the
-  /// hardware. Off by default: refits
-  /// keep the configured shards/threads resolution.
-  bool align_shards_to_partitions = false;
 };
 
 /// Result of ingesting one chunk.

@@ -78,19 +78,19 @@ void RefreshSourceTerms(uint32_t s, const int64_t* c, LogCountTables* tables,
 
 }  // namespace
 
-int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
-                    std::vector<uint8_t>* truth,
-                    std::vector<int64_t>* counts,
-                    const std::array<double, 2>& log_beta,
-                    FusedKernelState* state, Rng* rng) {
+int FusedSweep(const ClaimGraph& graph, std::vector<uint8_t>* truth,
+               std::vector<int64_t>* counts,
+               const std::array<double, 2>& log_beta, FusedKernelState* state,
+               Rng* rng) {
   LogCountTables* tables = &state->tables;
   std::vector<double>& terms = state->terms;
   terms.resize(graph.NumSources() * 8);
   for (uint32_t s = 0; s < graph.NumSources(); ++s) {
     RefreshSourceTerms(s, &(*counts)[s * 4], tables, terms.data());
   }
+  const FactId num_facts = static_cast<FactId>(truth->size());
   int flips = 0;
-  for (FactId f = begin; f < end; ++f) {
+  for (FactId f = 0; f < num_facts; ++f) {
     const int cur = (*truth)[f];
     const int other = 1 - cur;
     // Same additions in the same order as FusedFlipLogOdds.
@@ -128,11 +128,6 @@ void RecountClaims(const ClaimGraph& graph,
                   ClaimGraph::PackedObs(entry)];
     }
   }
-}
-
-LtmKernel ResolveKernel(LtmKernel kernel, int num_shards) {
-  if (kernel != LtmKernel::kAuto) return kernel;
-  return num_shards > 1 ? LtmKernel::kFused : LtmKernel::kReference;
 }
 
 }  // namespace ltm

@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "data/claim_graph.h"
-#include "truth/options.h"
 
 namespace ltm {
 
@@ -25,16 +24,14 @@ namespace ltm {
 ///
 /// Tables are keyed by the truth label i (and observation j for the
 /// numerator family) because the Beta pseudo-counts differ per (i, j).
-/// One instance serves one shard (growth is not synchronized — give
-/// concurrent shards their own instance).
+/// One instance serves one chain (growth is not synchronized).
 class LogCountTables {
  public:
   /// Per-table memoization cap. Counts at or beyond the cap (a source
   /// with > 64k claims) fall back to a direct std::log of the identical
   /// argument — same value to the bit, so behavior is unaffected — which
   /// bounds each table at 512 KB and the eager Grow fill at 64k logs no
-  /// matter how prolific the busiest source is (tables are duplicated
-  /// per shard, so an uncapped build would multiply by thread count).
+  /// matter how prolific the busiest source is.
   static constexpr size_t kMaxEntries = 1 << 16;
 
   LogCountTables() = default;
@@ -89,19 +86,18 @@ class LogCountTables {
 /// the excluded counts and never go negative). The reference kernel
 /// walks the adjacency twice and calls std::log four times per entry;
 /// this walks it once and calls std::log zero times once the tables are
-/// warm. p(flip) = sigmoid(delta). FusedSweepRange reads the same terms
-/// from its per-source cache; this per-fact form is the oracle tests
-/// compare that cache against.
+/// warm. p(flip) = sigmoid(delta). FusedSweep reads the same terms from
+/// its per-source cache; this per-fact form is the oracle tests compare
+/// that cache against.
 ///
-/// `counts` is the n_{s,i,j} matrix flattened s*4 + i*2 + j — the
-/// authoritative matrix of a sequential chain or a shard's private copy.
+/// `counts` is the chain's n_{s,i,j} matrix flattened s*4 + i*2 + j.
 /// `log_beta[i]` is log(beta_i) of the truth prior.
 double FusedFlipLogOdds(const ClaimGraph& graph, FactId f, int cur,
                         const std::vector<int64_t>& counts,
                         const std::array<double, 2>& log_beta,
                         LogCountTables* tables);
 
-/// Per-shard state of the fused kernel: the log memo plus a per-source
+/// Per-chain state of the fused kernel: the log memo plus a per-source
 /// cache of the two Eq. 2 terms FusedFlipLogOdds adds per claim. For the
 /// packed fact-side entry e = (s << 1) | j and a fact currently labelled
 /// cur (other = 1 - cur), terms[e * 4 + cur * 2 + k] holds
@@ -111,26 +107,25 @@ double FusedFlipLogOdds(const ClaimGraph& graph, FactId f, int cur,
 ///
 /// so one source's eight terms share a cache line. A k = 1 cell whose
 /// self-excluded count would be negative (no claim of (s, j) sits under
-/// cur) is never read and holds NaN. Each shard owns one instance, so
-/// concurrent shards share nothing and a warm sweep allocates nothing.
+/// cur) is never read and holds NaN. Each chain owns one instance, so a
+/// warm sweep allocates nothing.
 struct FusedKernelState {
   LogCountTables tables;
   std::vector<double> terms;  // NumSources() * 8 doubles
 };
 
-/// One fused Gibbs pass over facts [begin, end). It first rebuilds every
-/// source's cached terms in `state` from `counts` (O(sources)); then per
-/// fact it sums the cached terms of the fact's claims in FusedFlipLogOdds'
-/// order (so the flip log-odds match it to the bit), draws one uniform
-/// from `rng`, and on a flip updates `truth` and `counts` in place and
-/// refreshes the terms of the flipped fact's sources. Returns the flip
-/// count. LtmGibbs runs every fused shard's sweep (one shard or many)
+/// One fused Gibbs pass over every fact in id order. It first rebuilds
+/// every source's cached terms in `state` from `counts` (O(sources));
+/// then per fact it sums the cached terms of the fact's claims in
+/// FusedFlipLogOdds' order (so the flip log-odds match it to the bit),
+/// draws one uniform from `rng`, and on a flip updates `truth` and
+/// `counts` in place and refreshes the terms of the flipped fact's
+/// sources. Returns the flip count. LtmGibbs runs every fused sweep
 /// through it.
-int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
-                    std::vector<uint8_t>* truth,
-                    std::vector<int64_t>* counts,
-                    const std::array<double, 2>& log_beta,
-                    FusedKernelState* state, Rng* rng);
+int FusedSweep(const ClaimGraph& graph, std::vector<uint8_t>* truth,
+               std::vector<int64_t>* counts,
+               const std::array<double, 2>& log_beta, FusedKernelState* state,
+               Rng* rng);
 
 /// Rebuilds the flattened n_{s,i,j} count matrix (s*4 + i*2 + j, the
 /// layout both kernels index) from the graph and a truth assignment.
@@ -138,11 +133,6 @@ int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
 void RecountClaims(const ClaimGraph& graph,
                    const std::vector<uint8_t>& truth,
                    std::vector<int64_t>* counts);
-
-/// Resolves LtmKernel::kAuto for a chain of `num_shards` shards: one
-/// shard keeps the bit-pinned reference kernel, a sharded chain gets the
-/// fused kernel. Explicit choices pass through.
-LtmKernel ResolveKernel(LtmKernel kernel, int num_shards);
 
 }  // namespace ltm
 

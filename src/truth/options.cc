@@ -10,24 +10,15 @@
 namespace ltm {
 
 const char* LtmKernelName(LtmKernel kernel) {
-  switch (kernel) {
-    case LtmKernel::kReference:
-      return "reference";
-    case LtmKernel::kFused:
-      return "fused";
-    case LtmKernel::kAuto:
-      break;
-  }
-  return "auto";
+  return kernel == LtmKernel::kFused ? "fused" : "reference";
 }
 
 Result<LtmKernel> ParseLtmKernel(const std::string& name) {
   const std::string lower = ToLower(name);
-  if (lower == "auto") return LtmKernel::kAuto;
   if (lower == "reference") return LtmKernel::kReference;
   if (lower == "fused") return LtmKernel::kFused;
   return Status::InvalidArgument(
-      "kernel must be auto|reference|fused, got '" + name + "'");
+      "kernel must be reference|fused, got '" + name + "'");
 }
 
 namespace {
@@ -70,16 +61,6 @@ Status LtmOptions::Validate() const {
     return Status::InvalidArgument("sample_gap must be >= 1, got " +
                                    std::to_string(sample_gap));
   }
-  if (threads < 0 || threads > 1024) {
-    return Status::InvalidArgument(
-        "threads must be in [0, 1024] (0 = auto), got " +
-        std::to_string(threads));
-  }
-  if (shards < 0 || shards > 1024) {
-    return Status::InvalidArgument(
-        "shards must be in [0, 1024] (0 = follow threads), got " +
-        std::to_string(shards));
-  }
   if (!std::isfinite(truth_threshold) || truth_threshold < 0.0 ||
       truth_threshold > 1.0) {
     return Status::InvalidArgument("truth_threshold must be in [0, 1], got " +
@@ -98,10 +79,6 @@ Result<LtmOptions> LtmOptionsFromSpec(const MethodOptions& spec_options,
   LTM_ASSIGN_OR_RETURN(base.sample_gap,
                        spec_options.GetInt("gap", base.sample_gap));
   LTM_ASSIGN_OR_RETURN(base.seed, spec_options.GetUint64("seed", base.seed));
-  LTM_ASSIGN_OR_RETURN(base.threads,
-                       spec_options.GetInt("threads", base.threads));
-  LTM_ASSIGN_OR_RETURN(base.shards,
-                       spec_options.GetInt("shards", base.shards));
   LTM_ASSIGN_OR_RETURN(
       const std::string kernel_name,
       spec_options.GetString("kernel", LtmKernelName(base.kernel)));

@@ -28,15 +28,12 @@ struct BetaPrior {
 /// Both evaluate the same collapsed conditional (paper Eq. 2); they
 /// differ in how much floating-point work a sweep pays.
 enum class LtmKernel {
-  /// Resolve per chain shape: `kReference` on one shard, `kFused` on
-  /// several. The default.
-  kAuto = 0,
   /// Two LogConditional passes per fact, four std::log calls per packed
   /// adjacency entry — the original Algorithm 1 transcription whose
-  /// posteriors are pinned bit-identical across releases.
+  /// posteriors are pinned bit-identical across releases. The default.
   kReference,
   /// One pass per fact accumulating the flip log-odds directly from
-  /// per-source Eq. 2 terms cached per shard and refreshed only when a
+  /// per-source Eq. 2 terms cached per chain and refreshed only when a
   /// flip moves that source's counts (truth/gibbs_kernel.h): two cached
   /// loads per claim. Statistically equivalent to kReference — same RNG
   /// draw sequence, different floating-point rounding — and several
@@ -45,7 +42,7 @@ enum class LtmKernel {
   kFused,
 };
 
-/// Spec-string form: "auto", "reference", "fused" (case-insensitive).
+/// Spec-string form: "reference", "fused" (case-insensitive).
 const char* LtmKernelName(LtmKernel kernel);
 Result<LtmKernel> ParseLtmKernel(const std::string& name);
 
@@ -77,30 +74,8 @@ struct LtmOptions {
   /// Seed for the sampler's deterministic RNG.
   uint64_t seed = 42;
 
-  /// Gibbs-sweep shard count when `shards` is 0, spec key `threads`.
-  /// 1 (default) runs LtmGibbs as the exact sequential chain of
-  /// Algorithm 1, without touching a thread pool. N > 1 partitions the
-  /// facts into N contiguous shards swept on ThreadPool::Shared(), each
-  /// driven by its own SplitStream RNG, with per-shard count matrices
-  /// merged at sweep barriers — deterministic for a fixed (seed, threads)
-  /// pair, but a different chain than threads=1. 0 means auto (one shard
-  /// per hardware thread; reproducible only on machines with equal core
-  /// counts).
-  int threads = 1;
-
-  /// Gibbs shard count, spec key `shards`, decoupled from `threads`:
-  /// shards fixes the chain (shard boundaries + per-shard RNG streams)
-  /// and, when set, `threads` is ignored. Shard sweeps run on
-  /// ThreadPool::Shared() whatever either value. 0 (default) follows
-  /// `threads` — the historical coupling, where every thread count was
-  /// its own chain. A store partitioned N ways can pin shards=N so refit
-  /// chains stay reproducible no matter what hardware runs them.
-  int shards = 0;
-
-  /// Gibbs update kernel, spec key `kernel` (`auto|reference|fused`).
-  /// kAuto keeps a one-shard chain on the bit-pinned reference kernel
-  /// and runs a multi-shard chain on the fused kernel.
-  LtmKernel kernel = LtmKernel::kAuto;
+  /// Gibbs update kernel, spec key `kernel` (`reference|fused`).
+  LtmKernel kernel = LtmKernel::kReference;
 
   /// When true, negative claims are ignored (the LTMpos ablation of §6.2).
   bool positive_claims_only = false;
@@ -138,8 +113,8 @@ struct LtmOptions {
 
 /// Applies spec-string options (truth/method_spec.h) on top of `base` and
 /// validates the result. Accepted keys: iterations, burnin,
-/// sample_gap|gap, seed, threads, shards, kernel,
-/// threshold|truth_threshold, positive_only, and the
+/// sample_gap|gap, seed, kernel, threshold|truth_threshold,
+/// positive_only, refit_epoch_delta, and the
 /// six prior pseudo-counts alpha0_pos, alpha0_neg, alpha1_pos, alpha1_neg,
 /// beta_pos, beta_neg. Used by every LTM-family registry factory.
 Result<LtmOptions> LtmOptionsFromSpec(const MethodOptions& spec_options,

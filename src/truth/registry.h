@@ -122,11 +122,11 @@ struct MethodRunOutcome {
 };
 
 /// Instantiates every spec and runs the resulting methods concurrently on
-/// `pool` (ThreadPool::Shared() when null) — independent methods are
-/// embarrassingly parallel, and a method that itself runs sharded (e.g.
-/// "LTM(threads=4)") fans out over the same pool without deadlock (see
-/// ThreadPool::ParallelFor). Outcomes are returned in spec order, so the
-/// output is deterministic regardless of scheduling.
+/// `pool` (ThreadPool::Shared() when null), one task per method:
+/// independent methods are embarrassingly parallel, while each method's
+/// own inference (e.g. LTM's one Gibbs chain) stays sequential. Outcomes
+/// are returned in spec order, so the output is deterministic regardless
+/// of scheduling.
 ///
 /// `ctx` is copied per method with its callbacks dropped: on_iteration /
 /// on_progress / on_state are not required to be thread-safe and several

@@ -247,65 +247,5 @@ TEST(RngTest, SameSeedSameSequence) {
   }
 }
 
-TEST(RngTest, SplitStreamIsIndependentOfParentConsumption) {
-  // The property the sharded sampler rests on: shard k's stream depends
-  // only on (seed, k), not on what the parent drew before the split.
-  Rng fresh(73);
-  Rng consumed(73);
-  for (int i = 0; i < 50; ++i) consumed.Uniform();
-  Rng a = fresh.SplitStream(3);
-  Rng b = consumed.SplitStream(3);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_DOUBLE_EQ(a.Uniform(), b.Uniform());
-  }
-}
-
-TEST(RngTest, SplitStreamsAreMutuallyIndependent) {
-  Rng parent(79);
-  Rng a = parent.SplitStream(0);
-  Rng b = parent.SplitStream(1);
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a.UniformInt(1000000) == b.UniformInt(1000000)) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(RngTest, SplitStreamDiffersFromParentAndFork) {
-  Rng parent(83);
-  Rng split = parent.SplitStream(0);
-  Rng same_seed(83);
-  int equal_parent = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (split.UniformInt(1000000) == same_seed.UniformInt(1000000)) {
-      ++equal_parent;
-    }
-  }
-  EXPECT_LT(equal_parent, 3);
-
-  // And against Fork with the same id: both derive children from the
-  // same root seed but must land on different streams.
-  Rng fork_parent(83);
-  Rng forked = fork_parent.Fork(0);
-  Rng split_again = Rng(83).SplitStream(0);
-  int equal_fork = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (split_again.UniformInt(1000000) == forked.UniformInt(1000000)) {
-      ++equal_fork;
-    }
-  }
-  EXPECT_LT(equal_fork, 3);
-}
-
-TEST(RngTest, SplitStreamSeedSensitivity) {
-  Rng a = Rng(1).SplitStream(0);
-  Rng b = Rng(2).SplitStream(0);
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a.UniformInt(1000000) == b.UniformInt(1000000)) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
 }  // namespace
 }  // namespace ltm

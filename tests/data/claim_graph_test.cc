@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -195,9 +194,6 @@ TEST(ClaimGraphTest, EmptyTable) {
   EXPECT_EQ(g.NumFacts(), 0u);
   EXPECT_EQ(g.NumSources(), 0u);
   EXPECT_EQ(g.NumClaims(), 0u);
-  std::vector<uint32_t> bounds = g.PartitionFacts(4);
-  ASSERT_EQ(bounds.size(), 5u);
-  for (uint32_t b : bounds) EXPECT_EQ(b, 0u);
 }
 
 // The canonical fact-side order, checked against a brute-force
@@ -381,53 +377,6 @@ TEST(ClaimGraphTest, ValidateIdBoundsAtTheBoundary) {
   const Status sources_over = ClaimGraph::ValidateIdBounds(1, limit + 1);
   EXPECT_EQ(sources_over.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(sources_over.message().find("sources"), std::string::npos);
-}
-
-TEST(ClaimGraphTest, PartitionBoundsAreMonotoneAndComplete) {
-  ClaimGraph g = BuildGraph(37);
-  for (int shards : {1, 2, 3, 4, 7, 16, 1000}) {
-    std::vector<uint32_t> bounds = g.PartitionFacts(shards);
-    ASSERT_EQ(bounds.size(), static_cast<size_t>(shards) + 1);
-    EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds.back(), g.NumFacts());
-    for (size_t k = 1; k < bounds.size(); ++k) {
-      EXPECT_LE(bounds[k - 1], bounds[k]);
-    }
-  }
-}
-
-TEST(ClaimGraphTest, PartitionBalancesClaimCounts) {
-  ClaimGraph g = BuildGraph(41);
-  const int shards = 4;
-  std::vector<uint32_t> bounds = g.PartitionFacts(shards);
-
-  std::vector<uint64_t> load(shards, 0);
-  for (int k = 0; k < shards; ++k) {
-    for (FactId f = bounds[k]; f < bounds[k + 1]; ++f) {
-      load[k] += g.FactDegree(f);
-    }
-  }
-  const uint64_t total = std::accumulate(load.begin(), load.end(),
-                                         uint64_t{0});
-  EXPECT_EQ(total, g.NumClaims());
-  // Every shard within 2x of the ideal share plus the largest fact's
-  // degree (a fact is indivisible).
-  uint32_t max_degree = 0;
-  for (FactId f = 0; f < g.NumFacts(); ++f) {
-    max_degree = std::max(max_degree, g.FactDegree(f));
-  }
-  const uint64_t ideal = total / shards;
-  for (int k = 0; k < shards; ++k) {
-    EXPECT_LE(load[k], 2 * ideal + max_degree) << "shard " << k;
-  }
-}
-
-TEST(ClaimGraphTest, PartitionIsDeterministic) {
-  RawDatabase raw = testing::RandomRaw(53);
-  FactTable facts = FactTable::Build(raw);
-  ClaimGraph g1 = ClaimGraph::Build(raw, facts);
-  ClaimGraph g2 = ClaimGraph::Build(raw, facts);
-  EXPECT_EQ(g1.PartitionFacts(8), g2.PartitionFacts(8));
 }
 
 TEST(ClaimGraphTest, PackedRoundTrip) {

@@ -394,9 +394,9 @@ TEST_F(StreamingStoreTest, RestartResumesFromDurableState) {
   EXPECT_EQ(resumed.quality().specificity, ref->quality->specificity);
 }
 
-// The bootstrap fit is a refit of the attached store: with
-// align_shards_to_partitions it runs the same partition-shaped chain as
-// a RefitFromStore at the same epoch, bit for bit.
+// The bootstrap fit is a refit of the attached store: over a 3-way
+// partitioned store it runs the same chain as a RefitFromStore at the
+// same epoch, bit for bit.
 TEST_F(StreamingStoreTest, BootstrapFitsLikeRefitFromStore) {
   store::PartitionedStoreOptions store_options;
   store_options.partitions = 3;
@@ -406,9 +406,7 @@ TEST_F(StreamingStoreTest, BootstrapFitsLikeRefitFromStore) {
   ASSERT_TRUE((*store)->AppendRaw(history_.raw).ok());
   ASSERT_TRUE((*store)->Flush().ok());
 
-  StreamingOptions options = Options();
-  options.align_shards_to_partitions = true;
-  StreamingPipeline pipeline(options);
+  StreamingPipeline pipeline(Options());
   ASSERT_TRUE(pipeline.BootstrapFromStore(store->get()).ok());
   const SourceQuality bootstrapped = pipeline.quality();
   const uint64_t epoch = (*store)->epoch();

@@ -54,7 +54,6 @@ class ServeSessionPartitionedTest : public ::testing::Test {
     options.ltm.iterations = 40;
     options.ltm.burnin = 10;
     options.ltm.seed = 5;
-    options.ltm.threads = 1;
     options.ltm.kernel = LtmKernel::kReference;
     options.refit_every_chunks = 0;
     return options;

@@ -74,7 +74,6 @@ class PartitionedTruthStoreTest : public ::testing::Test {
     opts.iterations = 40;
     opts.burnin = 10;
     opts.seed = 11;
-    opts.threads = 1;
     opts.kernel = LtmKernel::kReference;
     LatentTruthModel model(opts);
     return model.Score(ds.facts, ds.graph).probability;

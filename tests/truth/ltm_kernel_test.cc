@@ -7,16 +7,14 @@
 // and reference posterior means agree within sampling tolerance on
 // synthetic LTM-process data, the counts invariant holds sweep by sweep,
 // the cached-term sweep reproduces the uncached per-fact log-odds chain
-// bit for bit, and the kernel option wires through specs, the registry,
-// and both samplers (including the sharded thread-pool path the TSan leg
-// covers).
+// bit for bit, and the kernel option wires through specs, the registry
+// and the sampler.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cmath>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -61,8 +59,7 @@ ClaimGraph RandomTinyClaims(uint64_t seed, size_t num_facts,
 // Option plumbing.
 
 TEST(GibbsKernelTest, ParseAndNameRoundTrip) {
-  for (LtmKernel k : {LtmKernel::kAuto, LtmKernel::kReference,
-                      LtmKernel::kFused}) {
+  for (LtmKernel k : {LtmKernel::kReference, LtmKernel::kFused}) {
     auto parsed = ParseLtmKernel(LtmKernelName(k));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, k);
@@ -70,12 +67,18 @@ TEST(GibbsKernelTest, ParseAndNameRoundTrip) {
   auto upper = ParseLtmKernel("FUSED");  // values are case-insensitive
   ASSERT_TRUE(upper.ok());
   EXPECT_EQ(*upper, LtmKernel::kFused);
-  EXPECT_FALSE(ParseLtmKernel("vectorized").ok());
+  // Unknown values, including the removed `auto`, are rejected by name.
+  for (const char* bad : {"vectorized", "auto"}) {
+    auto parsed = ParseLtmKernel(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_NE(parsed.status().message().find(bad), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(GibbsKernelTest, SpecParsesKernelForLtmFamily) {
   for (const char* spec : {"LTM(kernel=fused)", "LTMpos(kernel=reference)",
-                           "LTMinc(kernel=fused)", "LTM(kernel=auto)"}) {
+                           "LTMinc(kernel=fused)"}) {
     auto method = CreateMethod(spec);
     EXPECT_TRUE(method.ok()) << spec << ": " << method.status().ToString();
   }
@@ -84,25 +87,8 @@ TEST(GibbsKernelTest, SpecParsesKernelForLtmFamily) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(GibbsKernelTest, AutoResolvesPerSamplerShape) {
-  EXPECT_EQ(ResolveKernel(LtmKernel::kAuto, 1), LtmKernel::kReference);
-  EXPECT_EQ(ResolveKernel(LtmKernel::kAuto, 8), LtmKernel::kFused);
-  EXPECT_EQ(ResolveKernel(LtmKernel::kFused, 1), LtmKernel::kFused);
-  EXPECT_EQ(ResolveKernel(LtmKernel::kReference, 8), LtmKernel::kReference);
-
-  ClaimGraph graph = RandomTinyClaims(3, 10, 4);
-  LtmOptions opts = TinyOptions();
-  opts.iterations = 10;
-  opts.burnin = 2;
-  EXPECT_EQ(LtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
-  opts.threads = 4;
-  EXPECT_EQ(LtmGibbs(graph, opts).kernel(), LtmKernel::kFused);
-  opts.kernel = LtmKernel::kReference;
-  EXPECT_EQ(LtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
-}
-
-// kernel=reference must be the exact chain kAuto runs sequentially —
-// the spelled-out form of today's bit-pinned default.
+// kernel=reference must be the exact chain default options run — the
+// spelled-out form of today's bit-pinned default.
 TEST(GibbsKernelTest, ExplicitReferenceBitIdenticalToAutoSequential) {
   ClaimGraph graph = RandomTinyClaims(17, 14, 5);
   LtmOptions opts = TinyOptions(9);
@@ -243,73 +229,11 @@ TEST(GibbsKernelTest, FusedAndReferenceAgreeOnLtmProcessData) {
   EXPECT_GT(m.accuracy(), 0.95) << m.confusion.ToString();
 }
 
-// ---------------------------------------------------------------------------
-// The sharded chain (the fused kernel's production home) stays
-// deterministic and statistically sound.
-
-TEST(GibbsKernelTest, FusedShardedDeterministicForSeed) {
-  RawDatabase raw = testing::RandomRaw(71);
-  FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(raw, facts);
-  LtmOptions opts = TinyOptions(7);
-  opts.iterations = 60;
-  opts.burnin = 10;
-  opts.sample_gap = 2;
-  opts.threads = 4;  // kAuto resolves to the fused kernel here
-
-  LtmGibbs a(claims, opts);
-  EXPECT_EQ(a.kernel(), LtmKernel::kFused);
-  TruthEstimate ea = a.Run();
-  TruthEstimate eb = LtmGibbs(claims, opts).Run();
-  EXPECT_EQ(ea.probability, eb.probability);
-}
-
-TEST(GibbsKernelTest, FusedShardedRecoversTruthOnGoodSyntheticData) {
-  synth::LtmProcessOptions gen;
-  gen.num_facts = 800;
-  gen.num_sources = 16;
-  gen.alpha0 = BetaPrior{10.0, 90.0};
-  gen.alpha1 = BetaPrior{90.0, 10.0};
-  gen.seed = 21;
-  synth::LtmProcessData data = synth::GenerateLtmProcess(gen);
-
-  LtmOptions opts;
-  opts.alpha0 = BetaPrior{10.0, 1000.0};
-  opts.iterations = 100;
-  opts.burnin = 20;
-  opts.sample_gap = 4;
-  opts.threads = 4;  // default-fused parallel path
-  LatentTruthModel model(opts);
-  TruthEstimate est = model.Score(data.facts, data.graph);
-  PointMetrics m = EvaluateAtThreshold(est.probability, data.truth, 0.5);
-  EXPECT_GT(m.accuracy(), 0.95) << m.confusion.ToString();
-}
-
-// Sharded reference stays available behind the flag: the pre-fused
-// multi-shard chain is reproducible by spelling kernel=reference.
-TEST(GibbsKernelTest, ShardedReferenceKernelStillRuns) {
-  RawDatabase raw = testing::RandomRaw(71);
-  FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(raw, facts);
-  LtmOptions opts = TinyOptions(7);
-  opts.iterations = 60;
-  opts.burnin = 10;
-  opts.sample_gap = 2;
-  opts.threads = 3;
-  opts.kernel = LtmKernel::kReference;
-
-  LtmGibbs sampler(claims, opts);
-  EXPECT_EQ(sampler.kernel(), LtmKernel::kReference);
-  TruthEstimate a = sampler.Run();
-  TruthEstimate b = LtmGibbs(claims, opts).Run();
-  EXPECT_EQ(a.probability, b.probability);
-}
-
 // Const inspection stays race-free under the lazy count build: two
-// threads reading Count() right after construction (the only window
-// where the build hasn't happened yet) must not race — the guarantee
-// eager construction used to give, now held by the EnsureCounts guard.
-// Runs under the TSan CI leg.
+// threads reading Count() of two chains, one per kernel, right after
+// construction (the only window where the build hasn't happened yet)
+// must not race — the guarantee eager construction used to give, now
+// held by the EnsureCounts guard. Runs under the TSan CI leg.
 TEST(GibbsKernelTest, ConcurrentCountReadsAfterConstructionAreSafe) {
   RawDatabase raw = testing::RandomRaw(41);
   FactTable facts = FactTable::Build(raw);
@@ -318,15 +242,16 @@ TEST(GibbsKernelTest, ConcurrentCountReadsAfterConstructionAreSafe) {
   opts.iterations = 10;
   opts.burnin = 2;
 
-  const LtmGibbs sequential(claims, opts);
-  opts.threads = 2;
-  const LtmGibbs sharded(claims, opts);
+  opts.kernel = LtmKernel::kReference;
+  const LtmGibbs reference(claims, opts);
+  opts.kernel = LtmKernel::kFused;
+  const LtmGibbs fused(claims, opts);
   auto reader = [&] {
     int64_t total = 0;
     for (SourceId s = 0; s < claims.NumSources(); ++s) {
       for (int i = 0; i < 2; ++i) {
         for (int j = 0; j < 2; ++j) {
-          total += sequential.Count(s, i, j) + sharded.Count(s, i, j);
+          total += reference.Count(s, i, j) + fused.Count(s, i, j);
         }
       }
     }
@@ -342,18 +267,14 @@ TEST(GibbsKernelTest, ConcurrentCountReadsAfterConstructionAreSafe) {
 // ---------------------------------------------------------------------------
 // The cached-term sweep against the uncached per-fact oracle.
 
-using SweepFn = std::function<int(int shard, FactId begin, FactId end,
-                                  std::vector<int64_t>* counts, Rng* rng)>;
-
 // The uncached fused sweep: FusedFlipLogOdds per fact, one uniform per
 // fact, counts updated in place on a flip.
-int OracleSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
-                     std::vector<uint8_t>* truth,
-                     std::vector<int64_t>* counts,
-                     const std::array<double, 2>& log_beta,
-                     LogCountTables* tables, Rng* rng) {
+int OracleSweep(const ClaimGraph& graph, std::vector<uint8_t>* truth,
+                std::vector<int64_t>* counts,
+                const std::array<double, 2>& log_beta, LogCountTables* tables,
+                Rng* rng) {
   int flips = 0;
-  for (FactId f = begin; f < end; ++f) {
+  for (FactId f = 0; f < truth->size(); ++f) {
     const int cur = (*truth)[f];
     const double delta =
         FusedFlipLogOdds(graph, f, cur, *counts, log_beta, tables);
@@ -372,53 +293,20 @@ int OracleSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
   return flips;
 }
 
-// One sweep of the sharded scheme LtmGibbs runs: shard k sweeps its
-// PartitionFacts range against a private copy of `counts` with rngs[k],
-// and the count deltas merge at the barrier. Returns the flip count.
-int ShardedSweep(const std::vector<uint32_t>& bounds, std::vector<Rng>* rngs,
-                 std::vector<int64_t>* counts, const SweepFn& sweep_range) {
-  const int shards = static_cast<int>(rngs->size());
-  std::vector<std::vector<int64_t>> local(shards, *counts);
-  int flips = 0;
-  for (int k = 0; k < shards; ++k) {
-    flips += sweep_range(k, bounds[k], bounds[k + 1], &local[k],
-                         &(*rngs)[k]);
-  }
-  for (size_t e = 0; e < counts->size(); ++e) {
-    int64_t acc = (*counts)[e];
-    for (int k = 0; k < shards; ++k) acc += local[k][e] - (*counts)[e];
-    (*counts)[e] = acc;
-  }
-  return flips;
-}
-
-std::vector<Rng> ShardStreams(uint64_t seed, int shards) {
-  Rng root(seed);
-  if (shards == 1) return {root};
-  std::vector<Rng> streams;
-  for (int k = 0; k < shards; ++k) {
-    streams.push_back(root.SplitStream(static_cast<uint64_t>(k)));
-  }
-  return streams;
-}
-
-// Runs FusedSweepRange and the FusedFlipLogOdds loop side by side from the
-// same random truth and streams, asserting after every sweep that both
-// chains hold the same truth vector, count matrix and flip count. On one
-// shard it also checks that the cached terms left behind by the sweep
-// reproduce FusedFlipLogOdds for every fact to the bit, i.e. the per-flip
-// refresh left no stale source.
+// Runs FusedSweep and the FusedFlipLogOdds loop side by side from the
+// same random truth and stream, asserting after every sweep that both
+// chains hold the same truth vector, count matrix and flip count, and
+// that the cached terms left behind by the sweep reproduce
+// FusedFlipLogOdds for every fact to the bit, i.e. the per-flip refresh
+// left no stale source.
 void ExpectCachedSweepMatchesOracle(const ClaimGraph& graph,
-                                    const LtmOptions& opts, int shards,
-                                    uint64_t seed, int sweeps) {
-  SCOPED_TRACE(::testing::Message() << "shards=" << shards
-                                    << " seed=" << seed);
+                                    const LtmOptions& opts, uint64_t seed,
+                                    int sweeps) {
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed);
   const std::array<std::array<double, 2>, 2> alpha{
       {{opts.alpha0.neg, opts.alpha0.pos}, {opts.alpha1.neg, opts.alpha1.pos}}};
   const std::array<double, 2> log_beta{std::log(opts.beta.neg),
                                        std::log(opts.beta.pos)};
-  const std::vector<uint32_t> bounds = graph.PartitionFacts(shards);
-  ASSERT_EQ(bounds.size(), static_cast<size_t>(shards) + 1);
 
   std::vector<uint8_t> truth(graph.NumFacts());
   Rng init(seed ^ 0x5eedu);
@@ -428,47 +316,36 @@ void ExpectCachedSweepMatchesOracle(const ClaimGraph& graph,
 
   std::vector<uint8_t> cached_truth = truth;
   std::vector<int64_t> cached_counts = counts;
-  std::vector<Rng> cached_rngs = ShardStreams(seed, shards);
-  std::vector<FusedKernelState> states(shards);
-  for (FusedKernelState& state : states) state.tables.Reset(alpha);
-  const SweepFn cached = [&](int k, FactId begin, FactId end,
-                             std::vector<int64_t>* c, Rng* rng) {
-    return FusedSweepRange(graph, begin, end, &cached_truth, c, log_beta,
-                           &states[k], rng);
-  };
+  Rng cached_rng(seed);
+  FusedKernelState state;
+  state.tables.Reset(alpha);
 
   std::vector<uint8_t> oracle_truth = truth;
   std::vector<int64_t> oracle_counts = counts;
-  std::vector<Rng> oracle_rngs = ShardStreams(seed, shards);
-  std::vector<LogCountTables> tables(shards);
-  for (LogCountTables& t : tables) t.Reset(alpha);
-  const SweepFn oracle = [&](int k, FactId begin, FactId end,
-                             std::vector<int64_t>* c, Rng* rng) {
-    return OracleSweepRange(graph, begin, end, &oracle_truth, c, log_beta,
-                            &tables[k], rng);
-  };
+  Rng oracle_rng(seed);
+  LogCountTables tables;
+  tables.Reset(alpha);
 
   int total_flips = 0;
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    const int cached_flips =
-        ShardedSweep(bounds, &cached_rngs, &cached_counts, cached);
-    const int oracle_flips =
-        ShardedSweep(bounds, &oracle_rngs, &oracle_counts, oracle);
+    const int cached_flips = FusedSweep(graph, &cached_truth, &cached_counts,
+                                        log_beta, &state, &cached_rng);
+    const int oracle_flips = OracleSweep(graph, &oracle_truth, &oracle_counts,
+                                         log_beta, &tables, &oracle_rng);
     ASSERT_EQ(cached_flips, oracle_flips) << "sweep " << sweep;
     ASSERT_EQ(cached_truth, oracle_truth) << "sweep " << sweep;
     ASSERT_EQ(cached_counts, oracle_counts) << "sweep " << sweep;
     total_flips += cached_flips;
-    if (shards != 1) continue;
     for (FactId f = 0; f < graph.NumFacts(); ++f) {
       const int cur = cached_truth[f];
-      const double* t = states[0].terms.data() + cur * 2;
+      const double* t = state.terms.data() + cur * 2;
       double delta = log_beta[1 - cur] - log_beta[cur];
       for (uint32_t entry : graph.FactClaims(f)) {
         delta += t[entry * 4];
         delta -= t[entry * 4 + 1];
       }
       const double oracle_delta = FusedFlipLogOdds(
-          graph, f, cur, cached_counts, log_beta, &tables[0]);
+          graph, f, cur, cached_counts, log_beta, &tables);
       ASSERT_EQ(std::bit_cast<uint64_t>(delta),
                 std::bit_cast<uint64_t>(oracle_delta))
           << "sweep " << sweep << " fact " << f;
@@ -500,22 +377,16 @@ ClaimGraph RandomWorldWithSparseSources(uint64_t seed) {
 
 TEST(GibbsKernelTest, CachedTermSweepMatchesUncachedOracle) {
   for (uint64_t seed : {3u, 11u, 29u, 47u}) {
-    const ClaimGraph graph = RandomWorldWithSparseSources(seed);
-    for (int shards : {1, 4}) {
-      ExpectCachedSweepMatchesOracle(graph, TinyOptions(), shards, seed,
-                                     /*sweeps=*/30);
-    }
+    ExpectCachedSweepMatchesOracle(RandomWorldWithSparseSources(seed),
+                                   TinyOptions(), seed, /*sweeps=*/30);
   }
 
   synth::MovieSimOptions gen;
   gen.num_movies = 2000;
   gen.seed = 19;
   const Dataset movies = synth::GenerateMovieDataset(gen);
-  for (int shards : {1, 4}) {
-    ExpectCachedSweepMatchesOracle(movies.graph,
-                                   LtmOptions::MovieDataDefaults(), shards,
-                                   /*seed=*/7, /*sweeps=*/20);
-  }
+  ExpectCachedSweepMatchesOracle(movies.graph, LtmOptions::MovieDataDefaults(),
+                                 /*seed=*/7, /*sweeps=*/20);
 }
 
 // ---------------------------------------------------------------------------

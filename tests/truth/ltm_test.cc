@@ -172,9 +172,9 @@ LtmOptions GoldenOptions() {
   opts.burnin = 8;
   opts.sample_gap = 1;
   opts.seed = 7;
-  // Pinned explicitly (kAuto resolves to kReference on the sequential
-  // chain today, but a golden bit-pin must not depend on that default —
-  // the determinism lint enforces this).
+  // Pinned explicitly (kReference is the default today, but a golden
+  // bit-pin must not depend on that default — the determinism lint
+  // enforces this).
   opts.kernel = LtmKernel::kReference;
   return opts;
 }
@@ -259,31 +259,19 @@ TEST(LtmGibbsTest, GoldenPosteriorsUnmovedByMetricsAndTracing) {
   EXPECT_TRUE(saw_sweep_span);
 }
 
-// Full-precision goldens on a 66-fact random world (RandomRaw(55) under
-// SmallDataOptions()), one per chain shape. The posterior means are
-// multiples of 1/125 (125 accumulated samples), so every entry is exact
-// and any drift in the RNG stream, the draw order, the shard layout or
-// the Eq. 2 arithmetic moves at least one of them. On this world the
-// fused single-shard chain makes exactly the reference chain's flip
-// decisions, so the two share one vector.
-const std::vector<double>& RandomWorldSingleShardGolden() {
+// Full-precision golden on a 66-fact random world (RandomRaw(55) under
+// SmallDataOptions()). The posterior means are multiples of 1/125 (125
+// accumulated samples), so every entry is exact and any drift in the RNG
+// stream, the draw order or the Eq. 2 arithmetic moves at least one of
+// them. On this world the fused chain makes exactly the reference
+// chain's flip decisions, so both kernels are pinned to this vector.
+const std::vector<double>& RandomWorldGolden() {
   static const std::vector<double> golden{
       1.0, 1.0, 1.0, 1.0, 1.0, 0.888, 1.0, 1.0, 1.0, 1.0, 0.936, 1.0, 1.0,
       1.0, 1.0, 1.0, 1.0, 0.84, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.56, 0.6,
       1.0, 1.0, 0.952, 0.952, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.992, 0.8,
       0.832, 0.896, 1.0, 1.0, 1.0, 1.0, 0.992, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
       1.0, 1.0, 1.0, 1.0, 1.0, 0.976, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-  return golden;
-}
-
-const std::vector<double>& RandomWorldFourShardGolden() {
-  static const std::vector<double> golden{
-      1.0, 1.0, 1.0, 1.0, 1.0, 0.84, 1.0, 1.0, 1.0, 1.0, 0.944, 1.0, 0.992,
-      0.992, 1.0, 1.0, 1.0, 0.88, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.504,
-      0.648, 1.0, 1.0, 0.936, 0.952, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-      0.792, 0.84, 0.872, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-      1.0, 1.0, 1.0, 0.992, 1.0, 1.0, 0.944, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-      1.0, 1.0};
   return golden;
 }
 
@@ -300,13 +288,12 @@ TEST(LtmGibbsTest, ReferenceKernelPinsRandomWorldGolden) {
   LtmOptions opts = SmallDataOptions();
   opts.kernel = LtmKernel::kReference;
   ExpectGolden(LtmGibbs(world.graph, opts).Run(),
-               RandomWorldSingleShardGolden());
+               RandomWorldGolden());
 
-  auto method =
-      CreateMethod("LTM(threads=1,kernel=reference)", SmallDataOptions());
+  auto method = CreateMethod("LTM(kernel=reference)", SmallDataOptions());
   ASSERT_TRUE(method.ok()) << method.status().ToString();
   ExpectGolden((*method)->Score(world.facts, world.graph),
-               RandomWorldSingleShardGolden());
+               RandomWorldGolden());
 }
 
 TEST(LtmGibbsTest, FusedSingleShardPinsRandomWorldGolden) {
@@ -314,21 +301,12 @@ TEST(LtmGibbsTest, FusedSingleShardPinsRandomWorldGolden) {
   LtmOptions opts = SmallDataOptions();
   opts.kernel = LtmKernel::kFused;
   ExpectGolden(LtmGibbs(world.graph, opts).Run(),
-               RandomWorldSingleShardGolden());
+               RandomWorldGolden());
 
-  auto method = CreateMethod("LTM(threads=1,kernel=fused)", SmallDataOptions());
+  auto method = CreateMethod("LTM(kernel=fused)", SmallDataOptions());
   ASSERT_TRUE(method.ok()) << method.status().ToString();
   ExpectGolden((*method)->Score(world.facts, world.graph),
-               RandomWorldSingleShardGolden());
-}
-
-TEST(LtmGibbsTest, FusedFourShardsPinRandomWorldGolden) {
-  const Dataset world = Dataset::FromRaw("world", testing::RandomRaw(55));
-  auto method =
-      CreateMethod("LTM(shards=4,kernel=fused)", SmallDataOptions());
-  ASSERT_TRUE(method.ok()) << method.status().ToString();
-  ExpectGolden((*method)->Score(world.facts, world.graph),
-               RandomWorldFourShardGolden());
+               RandomWorldGolden());
 }
 
 // The lazy count build must be invisible: counts queried straight after

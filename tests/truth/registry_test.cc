@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "data/claim_graph.h"
 #include "data/fact_table.h"
+#include "test_util.h"
 
 namespace ltm {
 namespace {
@@ -82,7 +86,10 @@ TEST(RegistryTest, PerMethodOptionValidation) {
         "LTM(iterations=0)", "LTM(burnin=100,iterations=50)",
         "LTM(sample_gap=0)", "LTM(beta_pos=-1)", "LTM(threshold=2)",
         "LTM(seed=-1)", "ExactLTM(max_facts=99)",
-        "StreamingLTM(refit_every=-1)"}) {
+        "StreamingLTM(refit_every=-1)",
+        // Keys and values of the deleted sharded sampler fail loudly.
+        "LTM(threads=4)", "LTM(shards=2)", "LTM(kernel=auto)",
+        "StreamingLTM(align_shards_to_partitions=true)"}) {
     auto m = CreateMethod(bad);
     ASSERT_FALSE(m.ok()) << bad;
     EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument)
@@ -176,6 +183,60 @@ TEST(RegistryTest, RuntimeRegistrationAndRemoval) {
   ASSERT_TRUE(MethodRegistry::Global().Unregister("TestOnlyMethod").ok());
   EXPECT_FALSE(MethodRegistry::Global().Contains("TestOnlyMethod"));
   EXPECT_EQ(CreateMethod("tom").status().code(), StatusCode::kNotFound);
+}
+
+LtmOptions SmallDataOptions() {
+  LtmOptions opts;
+  opts.alpha0 = BetaPrior{1.0, 100.0};
+  opts.alpha1 = BetaPrior{1.0, 1.0};
+  opts.beta = BetaPrior{1.0, 1.0};
+  opts.iterations = 120;
+  opts.burnin = 20;
+  opts.sample_gap = 2;
+  opts.seed = 7;
+  return opts;
+}
+
+TEST(RunMethodsConcurrentlyTest, MatchesSequentialRuns) {
+  RawDatabase raw = testing::RandomRaw(17);
+  FactTable facts = FactTable::Build(raw);
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
+  LtmOptions base = SmallDataOptions();
+  base.iterations = 40;
+  base.burnin = 10;
+
+  const std::vector<std::string> specs{"Voting", "LTM", "TruthFinder",
+                                       "AvgLog"};
+  RunContext ctx;
+  std::vector<MethodRunOutcome> outcomes =
+      RunMethodsConcurrently(specs, ctx, facts, claims, base);
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(outcomes[i].spec, specs[i]);
+    ASSERT_TRUE(outcomes[i].result.ok())
+        << specs[i] << ": " << outcomes[i].result.status().ToString();
+    auto method = CreateMethod(specs[i], base);
+    ASSERT_TRUE(method.ok());
+    Result<TruthResult> solo = (*method)->Run(RunContext(), facts, claims);
+    ASSERT_TRUE(solo.ok());
+    EXPECT_EQ(outcomes[i].result->estimate.probability,
+              solo->estimate.probability)
+        << specs[i];
+  }
+}
+
+TEST(RunMethodsConcurrentlyTest, BadSpecYieldsErrorOutcomeInOrder) {
+  RawDatabase raw = testing::RandomRaw(17);
+  FactTable facts = FactTable::Build(raw);
+  ClaimGraph claims = ClaimGraph::Build(raw, facts);
+
+  const std::vector<std::string> specs{"Voting", "NoSuchMethod", "AvgLog"};
+  std::vector<MethodRunOutcome> outcomes = RunMethodsConcurrently(
+      specs, RunContext(), facts, claims, SmallDataOptions());
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_TRUE(outcomes[0].result.ok());
+  EXPECT_EQ(outcomes[1].result.status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(outcomes[2].result.ok());
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Determinism lint: static scan enforcing the repo's reproducibility contract.
 
-The library promises bit-identical chains for a fixed seed (kernel=reference,
-threads=1) and statistically-equivalent chains otherwise. That promise dies
-quietly if a hot path picks up ad-hoc randomness, wall-clock input, or
-iteration order from an unordered container. This lint bans the paths by
-which that happens:
+The library promises bit-identical chains for a fixed seed under
+kernel=reference, and statistically-equivalent chains under kernel=fused.
+That promise dies quietly if a hot path picks up ad-hoc randomness,
+wall-clock input, or iteration order from an unordered container. This
+lint bans the paths by which that happens:
 
   R1 banned-random     rand()/srand()/std::random_device/std::mt19937 and
                        friends anywhere outside src/common/rng.* — all
